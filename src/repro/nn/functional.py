@@ -1,8 +1,16 @@
 """Structured neural-network ops with autograd support.
 
-Convolution (stride / padding / groups via im2col), pooling, padding and the
-fused softmax cross-entropy loss used throughout the reproduction.  All
-functions accept and return :class:`repro.nn.tensor.Tensor`.
+Convolution (stride / padding / groups via im2col), pooling, padding, batch
+norm and the fused softmax cross-entropy loss used throughout the
+reproduction.  The public functions accept and return
+:class:`repro.nn.tensor.Tensor`.
+
+Max-pool works on strided window views of its input (no transposed copy)
+and keeps one boolean mask per window element for the backward;
+:mod:`repro.nn.graph` replays compiled max-pools through the same array
+kernel, :func:`_max_pool_select`.  Max-pool and batch norm produce the
+same bits as the plain argmax / ``mean``+``var`` formulations, down to
+which of ``-0.0`` and ``+0.0`` a tied window returns.
 
 The conv2d matmuls (forward, input gradient, weight gradient) run as
 row-blocks over the batch dimension dispatched through
@@ -206,11 +214,66 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     return Tensor._make(out.astype(x.dtype, copy=False), parents, backward)
 
 
+def _max_pool_select(x: np.ndarray, kh: int, kw: int,
+                     out: Optional[np.ndarray] = None
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Max over each non-overlapping ``kh x kw`` window, without copies.
+
+    Scans the ``kh*kw`` strided window views of
+    ``x.reshape(n, c, oh, kh, ow, kw)`` in row-major window order.
+    Returns ``(out, masks)``: ``masks[k]`` is the one-hot selection of
+    window element ``k``, using argmax's rule (the first maximum wins; a
+    window holding a NaN selects its first NaN).  ``out`` is assembled
+    from the selected element's own bits, so a window mixing ``-0.0``
+    and ``+0.0`` yields whichever zero comes first.  ``out`` may be a
+    preallocated ``(n, c, oh, ow)`` buffer.
+    """
+    n, c, h, w = x.shape
+    oh, ow = h // kh, w // kw
+    x6 = x.reshape(n, c, oh, kh, ow, kw)
+    views = [x6[:, :, :, i, :, j] for i in range(kh) for j in range(kw)]
+    if out is None:
+        out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    # ``out`` holds the window max until the masks are built.
+    np.copyto(out, views[0])
+    for v in views[1:]:
+        np.maximum(out, v, out=out)
+    masks = np.empty((len(views), n, c, oh, ow), dtype=bool)
+    np.equal(views[0], out, out=masks[0])
+    seen = masks[0].copy()
+    for v, mask in zip(views[1:], masks[1:]):
+        np.equal(v, out, out=mask)
+        np.greater(mask, seen, out=mask)        # mask & ~seen
+        np.logical_or(seen, mask, out=seen)
+    if not seen.all():
+        # A NaN max compares unequal to everything: select the first NaN.
+        unseen = np.logical_not(seen, out=seen)
+        for v, mask in zip(views, masks):
+            hit = np.isnan(v)
+            np.logical_and(hit, unseen, out=hit)
+            np.logical_or(mask, hit, out=mask)
+            np.greater(unseen, hit, out=unseen)
+    bits = np.dtype(f"u{x.dtype.itemsize}")
+    out_bits = out.view(bits)
+    sel = np.empty(out.shape, dtype=bits)
+    for k, (v, mask) in enumerate(zip(views, masks)):
+        np.negative(mask.view(np.uint8), dtype=bits, out=sel)   # 0 or ~0
+        if k == 0:
+            np.bitwise_and(v.view(bits), sel, out=out_bits)
+        else:
+            np.bitwise_and(v.view(bits), sel, out=sel)
+            np.bitwise_or(out_bits, sel, out=out_bits)
+    return out, masks
+
+
 def max_pool2d(x: Tensor, kernel_size: IntPair = 2, stride: Optional[IntPair] = None) -> Tensor:
     """Max pooling with ``stride == kernel_size`` (the common CNN case).
 
     Input spatial dims must be divisible by the kernel; the model zoo
-    arranges its shapes to satisfy this.
+    arranges its shapes to satisfy this.  The forward keeps only the
+    boolean window masks of :func:`_max_pool_select`; the backward
+    writes ``g`` through them with a bitwise AND, so every unselected
+    position gets exactly ``+0.0``.
     """
     kh, kw = _pair(kernel_size)
     if stride is not None and _pair(stride) != (kh, kw):
@@ -218,24 +281,21 @@ def max_pool2d(x: Tensor, kernel_size: IntPair = 2, stride: Optional[IntPair] = 
     n, c, h, w = x.shape
     if h % kh or w % kw:
         raise ValueError(f"pooling kernel {kh}x{kw} does not tile input {h}x{w}")
-    oh, ow = h // kh, w // kw
-
-    # Group each pooling window into the trailing axis, then argmax once.
-    windows = (x.data.reshape(n, c, oh, kh, ow, kw)
-               .transpose(0, 1, 2, 4, 3, 5)
-               .reshape(n, c, oh, ow, kh * kw))
-    argmax = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    out, masks = _max_pool_select(x.data, kh, kw)
 
     def backward(g):
-        gwin = np.zeros_like(windows)
-        np.put_along_axis(gwin, argmax[..., None], g[..., None], axis=-1)
-        gx = (gwin.reshape(n, c, oh, ow, kh, kw)
-              .transpose(0, 1, 2, 4, 3, 5)
-              .reshape(n, c, h, w))
-        return (gx.astype(x.dtype, copy=False),)
+        g = g.astype(x.dtype, copy=False)
+        bits = np.dtype(f"u{x.dtype.itemsize}")
+        gx = np.empty(x.shape, dtype=x.dtype)
+        gx6 = gx.view(bits).reshape(n, c, h // kh, kh, w // kw, kw)
+        g_bits = g.view(bits)
+        sel = np.empty(g.shape, dtype=bits)
+        for k, mask in enumerate(masks):
+            np.negative(mask.view(np.uint8), dtype=bits, out=sel)
+            np.bitwise_and(g_bits, sel, out=gx6[:, :, :, k // kw, :, k % kw])
+        return (gx,)
 
-    return Tensor._make(out.astype(x.dtype, copy=False), (x,), backward)
+    return Tensor._make(out, (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel_size: IntPair = 2) -> Tensor:
@@ -272,6 +332,17 @@ def pad2d(x: Tensor, padding: IntPair) -> Tensor:
     return Tensor._make(data, (x,), backward)
 
 
+def _into(buf: Optional[np.ndarray], *operands: np.ndarray) -> Optional[np.ndarray]:
+    """``buf`` when a ufunc over ``operands`` yields its dtype, else ``None``.
+
+    Lets a kernel reuse a dead buffer as ``out=`` without ever changing
+    the dtype the expression would have produced on its own.
+    """
+    if buf is not None and np.result_type(*operands) == buf.dtype:
+        return buf
+    return None
+
+
 def batch_norm(x: Tensor, weight: Optional[Tensor], bias: Optional[Tensor],
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
@@ -279,8 +350,10 @@ def batch_norm(x: Tensor, weight: Optional[Tensor], bias: Optional[Tensor],
 
     In training mode normalizes with batch statistics and updates
     ``running_mean`` / ``running_var`` **in place**; in eval mode uses the
-    running estimates.  Fusing the op (instead of composing mean/var
-    primitives) cuts roughly ten full-array passes per layer per step.
+    running estimates.  The centred ``x - mean`` feeds both the variance
+    (numpy's own ``var`` algorithm: square, sum, divide) and ``x_hat``,
+    and dead full-size buffers are reused as ``out=`` targets, so the
+    forward allocates two arrays of ``x``'s size and the backward two.
     """
     if x.ndim != 4:
         raise ValueError(f"batch_norm expects (N, C, H, W), got {x.shape}")
@@ -288,22 +361,32 @@ def batch_norm(x: Tensor, weight: Optional[Tensor], bias: Optional[Tensor],
     axes = (0, 2, 3)
     count = n * h * w
 
+    def per_channel(a: np.ndarray) -> np.ndarray:
+        return a.reshape(1, c, 1, 1)
+
+    mean = x.data.mean(axis=axes) if training else running_mean
+    centred = x.data - per_channel(mean)
+    scratch = None
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        scratch = np.square(centred)
+        var = np.add.reduce(scratch, axis=axes)
+        np.true_divide(var, np.intp(count), out=var, casting="unsafe")
         unbiased = var * (count / max(count - 1, 1))
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mean
         running_var *= (1.0 - momentum)
         running_var += momentum * unbiased
     else:
-        mean = running_mean
         var = running_var
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+    x_hat = np.multiply(centred, per_channel(inv_std),
+                        out=_into(scratch, centred, inv_std))
     if weight is not None:
-        out = x_hat * weight.data.reshape(1, c, 1, 1) + bias.data.reshape(1, c, 1, 1)
+        scaled = np.multiply(x_hat, per_channel(weight.data),
+                             out=_into(centred, x_hat, weight.data))
+        out = np.add(scaled, per_channel(bias.data),
+                     out=_into(scaled, scaled, bias.data))
     else:
         out = x_hat
 
@@ -311,21 +394,28 @@ def batch_norm(x: Tensor, weight: Optional[Tensor], bias: Optional[Tensor],
 
     def backward(g):
         gamma = weight.data if weight is not None else np.ones(c, dtype=x.dtype)
-        g_hat = g * gamma.reshape(1, c, 1, 1)
+        g_hat = g * per_channel(gamma)
         gx = gw = gb = None
+        prod = None
         if x.requires_grad:
             if training:
+                # gx = inv_std / count * (count * g_hat - sum_g - x_hat * sum_gx)
                 sum_g = g_hat.sum(axis=axes)
-                sum_gx = (g_hat * x_hat).sum(axis=axes)
-                gx = (inv_std.reshape(1, c, 1, 1) / count) * (
-                    count * g_hat
-                    - sum_g.reshape(1, c, 1, 1)
-                    - x_hat * sum_gx.reshape(1, c, 1, 1))
+                prod = np.multiply(g_hat, x_hat)
+                sum_gx = prod.sum(axis=axes)
+                gx = np.multiply(count, g_hat, out=g_hat)
+                np.subtract(gx, per_channel(sum_g), out=gx)
+                corr = np.multiply(x_hat, per_channel(sum_gx), out=prod)
+                gx = np.subtract(gx, corr, out=_into(gx, gx, corr))
+                coef = per_channel(inv_std) / count
+                gx = np.multiply(coef, gx, out=_into(gx, coef, gx))
             else:
-                gx = g_hat * inv_std.reshape(1, c, 1, 1)
+                gx = np.multiply(g_hat, per_channel(inv_std),
+                                 out=_into(g_hat, g_hat, inv_std))
             gx = gx.astype(x.dtype, copy=False)
         if weight is not None and weight.requires_grad:
-            gw = (g * x_hat).sum(axis=axes).astype(weight.dtype, copy=False)
+            gw = np.multiply(g, x_hat, out=_into(prod, g, x_hat))
+            gw = gw.sum(axis=axes).astype(weight.dtype, copy=False)
         if bias is not None and bias.requires_grad:
             gb = g.sum(axis=axes).astype(bias.dtype, copy=False)
         if weight is None:

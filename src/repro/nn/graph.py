@@ -30,10 +30,10 @@ module compiles that knowledge into a flat program:
 
 Bit-identity is the hard gate: each node replays the *exact* numpy
 expression the interpreted path runs (``relu`` is greater+multiply so
-negative zeros keep their sign, max-pool replays argmax+take so ±0.0
-ties resolve identically, rare ops re-run the original interpreted
-function into the arena).  Forward conv GEMMs are per-sample independent
-so block-count changes cannot move a bit.  :func:`compile` then
+negative zeros keep their sign, max-pool runs the interpreted path's
+own kernel with ``out=`` set to its arena buffer, rare ops re-run the
+original interpreted function into the arena).  Forward conv GEMMs are
+per-sample independent so block-count changes cannot move a bit.  :func:`compile` then
 *verifies* the program against the interpreted path on a second, fresh
 batch — any divergence (including data-dependent constants left behind
 by an untraceable op) raises :class:`TraceError` and the model falls
@@ -567,12 +567,6 @@ def _build_program(nodes: List[_TraceNode], out_idx: int,
         specs: List[Tuple[Tuple[int, ...], np.dtype]] = []
         if node.op == "relu":
             specs.append((node.shape, np.dtype(bool)))
-        elif node.op == "max_pool2d":
-            n, c, h, w = node.params["in_shape"]
-            kh, kw = F._pair(node.params["kernel"])
-            oh, ow = h // kh, w // kw
-            specs.append(((n, c, oh, ow, kh * kw), np.dtype(np.float32)))
-            specs.append(((n, c, oh, ow), np.dtype(np.intp)))
         elif node.op == "conv2d":
             geom = _conv_geom(node)
             c, h, w, kh, kw, sh, sw, ph, pw = geom
@@ -731,19 +725,10 @@ def _build_node(node: _TraceNode, i: int, out_array, scratch_arrays,
 
     if op == "max_pool2d":
         a = inputs[0]
-        n, c, h, w = params["in_shape"]
         kh, kw = F._pair(params["kernel"])
-        oh, ow = h // kh, w // kw
-        win5, argbuf = scratch_arrays(i)
-        win6 = win5.reshape(n, c, oh, ow, kh, kw)
 
         def run(values):
-            x = _resolve(a, values)
-            x6 = x.reshape(n, c, oh, kh, ow, kw)
-            np.copyto(win6, x6.transpose(0, 1, 2, 4, 3, 5))
-            np.argmax(win5, axis=-1, out=argbuf)
-            taken = np.take_along_axis(win5, argbuf[..., None], axis=-1)
-            np.copyto(out, taken[..., 0])
+            F._max_pool_select(_resolve(a, values), kh, kw, out=out)
             return out
         return run
 

@@ -23,8 +23,12 @@ parent still owns.
 
 from __future__ import annotations
 
+import ctypes
 import errno
+import functools
+import glob
 import multiprocessing as mp
+import os
 import pickle
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +36,8 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from ..nn.threading import available_cpu_count
 from ..reliability import faults as _faults
@@ -79,6 +85,44 @@ def _execute(task) -> _Outcome:
     except Exception as exc:
         return _Outcome(ok=False, error_type=type(exc).__name__,
                         traceback=traceback.format_exc())
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_openblas() -> Optional[ctypes.CDLL]:
+    """numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas*``), or None.
+
+    ``dlopen`` hands back the copy numpy already loaded, so thread
+    settings made through it are the ones numpy's matmuls use.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if all(hasattr(lib, f"scipy_openblas_{op}_num_threads64_")
+               for op in ("get", "set")):
+            return lib
+    return None
+
+
+def set_blas_threads(count: int) -> Optional[int]:
+    """Set numpy's BLAS thread count; returns the old one (None: no-op).
+
+    Tasks run with one BLAS thread wherever they run.  Worker processes
+    are the parallelism, and a BLAS pool per worker oversubscribes the
+    cores: a 2-worker pipeline ran 2-5x slower with OpenBLAS's default
+    of a thread per core.  The inline path must match, because the
+    thread count changes bits: OpenBLAS splits the long reduction of a
+    conv weight-gradient GEMM differently for 1 and 2 threads at some
+    batch sizes, which would break worker-count bit-identity.
+    """
+    lib = bundled_openblas()
+    if lib is None:
+        return None
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(ctypes.c_int(count))
+    return previous
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -176,14 +220,21 @@ def run_tasks(tasks: Iterable[Any], workers: int = 1,
     task_list = list(tasks)
     effective = resolve_workers(workers)
     if effective <= 1 or len(task_list) <= 1:
-        return [task.run() for task in task_list]
+        previous = set_blas_threads(1)
+        try:
+            return [task.run() for task in task_list]
+        finally:
+            if previous is not None:
+                set_blas_threads(previous)
 
     ctx = mp.get_context(context or default_context())
     processes = min(effective, len(task_list))
     # ProcessPoolExecutor (not mp.Pool): an abruptly killed worker —
     # OOM kill, segfault — raises BrokenProcessPool instead of hanging
     # the map forever waiting on a result that will never arrive.
-    with ProcessPoolExecutor(max_workers=processes, mp_context=ctx) as pool:
+    with ProcessPoolExecutor(max_workers=processes, mp_context=ctx,
+                             initializer=set_blas_threads,
+                             initargs=(1,)) as pool:
         try:
             outcomes = list(pool.map(_execute, task_list))
         except BrokenProcessPool as exc:

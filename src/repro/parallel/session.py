@@ -42,7 +42,7 @@ from typing import Any, Callable, Optional
 
 from ..obs import profile as _profile
 from ..reliability import faults as _faults
-from .pool import WorkerError, _Outcome, default_context
+from .pool import WorkerError, _Outcome, default_context, set_blas_threads
 
 #: Sentinel method name asking the worker loop to exit cleanly.
 _SHUTDOWN = "__shutdown__"
@@ -59,6 +59,7 @@ def _session_main(factory: Callable[[], Any], conn) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):
         pass
+    set_blas_threads(1)
     handler = None
     build_error: Optional[_Outcome] = None
     try:

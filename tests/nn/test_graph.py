@@ -25,6 +25,7 @@ from repro.nn.graph import compile as nn_compile
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.nn.threading import batch_blocks, intra_op_threads
+from tests.nn import reference_kernels
 
 #: Per-sample shape of the unit profile every tiny model accepts.
 SHAPE = (3, 12, 12)
@@ -71,6 +72,34 @@ class TestBitIdentity:
                 assert out.tobytes() == reference.tobytes(), (
                     f"{name} width={width} fused={fused} "
                     f"threads={threads} diverged from interpreted")
+
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_signed_zero_pool_windows_match_interpreted(self, width):
+        """ReLU of a negative is ``-0.0``, so pool windows mix both zeros.
+
+        The compiled max-pool writes into its arena buffer with ``out=``;
+        it must pick the same zero, sign included, as the interpreted
+        path and the plain argmax formulation, in every window.
+        """
+        model = nn.Sequential(nn.ReLU(), nn.MaxPool2d(2))
+        model.eval()
+        rng = np.random.default_rng(width)
+        batch = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5], np.float32),
+                           size=(width,) + SHAPE)
+        with nn.no_grad():
+            reference = model(Tensor(batch)).data
+            oracle = reference_kernels.max_pool2d(
+                Tensor(batch).relu(), 2).data
+        assert reference.tobytes() == oracle.tobytes()
+        zeros = reference[reference == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        for fused in (True, False):
+            compiled = nn_compile(model, width, input_shape=SHAPE,
+                                  fused=fused, autotune=False)
+            assert compiled.compiled, compiled.fallback_reason
+            out = compiled(batch).data
+            assert out.tobytes() == reference.tobytes(), (
+                f"width={width} fused={fused} diverged from interpreted")
 
     def test_autotune_keeps_bits_and_records_table(self):
         model = _model()

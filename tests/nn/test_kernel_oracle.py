@@ -1,0 +1,172 @@
+"""Copy-free max-pool and batch norm vs their plain reference kernels.
+
+The production kernels in :mod:`repro.nn.functional` are rewrites for
+speed; they must not move a single bit.  A hypothesis sweep compares
+them with the verbatim references in ``reference_kernels.py``: outputs,
+input and parameter gradients, and running statistics, byte for byte.
+The value palettes are tiny on purpose so that ties, windows mixing
+``-0.0`` with ``+0.0``, and NaN windows come up constantly.  A final
+test trains a model with each kernel pair and compares the weights.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from repro import nn
+from repro.data import load_dataset
+from repro.models import small_cnn
+from repro.nn import functional as F
+from repro.nn.tensor import Tensor
+from repro.train import TrainConfig, train_model
+from tests.nn import reference_kernels as ref
+
+_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+DTYPES = (np.float32, np.float64)
+
+#: Ties and signed zeros on purpose; NaN only where a case asks for it.
+_POOL_PALETTE = [-0.0, 0.0, 1.0, -1.0, 0.5, 2.0, -2.0]
+_GRAD_PALETTE = [-0.0, 0.0, 1.0, -1.5, 3.0, np.inf]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _pool_case(draw):
+    kh = draw(st.sampled_from([2, 3]))
+    kw = draw(st.sampled_from([kh, 2, 3]))
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    oh, ow = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from(DTYPES))
+    palette = _POOL_PALETTE + ([np.nan] if draw(st.booleans()) else [])
+    x = draw(arrays(dtype, (n, c, oh * kh, ow * kw),
+                    elements=st.sampled_from(palette)))
+    g = draw(arrays(dtype, (n, c, oh, ow),
+                    elements=st.sampled_from(_GRAD_PALETTE)))
+    return x, g, (kh, kw)
+
+
+def _pool_run(fn, x, g, kernel):
+    t = Tensor(x, requires_grad=True, dtype=x.dtype)
+    out = fn(t, kernel)
+    out.backward(g)
+    return out.data, t.grad
+
+
+@_settings
+@given(_pool_case())
+def test_max_pool_matches_reference_bitwise(case):
+    x, g, kernel = case
+    ref_out, ref_grad = _pool_run(ref.max_pool2d, x, g, kernel)
+    out, grad = _pool_run(F.max_pool2d, x, g, kernel)
+    assert _same_bits(out, ref_out)
+    assert _same_bits(grad, ref_grad)
+
+
+@_settings
+@given(_pool_case())
+def test_max_pool_select_into_buffer_matches_reference(case):
+    """The compiled graph's path: no grad, output written into ``out=``."""
+    x, _, (kh, kw) = case
+    with nn.no_grad():
+        ref_out = ref.max_pool2d(Tensor(x, dtype=x.dtype), (kh, kw)).data
+    buf = np.full(ref_out.shape, 7.0, dtype=x.dtype)
+    out, masks = F._max_pool_select(x, kh, kw, out=buf)
+    assert out is buf
+    assert _same_bits(out, ref_out)
+    assert (masks.sum(axis=0) == 1).all(), "every window selects exactly one element"
+
+
+def test_max_pool_signed_zero_and_nan_windows():
+    """Hand-picked windows: first-of-tied zeros wins, first NaN wins."""
+    x = np.array([[[[-0.0, 0.0, np.nan, 1.0],
+                    [0.0, -0.0, 2.0, np.nan]]]], dtype=np.float32)
+    out, grad = _pool_run(F.max_pool2d, x, np.array([[[[5.0, 6.0]]]],
+                                                    dtype=np.float32), 2)
+    assert np.signbit(out[0, 0, 0, 0]) and np.isnan(out[0, 0, 0, 1])
+    ref_out, ref_grad = _pool_run(ref.max_pool2d, x, np.array(
+        [[[[5.0, 6.0]]]], dtype=np.float32), 2)
+    assert _same_bits(out, ref_out) and _same_bits(grad, ref_grad)
+    assert grad[0, 0, 0, 0] == 5.0 and grad[0, 0, 0, 2] == 6.0
+    assert not np.signbit(grad).any(), "unselected positions are +0.0"
+
+
+@st.composite
+def _bn_case(draw):
+    n, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # Activation and parameter dtypes, including both mixed pairings.
+    x_dtype, p_dtype = draw(st.sampled_from(
+        [(np.float32, np.float32), (np.float64, np.float64),
+         (np.float64, np.float32), (np.float32, np.float64)]))
+    values = st.one_of(
+        st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.25]),
+        st.floats(-8.0, 8.0, allow_nan=False, width=32))
+    x = draw(arrays(x_dtype, (n, c, h, w), elements=values))
+    g = draw(arrays(x_dtype, (n, c, h, w), elements=values))
+    params = st.floats(-2.0, 2.0, allow_nan=False, width=32)
+    weight = draw(arrays(p_dtype, (c,), elements=params))
+    bias = draw(arrays(p_dtype, (c,), elements=params))
+    running_mean = draw(arrays(p_dtype, (c,), elements=params))
+    running_var = draw(arrays(p_dtype, (c,),
+                              elements=st.floats(0.25, 4.0, width=32)))
+    training = draw(st.booleans())
+    affine = draw(st.booleans())
+    return x, g, weight, bias, running_mean, running_var, training, affine
+
+
+def _bn_run(fn, case):
+    x, g, weight, bias, running_mean, running_var, training, affine = case
+    t = Tensor(x, requires_grad=True, dtype=x.dtype)
+    w = Tensor(weight, requires_grad=True, dtype=weight.dtype) if affine else None
+    b = Tensor(bias, requires_grad=True, dtype=bias.dtype) if affine else None
+    rm, rv = running_mean.copy(), running_var.copy()
+    out = fn(t, w, b, rm, rv, training)
+    out.backward(g)
+    grads = [t.grad] + ([w.grad, b.grad] if affine else [])
+    return [out.data, rm, rv] + grads
+
+
+@_settings
+@given(_bn_case())
+def test_batch_norm_matches_reference_bitwise(case):
+    expected = _bn_run(ref.batch_norm, case)
+    got = _bn_run(F.batch_norm, case)
+    names = ["out", "running_mean", "running_var", "gx", "gw", "gb"]
+    for name, a, b in zip(names, got, expected):
+        assert _same_bits(a, b), f"{name} differs from the reference kernel"
+
+
+def _trained_state_bytes() -> bytes:
+    train, _, profile = load_dataset("unit", seed=0)
+    nn.manual_seed(0)
+    model = small_cnn(profile.num_classes, width=8)
+    train_model(model, train, TrainConfig(epochs=2, lr=3e-3, seed=0))
+    state = model.state_dict()
+    return b"".join(name.encode() + np.ascontiguousarray(state[name]).tobytes()
+                    for name in sorted(state))
+
+
+def test_training_state_matches_reference_kernels(monkeypatch):
+    """Two epochs of training end in the same state with either kernel pair."""
+    calls = {"max_pool2d": 0, "batch_norm": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    production = _trained_state_bytes()
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(F, name, counted(name, getattr(ref, name)))
+        reference = _trained_state_bytes()
+    assert all(calls.values()), "training never reached the reference kernels"
+    assert production == reference

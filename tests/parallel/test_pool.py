@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.parallel.pool import (WorkerError, ensure_picklable,
-                                 resolve_workers, run_tasks)
+from repro.parallel.pool import (WorkerError, bundled_openblas,
+                                 ensure_picklable, resolve_workers, run_tasks)
 
 pytestmark = pytest.mark.parallel
 
@@ -27,6 +27,23 @@ class PidTask:
 
     def run(self) -> int:
         return os.getpid()
+
+
+def blas_threads() -> int:
+    return bundled_openblas().scipy_openblas_get_num_threads64_()
+
+
+@dataclass(frozen=True)
+class BlasThreadsTask:
+    label: str = ""
+
+    def run(self) -> int:
+        return blas_threads()
+
+
+needs_openblas = pytest.mark.skipif(
+    bundled_openblas() is None,
+    reason="numpy has no bundled OpenBLAS thread-count symbol")
 
 
 @dataclass(frozen=True)
@@ -82,6 +99,16 @@ class TestRunTasks:
     def test_parallel_runs_in_worker_processes(self):
         pids = run_tasks([PidTask() for _ in range(4)], workers=2)
         assert any(pid != os.getpid() for pid in pids)
+
+    @needs_openblas
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tasks_run_one_blas_thread(self, workers):
+        """Pooled or inline, a task sees one BLAS thread (the thread
+        count changes GEMM bits); the parent's setting comes back."""
+        parent = blas_threads()
+        assert run_tasks([BlasThreadsTask() for _ in range(2)],
+                         workers=workers) == [1, 1]
+        assert blas_threads() == parent
 
     def test_single_task_runs_inline(self):
         assert run_tasks([PidTask()], workers=4) == [os.getpid()]

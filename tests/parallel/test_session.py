@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import ArrayChannel, ChannelPeer, WorkerError, WorkerSession
+from repro.parallel.pool import bundled_openblas
 from repro.reliability import Fault, FaultPlan, injected
 
 pytestmark = pytest.mark.parallel
@@ -42,6 +43,9 @@ class Echo:
         time.sleep(seconds)
         return "rested"
 
+    def blas_threads(self) -> int:
+        return bundled_openblas().scipy_openblas_get_num_threads64_()
+
     def read_slot(self, slot):
         peer = ChannelPeer()
         try:
@@ -55,6 +59,12 @@ class TestWorkerSession:
         with WorkerSession(Echo) as session:
             assert session.call("pid") != os.getpid()
             assert session.call("pid") == session.pid
+
+    @pytest.mark.skipif(bundled_openblas() is None,
+                        reason="numpy has no bundled OpenBLAS thread-count symbol")
+    def test_worker_runs_one_blas_thread(self):
+        with WorkerSession(Echo) as session:
+            assert session.call("blas_threads") == 1
 
     def test_state_persists_across_calls(self):
         with WorkerSession(Echo) as session:
