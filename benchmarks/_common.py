@@ -88,11 +88,10 @@ def bench_workers() -> int:
 
 def _cache_key(cfg: PipelineConfig, stages: Tuple[str, ...]) -> str:
     fields = asdict(cfg)
-    # Worker count and the shard-state return transport never change
-    # computed results (both are bit-identical by construction); exclude
-    # them so serial/parallel/shm/pipe runs share cache entries.
+    # Worker count never changes computed results (bit-identical by
+    # construction); exclude it so serial/parallel runs share cache
+    # entries.
     fields.pop("workers", None)
-    fields.pop("state_shm", None)
     payload = json.dumps({**fields, "stages": sorted(stages)},
                          sort_keys=True)
     return hashlib.md5(payload.encode()).hexdigest()

@@ -139,18 +139,13 @@ def time_folded_inference(dataset_name: str, epochs: int,
     }
 
 
-def time_sisa(dataset_name: str, epochs: int, workers: int,
-              state_shm: bool = True) -> dict:
-    """One fit + one unlearn round-trip; returns timings + digests.
-
-    ``state_shm`` picks the shard-state return transport: shared-memory
-    lanes (default) or the pickle pipe — both must hash identically.
-    """
+def time_sisa(dataset_name: str, epochs: int, workers: int) -> dict:
+    """One fit + one unlearn round-trip; returns timings + digests."""
     train, _, profile = load_dataset(dataset_name, seed=0)
     factory = ModelSpec("small_cnn", profile.num_classes, scale="bench")
     config = SISAConfig(num_shards=4, num_slices=1,
                         train=TrainConfig(epochs=epochs, lr=3e-3, seed=5),
-                        seed=11, workers=workers, state_shm=state_shm)
+                        seed=11, workers=workers)
     ensemble = SISAEnsemble(factory, config)
 
     start = time.perf_counter()
@@ -215,25 +210,23 @@ def run_quick_gate() -> dict:
     """Smoke-scale perf cells; baselines for benchmarks/check_regression.py."""
     cells = {}
     start = time.perf_counter()
-    time_sisa("unit", epochs=2, workers=1)
+    serial_row = time_sisa("unit", epochs=2, workers=1)
     cells["sisa_fit_unlearn_seconds"] = time.perf_counter() - start
     cells["conv_train_seconds"] = time_conv_threads(
         "unit", epochs=2, threads=1)["seconds"]
     folding = time_folded_inference("unit", epochs=1, repeats=3)
     cells["folded_predict_seconds"] = folding["folded_seconds"]
     cells["folding_max_abs_delta"] = folding["max_abs_delta"]
-    # State-return transport pair: the same pooled fit over shm lanes vs
-    # the pickle pipe.  The digests gate bit-identity absolutely; the
-    # timings track the transport overhead.
+    # The same fit + unlearn on a 2-process pool: the digests gate
+    # pooled-vs-serial bit-identity absolutely; the timing tracks the
+    # pool's fan-out overhead.
     start = time.perf_counter()
-    shm_row = time_sisa("unit", epochs=2, workers=2, state_shm=True)
-    cells["sisa_state_shm_seconds"] = time.perf_counter() - start
-    start = time.perf_counter()
-    pipe_row = time_sisa("unit", epochs=2, workers=2, state_shm=False)
-    cells["sisa_state_pickle_seconds"] = time.perf_counter() - start
-    cells["state_return_bit_identical"] = float(
-        shm_row["fit_digest"] == pipe_row["fit_digest"]
-        and shm_row["post_unlearn_digest"] == pipe_row["post_unlearn_digest"])
+    pooled_row = time_sisa("unit", epochs=2, workers=2)
+    cells["sisa_pooled_seconds"] = time.perf_counter() - start
+    cells["sisa_pooled_bit_identical"] = float(
+        pooled_row["fit_digest"] == serial_row["fit_digest"]
+        and pooled_row["post_unlearn_digest"]
+        == serial_row["post_unlearn_digest"])
     return cells
 
 
@@ -280,37 +273,6 @@ def run_full(report: dict) -> bool:
     print(f"  bit-identical across worker counts: {identical}")
     if not identical:
         print("  ERROR: parallel SISA diverged from serial", file=sys.stderr)
-        return False
-
-    # State-return transport: the widest pooled fit again, but with the
-    # shard states pickled back through the pool pipe instead of the
-    # (default) shared-memory lanes the cells above used.
-    widest = max(WORKER_COUNTS)
-    print(f"shard-state return transport at workers={widest} "
-          f"(shm lanes vs pickle pipe)")
-    pickle_row = time_sisa(dataset, sisa_epochs, widest, state_shm=False)
-    shm_row = report["sisa"][str(widest)]
-    transport_identical = (
-        pickle_row["fit_digest"] == shm_row["fit_digest"]
-        and pickle_row["post_unlearn_digest"]
-        == shm_row["post_unlearn_digest"])
-    report["state_transport"] = {
-        "workers": widest,
-        "shm_fit_seconds": shm_row["fit_seconds"],
-        "pickle_fit_seconds": pickle_row["fit_seconds"],
-        "shm_unlearn_seconds": shm_row["unlearn_seconds"],
-        "pickle_unlearn_seconds": pickle_row["unlearn_seconds"],
-        "fit_speedup_vs_pickle":
-            pickle_row["fit_seconds"] / shm_row["fit_seconds"],
-        "bit_identical": transport_identical,
-    }
-    print(f"  shm {shm_row['fit_seconds']:.2f}s vs pickle "
-          f"{pickle_row['fit_seconds']:.2f}s fit "
-          f"({report['state_transport']['fit_speedup_vs_pickle']:.2f}x), "
-          f"bit-identical: {transport_identical}")
-    if not transport_identical:
-        print("  ERROR: shm state returns diverged from the pickle path",
-              file=sys.stderr)
         return False
 
     print(f"3-seed multirun on {dataset} ({multirun_epochs} epochs)")

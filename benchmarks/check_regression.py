@@ -5,9 +5,9 @@ Reruns the ``quick_gate`` cells of ``bench_perf_scaling.py`` and the
 seconds total) and fails if any timing cell is slower than the baseline
 recorded in ``benchmarks/BENCH_perf_scaling.json`` by more than the
 tolerance factor.  Correctness is gated absolutely regardless of
-timing: the folded-inference delta must stay within atol=1e-5, shard
-states returned over shared memory must hash identically to the pickle
-path, the serving load must drop zero responses, and solo- vs
+timing: the folded-inference delta must stay within atol=1e-5, a
+pooled SISA fit + unlearn must hash identically to the serial one, the
+serving load must drop zero responses, and solo- vs
 coalesced-served logits must be bit-identical (delta exactly 0.0).
 
 Beyond the baseline-relative timing cells, the serving gate makes three
@@ -143,8 +143,7 @@ from repro.nn.threading import available_cpu_count  # noqa: E402
 
 #: Timing cells compared against the baseline (seconds, lower = better).
 TIMING_CELLS = ("sisa_fit_unlearn_seconds", "conv_train_seconds",
-                "folded_predict_seconds", "sisa_state_shm_seconds",
-                "sisa_state_pickle_seconds")
+                "folded_predict_seconds", "sisa_pooled_seconds")
 ATOL_CELL = "folding_max_abs_delta"
 SERVING_TIMING_CELLS = ("serving_p50_seconds", "serving_single_p50_seconds",
                         "serving_multiproc_p50_seconds",
@@ -282,10 +281,10 @@ def main(argv=None) -> int:
     delta = measured[ATOL_CELL]
     gate.add(ATOL_CELL, f"{delta:.2e}", "—", "1e-5", delta > 1e-5,
              correctness=True)
-    # Bit-identity of shm vs pickle shard-state returns is absolute:
-    # correctness, not timing, so trend mode still fails on it.
-    identical = measured.get("state_return_bit_identical", 0.0) == 1.0
-    gate.add("state_return_bit_identical", "yes" if identical else "NO",
+    # Bit-identity of pooled vs serial SISA is absolute: correctness,
+    # not timing, so trend mode still fails on it.
+    identical = measured.get("sisa_pooled_bit_identical", 0.0) == 1.0
+    gate.add("sisa_pooled_bit_identical", "yes" if identical else "NO",
              "—", "exact", not identical, correctness=True)
 
     print(f"rerunning serving quick-gate cells [{mode}]")

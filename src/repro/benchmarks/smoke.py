@@ -1,12 +1,11 @@
 """Fast parallel-path smoke gate (tier-2 CI entry point).
 
-Runs one tiny SISA fit with ``workers=2`` on the unit profile — once
-with shared-memory state returns (the default) and once over the pickle
-pipe — checks both against the serial path bit-for-bit, and enforces a
-wall-clock budget: a cheap end-to-end probe that the process pool, the
-shared-memory dataset handoff, the shm state-return lanes and the
-determinism contract all still hold.  Also asserts the run leaked no
-shared-memory segments (every lane/dataset unlinked exactly once)::
+Runs one tiny SISA fit with ``workers=2`` on the unit profile, checks
+it against the serial path bit-for-bit, and enforces a wall-clock
+budget: a cheap end-to-end probe that the process pool, the
+shared-memory dataset handoff and the determinism contract all still
+hold.  Also asserts the run leaked no shared-memory segments (every
+published dataset unlinked exactly once)::
 
     PYTHONPATH=src python -m repro.benchmarks.smoke [--timeout 120]
 
@@ -28,12 +27,12 @@ from ..train import TrainConfig
 from ..unlearning.sisa import SISAConfig, SISAEnsemble
 
 
-def _fit(workers: int, state_shm: bool = True) -> SISAEnsemble:
+def _fit(workers: int) -> SISAEnsemble:
     train, _, profile = load_dataset("unit", seed=0)
     factory = ModelSpec("small_cnn", profile.num_classes, scale="tiny")
     config = SISAConfig(num_shards=2, num_slices=1,
                         train=TrainConfig(epochs=2, lr=3e-3, seed=5),
-                        seed=11, workers=workers, state_shm=state_shm)
+                        seed=11, workers=workers)
     return SISAEnsemble(factory, config).fit(train)
 
 
@@ -58,12 +57,9 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     shm_before = shm_segment_names()
-    shm_states = _fit(workers=2, state_shm=True)
-    pipe_states = _fit(workers=2, state_shm=False)
+    pooled = _fit(workers=2)
     serial = _fit(workers=1)
-    if _diverged(serial, shm_states, "workers=2 (shm state returns)"):
-        return 1
-    if _diverged(serial, pipe_states, "workers=2 (pipe state returns)"):
+    if _diverged(serial, pooled, "workers=2"):
         return 1
     leaked = leaked_segments(shm_before)
     if leaked:
@@ -75,9 +71,8 @@ def main(argv=None) -> int:
         print(f"SMOKE FAIL: took {elapsed:.1f}s > budget {args.timeout:.0f}s",
               file=sys.stderr)
         return 1
-    print(f"smoke ok: workers=2 SISA fit bit-identical to serial over both "
-          f"state transports, no shm leaks "
-          f"({elapsed:.1f}s, budget {args.timeout:.0f}s)")
+    print(f"smoke ok: workers=2 SISA fit bit-identical to serial, no shm "
+          f"leaks ({elapsed:.1f}s, budget {args.timeout:.0f}s)")
     return 0
 
 

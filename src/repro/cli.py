@@ -62,12 +62,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "one per CPU core); when --workers > 1 each "
                              "worker process defaults to 1 thread so "
                              "processes x threads stays at core count")
-    parser.add_argument("--state-shm", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="return pooled SISA shard states through "
-                             "shared-memory lanes instead of pickling them "
-                             "through the pool pipe (bit-identical either "
-                             "way; auto-falls back when shm is unavailable)")
 
 
 def _config_from(args, cr: Optional[float] = None,
@@ -78,8 +72,7 @@ def _config_from(args, cr: Optional[float] = None,
         camouflage_ratio=cr if cr is not None else args.cr,
         noise_std=sigma if sigma is not None else args.sigma,
         epochs=args.epochs, lr=args.lr, seed=args.seed,
-        workers=args.workers, intra_op_threads=args.intra_op_threads,
-        state_shm=args.state_shm)
+        workers=args.workers, intra_op_threads=args.intra_op_threads)
 
 
 def cmd_pipeline(args) -> int:

@@ -50,7 +50,6 @@ class PipelineConfig:
     seed: int = 0
     workers: int = 1                        # SISA shard pool: 1=serial, 0=auto
     intra_op_threads: int = 1               # conv-kernel threads: 1=serial, 0=auto
-    state_shm: bool = True                  # pooled shard states return via shm
 
 
 @dataclass
@@ -153,8 +152,7 @@ def _run_pipeline_inner(cfg: PipelineConfig, stages: tuple) -> PipelineResult:
                                   num_slices=cfg.sisa_slices,
                                   train=tcfg, seed=cfg.seed + 2,
                                   workers=cfg.workers,
-                                  intra_op_threads=cfg.intra_op_threads,
-                                  state_shm=cfg.state_shm)
+                                  intra_op_threads=cfg.intra_op_threads)
             factory = ModelSpec(cfg.model, profile.num_classes,
                                 scale=cfg.model_scale)
             provider = SISAEnsemble(factory, sisa_cfg).fit(bundle.train_mixture)

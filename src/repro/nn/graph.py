@@ -981,7 +981,7 @@ def compile(model: Module, width: int, *,
         program = _build_program(nodes, out_idx, storage_of, end_of, table)
         # Warm run: proves the replay executes and fills the arena with
         # realistic data for the autotune timings.
-        warm = program.run(batch_a)
+        program.run(batch_a)
         if autotune:
             _autotune(program, table)
         else:
@@ -999,7 +999,6 @@ def compile(model: Module, width: int, *,
                     "compiled program diverged from the interpreted path "
                     "on a verification batch (likely an untraceable op "
                     "captured as a constant)")
-        del warm
         plan.update(ops=len(nodes) - 1, fused=fused_count,
                     arena_bytes=int(program.arena.nbytes), tuned=table,
                     input_shape=list(shape))

@@ -8,7 +8,6 @@ re-seeds per run).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Tuple
 
 import numpy as np
@@ -25,21 +24,6 @@ def manual_seed(seed: int) -> None:
 def get_rng() -> np.random.Generator:
     """The RNG used by all initializers (for tests that need determinism)."""
     return _rng
-
-
-@contextmanager
-def scoped_seed(seed: int):
-    """Reseed the initializer RNG for a block, then restore the ambient
-    stream — including its exact position.  For internal machinery that
-    must build throwaway models (e.g. lane-sizing probes) without
-    perturbing the caller's reproducibility."""
-    global _rng
-    saved = _rng
-    _rng = np.random.default_rng(seed)
-    try:
-        yield
-    finally:
-        _rng = saved
 
 
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:

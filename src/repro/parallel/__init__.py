@@ -49,10 +49,9 @@ formatted traceback.
 from .pool import WorkerError, default_context, resolve_workers, run_tasks
 from .session import WorkerSession
 from .shm import (ArrayChannel, ArraySlot, ChannelPeer, SharedDataset,
-                  SharedDatasetHandle, StateCapacityError, StateChannel,
-                  StateSlot, StateVerifyError, leaked_segments,
-                  share_dataset, shm_segment_names, state_fingerprint,
-                  write_states_to)
+                  SharedDatasetHandle, StateChannel, StateSlot,
+                  StateVerifyError, leaked_segments, share_dataset,
+                  shm_segment_names, state_fingerprint)
 from .netstate import NetstateError, StateStreamServer, ship_state
 from .tasks import ModelSpec, ShardTrainResult, ShardTrainTask, StageSpec
 
@@ -60,8 +59,7 @@ __all__ = [
     "WorkerError", "default_context", "resolve_workers", "run_tasks",
     "WorkerSession",
     "ArrayChannel", "ArraySlot", "ChannelPeer",
-    "StateChannel", "StateSlot", "StateCapacityError", "StateVerifyError",
-    "state_fingerprint", "write_states_to",
+    "StateChannel", "StateSlot", "StateVerifyError", "state_fingerprint",
     "NetstateError", "StateStreamServer", "ship_state",
     "shm_segment_names", "leaked_segments",
     "SharedDataset", "SharedDatasetHandle", "share_dataset",

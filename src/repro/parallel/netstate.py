@@ -263,7 +263,7 @@ def ship_state(address: Tuple[str, int], message: dict,
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
     payload = bytearray(packed_nbytes(state))
-    slot = _pack_state(payload, state, 0, transfer_id)
+    slot = _pack_state(payload, state, transfer_id)
     last: object = None
     for attempt in range(attempts):
         fault = None

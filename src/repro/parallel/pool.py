@@ -10,21 +10,11 @@ bit-for-bit.
 Failures inside a worker are captured with their full formatted
 traceback and re-raised in the parent as :class:`WorkerError`, so a
 crash three processes away still reads like a local stack trace.
-
-Results that are mostly *arrays* (trained state dicts) should not
-travel back through the result pickle at all: provision per-task
-shared-memory return lanes with :func:`state_return_lanes` and let each
-task park its states there (:mod:`repro.parallel.shm`).  Ownership
-stays strictly one-sided — the parent creates and unlinks every lane
-exactly once, workers only attach-untracked and close — so a worker
-that crashes mid-write can neither leak a segment nor unlink one the
-parent still owns.
 """
 
 from __future__ import annotations
 
 import ctypes
-import errno
 import functools
 import glob
 import multiprocessing as mp
@@ -33,15 +23,12 @@ import pickle
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional
 
 import numpy as np
 
 from ..nn.threading import available_cpu_count
-from ..reliability import faults as _faults
-from .shm import StateChannel
 
 
 class WorkerError(RuntimeError):
@@ -164,41 +151,6 @@ def ensure_picklable(obj: Any, what: str, hint: str = "") -> None:
 
 def _label(task, index: int) -> str:
     return getattr(task, "label", "") or f"task[{index}]"
-
-
-@contextmanager
-def state_return_lanes(sizes: Sequence[int],
-                       ) -> Iterator[List[Optional[StateChannel]]]:
-    """One parent-owned state return lane per pending task.
-
-    Yields a :class:`~repro.parallel.shm.StateChannel` (pre-sized to
-    ``sizes[i]`` bytes) per task, or ``None`` in a position where shared
-    memory was unavailable — callers leave ``None``-lane tasks on the
-    pipe return path.  Every created lane is unlinked exactly once on
-    exit, success or failure, which is the whole unlink story: workers
-    attach untracked and only ever close, so a crashed worker cannot
-    leak a lane and a doubly-entered ``finally`` cannot double-unlink
-    (``StateChannel.unlink`` is idempotent).
-    """
-    lanes: List[Optional[StateChannel]] = []
-    try:
-        for nbytes in sizes:
-            try:
-                if _faults.ACTIVE is not None:
-                    fault = _faults.ACTIVE.check("pool.state_lane")
-                    if fault is not None and fault.kind == "oserror":
-                        raise OSError(
-                            errno.ENOSPC,
-                            "injected: no space left on /dev/shm for a "
-                            "state return lane")
-                lanes.append(StateChannel(nbytes))
-            except OSError:
-                lanes.append(None)
-        yield lanes
-    finally:
-        for lane in lanes:
-            if lane is not None:
-                lane.unlink()
 
 
 def run_tasks(tasks: Iterable[Any], workers: int = 1,

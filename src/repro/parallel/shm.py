@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ def _create_segment(nbytes: int) -> shared_memory.SharedMemory:
     ``shm.create`` can make any one of them fail as if ``/dev/shm`` were
     exhausted — the error real fleets hit when state lanes outgrow the
     tmpfs — and so callers exercise their documented fallbacks (pipe
-    transport, lane-less returns) under test instead of only in outages.
+    transport) under test instead of only in outages.
     """
     if _faults.ACTIVE is not None:
         fault = _faults.ACTIVE.check("shm.create")
@@ -350,22 +350,6 @@ class StateVerifyError(RuntimeError):
     """
 
 
-class StateCapacityError(RuntimeError):
-    """A state payload does not fit the target segment.
-
-    Raised on the *writer* side before a single byte moves, carrying
-    ``needed_bytes`` so the reader can resize (owner) or fall back to
-    the pipe (peer).
-    """
-
-    def __init__(self, needed_bytes: int, capacity: int):
-        self.needed_bytes = needed_bytes
-        self.capacity = capacity
-        super().__init__(
-            f"state payload of {needed_bytes} bytes exceeds segment "
-            f"capacity {capacity}")
-
-
 @dataclass(frozen=True)
 class StateEntry:
     """Layout of one named array inside a packed state payload."""
@@ -414,19 +398,19 @@ def state_fingerprint(state: Dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def packed_nbytes(state: Dict[str, np.ndarray], base: int = 0) -> int:
-    """Bytes one state dict occupies when packed at ``base`` (aligned)."""
-    offset = _align(base)
+def packed_nbytes(state: Dict[str, np.ndarray]) -> int:
+    """Bytes one state dict occupies when packed (aligned)."""
+    offset = 0
     for value in state.values():
         offset = _align(offset) + np.asarray(value).nbytes
-    return offset - base
+    return offset
 
 
-def _pack_state(buf, state: Dict[str, np.ndarray], base: int,
+def _pack_state(buf, state: Dict[str, np.ndarray],
                 segment_name: str) -> StateSlot:
-    """Copy every array of ``state`` into ``buf`` starting at ``base``."""
+    """Copy every array of ``state`` into ``buf`` starting at offset 0."""
     entries = []
-    offset = _align(base)
+    offset = 0
     for key, value in state.items():
         # Not ascontiguousarray: that would promote 0-d arrays to 1-d
         # and the unpacked dict must restore the exact original shapes.
@@ -462,25 +446,6 @@ def _unpack_state(buf, slot: StateSlot,
     return state
 
 
-def _pack_states_into(segment: shared_memory.SharedMemory,
-                      states: Sequence[Dict[str, np.ndarray]],
-                      ) -> Tuple[StateSlot, ...]:
-    """Pack several state dicts back-to-back; raise before writing if
-    the segment is too small for the whole payload."""
-    needed = 0
-    for state in states:
-        needed += packed_nbytes(state, base=needed)
-    if needed > segment.size:
-        raise StateCapacityError(needed, segment.size)
-    slots = []
-    base = 0
-    for state in states:
-        slot = _pack_state(segment.buf, state, base, segment.name)
-        slots.append(slot)
-        base = slot.nbytes
-    return tuple(slots)
-
-
 class StateChannel(ArrayChannel):
     """Growable shared-memory lane for whole state dicts.
 
@@ -488,16 +453,10 @@ class StateChannel(ArrayChannel):
     owner-creates / peer-attaches / grow-by-rename lifecycle, but the
     payload is a full ``state_dict`` (every parameter and buffer of a
     model) packed back-to-back with a verified content fingerprint.
-    Both data planes ride this one class:
-
-    - **serving** (owner writes, peer reads): the parent parks a model
-      version's state once and every worker process copies it out to
-      build its replica — the state crosses the pipe as a tiny
-      :class:`StateSlot`, never as pickled arrays;
-    - **training** (peer writes, owner reads): the parent pre-sizes one
-      lane per shard task, the pool worker packs its trained states into
-      it (:func:`write_states_to`), and the parent reassembles the
-      ensemble from the slots.
+    The serving plane rides it (owner writes, peer reads): the parent
+    parks a model version's state once and every worker process copies
+    it out to build its replica — the state crosses the pipe as a tiny
+    :class:`StateSlot`, never as pickled arrays.
 
     Single-flight per lane, like the array channels: the caller
     sequences writes and reads so a segment is never overwritten while
@@ -506,25 +465,16 @@ class StateChannel(ArrayChannel):
 
     def write_state(self, state: Dict[str, np.ndarray]) -> StateSlot:
         """Pack one state dict at offset 0, growing the lane to fit."""
-        return self.write_states([state])[0]
-
-    def write_states(self, states: Sequence[Dict[str, np.ndarray]],
-                     ) -> Tuple[StateSlot, ...]:
-        """Pack several state dicts back-to-back, growing the lane to fit."""
-        needed = 0
-        for state in states:
-            needed += packed_nbytes(state, base=needed)
-        self.ensure(needed)
-        slots = _pack_states_into(self._segment, states)
+        self.ensure(packed_nbytes(state))
+        slot = _pack_state(self._segment.buf, state, self._segment.name)
         if _faults.ACTIVE is not None:
             fault = _faults.ACTIVE.check("state.write")
             if fault is not None and fault.kind == "corrupt_fingerprint":
                 # Advertise a wrong content hash: the reader's verify
                 # must catch it (StateVerifyError), as it would a torn
                 # write racing a segment reuse.
-                slots = tuple(replace(slot, fingerprint="0" * 40)
-                              for slot in slots)
-        return slots
+                slot = replace(slot, fingerprint="0" * 40)
+        return slot
 
     def read_state(self, slot: StateSlot,
                    verify: bool = True) -> Dict[str, np.ndarray]:
@@ -534,30 +484,6 @@ class StateChannel(ArrayChannel):
                 f"slot names segment {slot.name!r} but this channel owns "
                 f"{self.name!r} — was the channel resized mid-flight?")
         return _unpack_state(self._segment.buf, slot, verify=verify)
-
-    def read_states(self, slots: Sequence[StateSlot],
-                    verify: bool = True) -> List[Dict[str, np.ndarray]]:
-        return [self.read_state(slot, verify=verify) for slot in slots]
-
-
-def write_states_to(name: str, states: Sequence[Dict[str, np.ndarray]],
-                    ) -> Tuple[StateSlot, ...]:
-    """One-shot peer-side state write into a named (owner-held) segment.
-
-    Built for pool workers, which live for one task: attach untracked,
-    pack, close the mapping — never unlink.  Raises
-    :class:`StateCapacityError` (payload too big, nothing written) or
-    ``FileNotFoundError`` (owner already unlinked); callers fall back to
-    returning states through the pipe on either.
-    """
-    segment = _attach_untracked(name)
-    try:
-        return _pack_states_into(segment, states)
-    finally:
-        try:
-            segment.close()
-        except OSError:
-            pass
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,7 @@ from ..data.dataset import ArrayDataset
 from ..models.registry import build_model
 from ..nn.serialization import restore, snapshot
 from ..train import TrainConfig, train_model
-from .shm import (SharedDatasetHandle, StateCapacityError, StateChannel,
-                  StateSlot, StateVerifyError, packed_nbytes,
-                  write_states_to)
+from .shm import SharedDatasetHandle
 
 #: A task's dataset is either inline (serial path) or a shm handle.
 DatasetRef = Union[ArrayDataset, SharedDatasetHandle]
@@ -62,61 +60,11 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class ShardTrainResult:
-    """What a shard training task sends back to the parent.
-
-    Two transports, one envelope: on the pickle path ``final_state`` /
-    ``checkpoints`` hold the arrays inline; on the shared-memory path
-    both are empty and ``state_slots`` names the packed payloads
-    (``[final, *checkpoints]``) parked in the task's return lane —
-    :func:`resolve_shard_result` collapses either form to the inline
-    one, so consumers never branch on the transport.
-    """
+    """What a shard training task sends back to the parent (pickled)."""
 
     shard_index: int
-    final_state: Optional[Dict[str, np.ndarray]]
+    final_state: Dict[str, np.ndarray]
     checkpoints: Tuple[Dict[str, np.ndarray], ...]
-    state_slots: Optional[Tuple[StateSlot, ...]] = None
-
-
-def state_payload_nbytes(probe: Dict[str, np.ndarray], count: int) -> int:
-    """Bytes ``count`` same-structure states occupy packed back-to-back.
-
-    Every state a shard task returns (final + slice checkpoints) has the
-    same arrays as a freshly built shard model, so one probe snapshot
-    sizes the whole return lane exactly.
-    """
-    total = 0
-    for _ in range(max(1, count)):
-        total += packed_nbytes(probe, base=total)
-    return total
-
-
-def resolve_shard_result(result: ShardTrainResult,
-                         lane: Optional[StateChannel]) -> ShardTrainResult:
-    """Materialize a shard result regardless of return transport.
-
-    Pipe-returned results pass through untouched; shm-returned ones are
-    read (and fingerprint-verified) out of ``lane`` into an inline
-    result that is bit-identical to what the pickle path would have
-    produced.
-    """
-    if result.state_slots is None:
-        return result
-    if lane is None:
-        raise RuntimeError(
-            f"shard {result.shard_index} returned state via shared memory "
-            f"but no return lane was provisioned for it")
-    try:
-        states = lane.read_states(result.state_slots)
-    except StateVerifyError as exc:
-        # Re-raise with the shard named: the caller decides whether to
-        # retrain the shard or fail the run, and needs to know which.
-        raise StateVerifyError(
-            f"shard {result.shard_index} state-return lane failed "
-            f"fingerprint verification: {exc}") from exc
-    return ShardTrainResult(shard_index=result.shard_index,
-                            final_state=states[0],
-                            checkpoints=tuple(states[1:]))
 
 
 @dataclass
@@ -140,12 +88,6 @@ class ShardTrainTask:
     #: dispatcher: pooled tasks default to 1 so processes × threads
     #: stays at the machine's core count).
     intra_op_threads: int = 1
-    #: Name of a parent-owned :class:`~repro.parallel.shm.StateChannel`
-    #: segment to park the result states in (set by the dispatcher on
-    #: the pooled path).  ``None`` — or any failure to write — returns
-    #: the states through the pipe instead; both transports are
-    #: bit-identical by construction.
-    state_lane: Optional[str] = None
 
     def run(self) -> ShardTrainResult:
         with nn.intra_op_threads(self.intra_op_threads):
@@ -176,31 +118,9 @@ class ShardTrainTask:
                 train_model(model, dataset.subset(stage.rows), stage.train)
                 if stage.checkpoint_after:
                     checkpoints.append(snapshot(model))
-            return self._package(snapshot(model), tuple(checkpoints))
+            return ShardTrainResult(shard_index=self.shard_index,
+                                    final_state=snapshot(model),
+                                    checkpoints=tuple(checkpoints))
         finally:
             if attachment is not None:
                 attachment.close()
-
-    def _package(self, final_state: Dict[str, np.ndarray],
-                 checkpoints: Tuple[Dict[str, np.ndarray], ...],
-                 ) -> ShardTrainResult:
-        """Return states via the shm lane when one is attached and fits.
-
-        The worker only ever *writes into* the parent-owned segment —
-        attach untracked, pack, close the mapping — so a crash here can
-        neither leak nor unlink it; the parent's single unlink point
-        frees the lane either way.  Any write failure (lane too small,
-        owner already gone, shm unavailable) falls back to the pipe.
-        """
-        if self.state_lane is not None:
-            try:
-                slots = write_states_to(self.state_lane,
-                                        [final_state, *checkpoints])
-                return ShardTrainResult(shard_index=self.shard_index,
-                                        final_state=None, checkpoints=(),
-                                        state_slots=slots)
-            except (StateCapacityError, FileNotFoundError, OSError):
-                pass
-        return ShardTrainResult(shard_index=self.shard_index,
-                                final_state=final_state,
-                                checkpoints=checkpoints)

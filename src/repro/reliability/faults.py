@@ -3,11 +3,10 @@
 A *site* is a named point in the code where a fault can be made to
 happen — ``"session.call:repro-serve-worker-0"`` (one worker session's
 call stream), ``"state.write"`` (a state-dict ship into shared memory),
-``"shm.create"`` (a shared-memory allocation), ``"pool.state_lane"``
-(one pooled state-return lane).  A :class:`FaultPlan` schedules faults
-by ``(site, call index)``; the :class:`FaultInjector` counts every
-visit to every site and reports which visits are due a fault.  Call
-sites interpret the fault *kind* themselves (kill the worker process,
+``"shm.create"`` (a shared-memory allocation).  A :class:`FaultPlan`
+schedules faults by ``(site, call index)``; the :class:`FaultInjector`
+counts every visit to every site and reports which visits are due a
+fault.  Call sites interpret the fault *kind* themselves (kill the worker process,
 raise ``TimeoutError``, corrupt a fingerprint, raise ``OSError``), so
 this module stays dependency-free and the injector is pure
 bookkeeping — trivially deterministic and picklable.

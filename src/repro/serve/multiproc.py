@@ -363,7 +363,7 @@ class MultiprocBackend:
         # one write.  Lazy (zero bytes until the first ship); if shared
         # memory turns out to be unavailable, each ship falls back to
         # the pipe in _prepare_payload.
-        self._state_lane: Optional[StateChannel] = StateChannel()
+        self._state_channel: Optional[StateChannel] = StateChannel()
         # Backend counters live in a typed registry (each increment is
         # individually thread-safe, no backend-wide stats lock); the
         # per-worker tallies are counter lists indexed by slot.
@@ -466,10 +466,10 @@ class MultiprocBackend:
     def _prepare_payload(self, entry) -> dict:
         """Entry payload plus, when possible, its state parked in shm."""
         payload = entry.replica_payload()
-        if payload["kind"] == "state" and self._state_lane is not None:
+        if payload["kind"] == "state" and self._state_channel is not None:
             try:
                 payload = dict(payload)
-                payload["slot"] = self._state_lane.write_state(
+                payload["slot"] = self._state_channel.write_state(
                     payload["state"])
             except OSError:
                 payload.pop("slot", None)
@@ -951,8 +951,8 @@ class MultiprocBackend:
             # so its dispatch thread errors out promptly instead of
             # sitting in call_timeout.
             handle.close(timeout=timeout)
-        if self._state_lane is not None:
-            self._state_lane.unlink()
+        if self._state_channel is not None:
+            self._state_channel.unlink()
         with self._ship_lock:
             self._shipped.clear()
             self._entries.clear()

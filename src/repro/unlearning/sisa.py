@@ -37,6 +37,7 @@ earlier slices; weight-level exactness holds for all RNG-free models
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -46,11 +47,9 @@ from .. import nn
 from ..data.dataset import ArrayDataset
 from ..nn.serialization import restore, snapshot
 from ..nn.threading import resolve_intra_op_threads
-from ..parallel.pool import (ensure_picklable, resolve_workers, run_tasks,
-                             state_return_lanes)
+from ..parallel.pool import ensure_picklable, resolve_workers, run_tasks
 from ..parallel.shm import share_dataset
-from ..parallel.tasks import (ShardTrainResult, ShardTrainTask, StageSpec,
-                              resolve_shard_result, state_payload_nbytes)
+from ..parallel.tasks import ShardTrainResult, ShardTrainTask, StageSpec
 from ..train import TrainConfig, predict_logits
 from .base import UnlearningMethod
 
@@ -79,11 +78,6 @@ class SISAConfig:
     seed: int = 0
     workers: int = 1                   # 1 = serial, 0 = auto, N = pool size
     intra_op_threads: int = 1          # conv-kernel threads: 1 = serial, 0 = auto
-    #: Return trained shard states through shared-memory lanes instead
-    #: of pickling them back through the pool pipe (pooled path only;
-    #: bit-identical either way, auto-falls back when shm is
-    #: unavailable).
-    state_shm: bool = True
 
     def __post_init__(self) -> None:
         if self.num_shards < 1 or self.num_slices < 1:
@@ -204,63 +198,14 @@ class SISAEnsemble(UnlearningMethod):
                 self.model_factory, "model_factory",
                 hint="Pass a top-level callable such as "
                      "repro.parallel.ModelSpec when workers > 1.")
-            with share_dataset(dataset) as handle:
-                for task in tasks:
-                    task.data = handle
-                try:
-                    if self.config.state_shm:
-                        return self._run_tasks_state_shm(tasks, workers)
-                    return run_tasks(tasks, workers=workers)
-                finally:
-                    for task in tasks:
-                        task.data = None
-                        task.state_lane = None
-        for task in tasks:
-            task.data = dataset
-        try:
-            return run_tasks(tasks, workers=1)
-        finally:
+        with share_dataset(dataset) if pooled else nullcontext(dataset) as data:
             for task in tasks:
-                task.data = None
-
-    def _run_tasks_state_shm(self, tasks: List[ShardTrainTask],
-                             workers: int) -> List[ShardTrainResult]:
-        """Pooled dispatch with shared-memory state returns.
-
-        The parent pre-sizes one return lane per task — every state a
-        shard returns (final + checkpoints) has the same arrays as a
-        fresh shard model, so a single probe snapshot sizes the lanes
-        exactly — and reassembles the results from the channel payloads
-        before the lanes are unlinked.  Tasks whose lane could not be
-        created (shm unavailable) simply return through the pipe;
-        either transport yields bit-identical states.
-        """
-        try:
-            probe = tasks[0].start_state
-            if probe is None:
-                # scoped_seed: sizing a lane must not perturb the
-                # caller's RNG stream — the knob is bit-transparent.
-                with nn.init.scoped_seed(tasks[0].init_seed):
-                    probe = snapshot(self.model_factory())
-            sizes = [state_payload_nbytes(
-                probe,
-                1 + sum(stage.checkpoint_after for stage in task.stages))
-                for task in tasks]
-        except Exception:
-            # A factory that cannot build in the parent must keep the
-            # established failure contract (the *worker* raises, the
-            # parent re-raises WorkerError) — lane sizing is a perf
-            # optimization, never a new failure mode.
-            return run_tasks(tasks, workers=workers)
-        with state_return_lanes(sizes) as lanes:
-            for task, lane in zip(tasks, lanes):
-                task.state_lane = lane.name if lane is not None else None
-            results = run_tasks(tasks, workers=workers)
-            # Read (and fingerprint-verify) every payload while the
-            # lanes are still linked; past this point results are plain
-            # in-memory state dicts, transport-agnostic.
-            return [resolve_shard_result(result, lane)
-                    for result, lane in zip(results, lanes)]
+                task.data = data
+            try:
+                return run_tasks(tasks, workers=workers if pooled else 1)
+            finally:
+                for task in tasks:
+                    task.data = None
 
     def fit(self, dataset: ArrayDataset) -> "SISAEnsemble":
         """Shard the dataset and train every shard model (pool-aware)."""

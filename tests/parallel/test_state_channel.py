@@ -6,9 +6,8 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.parallel import (ChannelPeer, StateCapacityError, StateChannel,
-                            state_fingerprint, write_states_to)
-from repro.parallel.shm import leaked_segments, packed_nbytes, shm_segment_names
+from repro.parallel import ChannelPeer, StateChannel, state_fingerprint
+from repro.parallel.shm import leaked_segments, shm_segment_names
 
 pytestmark = pytest.mark.parallel
 
@@ -80,13 +79,11 @@ class TestRoundTrip:
             channel.unlink()
 
     def test_multiple_states_back_to_back(self):
-        states = [make_state(seed) for seed in range(3)]
         channel = StateChannel()
         try:
-            slots = channel.write_states(states)
-            assert len(slots) == 3
-            outs = channel.read_states(slots)
-            for state, out in zip(states, outs):
+            for seed in range(3):
+                state = make_state(seed)
+                out = channel.read_state(channel.write_state(state))
                 assert all(np.array_equal(out[key], state[key])
                            for key in state)
         finally:
@@ -130,37 +127,6 @@ class TestIntegrity:
             channel.unlink()
 
 
-class TestPeerWrites:
-    def test_write_states_to_owner_lane(self):
-        state = make_state(6)
-        lane = StateChannel(2 * packed_nbytes(state))
-        try:
-            slots = write_states_to(lane.name, [state, state])
-            outs = lane.read_states(slots)
-            for out in outs:
-                assert all(np.array_equal(out[key], state[key])
-                           for key in state)
-        finally:
-            lane.unlink()
-
-    def test_capacity_error_before_any_write(self):
-        state = make_state(7)
-        lane = StateChannel(64)
-        try:
-            with pytest.raises(StateCapacityError) as excinfo:
-                write_states_to(lane.name, [state])
-            assert excinfo.value.needed_bytes > excinfo.value.capacity == 64
-        finally:
-            lane.unlink()
-
-    def test_unlinked_lane_raises_file_not_found(self):
-        lane = StateChannel(1024)
-        name = lane.name
-        lane.unlink()
-        with pytest.raises(FileNotFoundError):
-            write_states_to(name, [make_state(8)])
-
-
 class TestLifecycle:
     def test_unlink_is_idempotent(self):
         channel = StateChannel(256)
@@ -175,7 +141,8 @@ class TestLifecycle:
         if before is None:
             pytest.skip("platform does not expose /dev/shm")
         channel = StateChannel()
-        channel.write_states([make_state(9), make_state(10)])
+        channel.write_state(make_state(9))
+        channel.write_state(make_state(10))
         channel.write_state({"grow": np.zeros(1 << 20, dtype=np.float32)})
         channel.unlink()
         assert leaked_segments(before) == []

@@ -43,6 +43,17 @@ def _assert_states_equal(a: SISAEnsemble, b: SISAEnsemble, context: str):
                 f"{context}: shard {index} key {key}"
 
 
+def _assert_checkpoints_equal(a: SISAEnsemble, b: SISAEnsemble,
+                              context: str):
+    for index, (s, p) in enumerate(zip(a._shards, b._shards)):
+        assert len(s.checkpoints) == len(p.checkpoints)
+        for ck_s, ck_p in zip(s.checkpoints, p.checkpoints):
+            assert list(ck_s) == list(ck_p)
+            for key in ck_s:
+                assert np.array_equal(ck_s[key], ck_p[key]), \
+                    f"{context}: shard {index} checkpoint key {key}"
+
+
 class BoomFactory:
     """Picklable factory that detonates inside the worker."""
 
@@ -57,11 +68,7 @@ class TestBitIdentity:
         serial = _fit(profile, train, workers=1)
         parallel = _fit(profile, train, workers=2)
         _assert_states_equal(serial, parallel, "fit")
-        for s, p in zip(serial._shards, parallel._shards):
-            assert len(s.checkpoints) == len(p.checkpoints)
-            for ck_s, ck_p in zip(s.checkpoints, p.checkpoints):
-                for key in ck_s:
-                    assert np.array_equal(ck_s[key], ck_p[key]), key
+        _assert_checkpoints_equal(serial, parallel, "fit")
         assert np.array_equal(serial.predict_logits(test.images),
                               parallel.predict_logits(test.images))
 

@@ -1,11 +1,15 @@
-"""SISA shard-state shm returns: bit-identity with the pickle path."""
+"""SISA shard-state returns: pooled states match the serial path.
+
+Pooled shards send their final state and slice checkpoints back to the
+parent as a pickled ``ShardTrainResult``; these fast-lane tests pin that
+every array survives the hop bit-identical to an inline (workers=1) run.
+"""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-import repro.unlearning.sisa as sisa_module
 from repro.data import load_dataset
 from repro.parallel import ModelSpec
 from repro.train import TrainConfig
@@ -22,10 +26,9 @@ def unit():
     return train, test, profile
 
 
-def _fit(profile, train, workers, state_shm, shards=3,
-         slices=2) -> SISAEnsemble:
+def _fit(profile, train, workers, shards=3, slices=2) -> SISAEnsemble:
     config = SISAConfig(num_shards=shards, num_slices=slices, train=CFG,
-                        seed=11, workers=workers, state_shm=state_shm)
+                        seed=11, workers=workers)
     factory = ModelSpec("small_cnn", profile.num_classes, scale="tiny")
     return SISAEnsemble(factory, config).fit(train)
 
@@ -39,98 +42,38 @@ def _digest(ensemble: SISAEnsemble) -> str:
     return digest.hexdigest()
 
 
-class TestBitIdentity:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_fit_matches_pickle_path(self, unit, workers):
-        train, _, profile = unit
-        via_shm = _fit(profile, train, workers, state_shm=True)
-        via_pipe = _fit(profile, train, workers, state_shm=False)
-        assert _digest(via_shm) == _digest(via_pipe)
+def _assert_checkpoints_equal(a: SISAEnsemble, b: SISAEnsemble) -> None:
+    for shard_a, shard_b in zip(a._shards, b._shards):
+        assert len(shard_a.checkpoints) == len(shard_b.checkpoints)
+        for ckpt_a, ckpt_b in zip(shard_a.checkpoints, shard_b.checkpoints):
+            assert list(ckpt_a) == list(ckpt_b)
+            for name in ckpt_a:
+                assert np.array_equal(ckpt_a[name], ckpt_b[name])
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_fit_matches_pickle_path_wide(self, unit, workers):
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("workers", [2])
+    def test_fit_matches_pickle_path(self, unit, workers):
+        """Pooled final states, shipped through the pool pipe, equal the
+        inline fit's."""
         train, _, profile = unit
-        via_shm = _fit(profile, train, workers, state_shm=True)
-        via_pipe = _fit(profile, train, workers, state_shm=False)
-        assert _digest(via_shm) == _digest(via_pipe)
+        pooled = _fit(profile, train, workers)
+        serial = _fit(profile, train, workers=1)
+        assert _digest(pooled) == _digest(serial)
 
     def test_unlearn_round_trip_matches(self, unit):
         train, _, profile = unit
-        via_shm = _fit(profile, train, workers=2, state_shm=True)
-        via_pipe = _fit(profile, train, workers=2, state_shm=False)
-        serial = _fit(profile, train, workers=1, state_shm=False)
+        pooled = _fit(profile, train, workers=2)
+        serial = _fit(profile, train, workers=1)
         forget = train.sample_ids[::5][:6]
-        for ensemble in (via_shm, via_pipe, serial):
-            ensemble.unlearn(forget)
-        assert _digest(via_shm) == _digest(via_pipe) == _digest(serial)
-
-    def test_state_shm_does_not_perturb_global_rng(self, unit):
-        """The lane-sizing probe must be RNG-transparent: code drawing
-        from the init RNG after fit() sees the same stream either way."""
-        from repro import nn
-        train, _, profile = unit
-        draws = {}
-        for state_shm in (True, False):
-            nn.manual_seed(123)
-            _fit(profile, train, workers=2, state_shm=state_shm)
-            draws[state_shm] = nn.init.get_rng().standard_normal(4)
-        assert np.array_equal(draws[True], draws[False])
+        assert pooled.unlearn(forget) == serial.unlearn(forget)
+        assert _digest(pooled) == _digest(serial)
+        _assert_checkpoints_equal(pooled, serial)
 
     def test_checkpoints_travel_via_shm(self, unit):
         """Multi-slice shards return final + checkpoint states; every one
-        must survive the shm hop (unlearn restarts from checkpoints)."""
+        must survive the worker hop (unlearn restarts from checkpoints)."""
         train, _, profile = unit
-        via_shm = _fit(profile, train, workers=2, state_shm=True, slices=3)
-        via_pipe = _fit(profile, train, workers=2, state_shm=False, slices=3)
-        for shard_shm, shard_pipe in zip(via_shm._shards, via_pipe._shards):
-            assert len(shard_shm.checkpoints) == len(shard_pipe.checkpoints)
-            for ckpt_shm, ckpt_pipe in zip(shard_shm.checkpoints,
-                                           shard_pipe.checkpoints):
-                assert set(ckpt_shm) == set(ckpt_pipe)
-                for name in ckpt_shm:
-                    assert np.array_equal(ckpt_shm[name], ckpt_pipe[name])
-
-
-class TestFallback:
-    def test_lane_failure_falls_back_to_pipe(self, unit, monkeypatch):
-        """shm unavailable -> the fit still succeeds, states identical."""
-        train, _, profile = unit
-        import repro.parallel.pool as pool_module
-
-        class BoomChannel:
-            def __init__(self, nbytes=0):
-                raise OSError("no shared memory here")
-
-        monkeypatch.setattr(pool_module, "StateChannel", BoomChannel)
-        via_fallback = _fit(profile, train, workers=2, state_shm=True)
-        monkeypatch.undo()
-        reference = _fit(profile, train, workers=2, state_shm=False)
-        assert _digest(via_fallback) == _digest(reference)
-
-    def test_undersized_lane_falls_back_to_pipe(self, unit, monkeypatch):
-        """A lane too small for the payload -> worker ships via pipe."""
-        train, _, profile = unit
-        import repro.parallel.tasks as tasks_module
-        monkeypatch.setattr(tasks_module, "state_payload_nbytes",
-                            lambda probe, count: 64)
-        import repro.unlearning.sisa as sisa_mod
-        monkeypatch.setattr(sisa_mod, "state_payload_nbytes",
-                            lambda probe, count: 64)
-        via_tiny_lane = _fit(profile, train, workers=2, state_shm=True)
-        monkeypatch.undo()
-        reference = _fit(profile, train, workers=2, state_shm=False)
-        assert _digest(via_tiny_lane) == _digest(reference)
-
-    def test_serial_path_never_provisions_lanes(self, unit, monkeypatch):
-        train, _, profile = unit
-        calls = []
-        real = sisa_module.state_return_lanes
-
-        def spying(sizes):
-            calls.append(list(sizes))
-            return real(sizes)
-
-        monkeypatch.setattr(sisa_module, "state_return_lanes", spying)
-        _fit(profile, train, workers=1, state_shm=True)
-        assert calls == []
+        pooled = _fit(profile, train, workers=2, slices=3)
+        serial = _fit(profile, train, workers=1, slices=3)
+        _assert_checkpoints_equal(pooled, serial)
