@@ -296,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0,
                    help="0 = ephemeral (printed at startup)")
     p.add_argument("--max-batch-size", type=int, default=32,
-                   help="fixed compute width of every forward pass "
-                        "(< 16 or a multiple of 8)")
+                   help="fixed compute width of every forward pass")
     p.add_argument("--max-delay-ms", type=float, default=2.0,
                    help="how long to hold a request open for coalescing")
     p.add_argument("--max-queue", type=int, default=128,
@@ -333,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker-retries", type=int, default=3,
                    help="attempts per batch across worker failures "
                         "(crashes, stalls) before the request errors; "
-                        "retries are bit-identical by the fixed-width "
+                        "retries are bit-identical by the row-invariance "
                         "contract (default 3)")
     p.add_argument("--worker-deadline", type=float, default=None,
                    help="per-worker-call deadline in seconds; a call past "

@@ -109,23 +109,47 @@ class StripDefense:
             model, enabled=fold_inference, cache=nn.fold.shared_folded_cache())
 
     # ------------------------------------------------------------------
-    def entropies(self, images: np.ndarray, seed_offset: int = 0) -> np.ndarray:
-        """Mean prediction entropy over superimposed copies, per input."""
+    def _overlay_blends(self, images: np.ndarray, seed_offset: int):
+        """Each overlay's blend batch, in draw order."""
         rng = np.random.default_rng(self.seed + seed_offset)
-        n = len(images)
         pool = self.overlay_pool.images
-        model = self._infer.get()
-        total = np.zeros(n, dtype=np.float64)
         for _ in range(self.num_overlays):
-            overlays = pool[rng.integers(0, len(pool), size=n)]
-            blend = np.clip(images + self.alpha * overlays,
-                            0.0, 1.0).astype(np.float32)
-            logits = predict_logits(model, blend)
-            z = logits - logits.max(axis=1, keepdims=True)
+            overlays = pool[rng.integers(0, len(pool), size=len(images))]
+            yield np.clip(images + self.alpha * overlays,
+                          0.0, 1.0).astype(np.float32)
+
+    def blends(self, images: np.ndarray, seed_offset: int = 0) -> np.ndarray:
+        """Every superimposed copy of ``images``, overlay-major: row
+        ``k * len(images) + i`` is input ``i`` under overlay ``k``.
+
+        Forward them however is convenient and hand the logits to
+        :meth:`blend_entropies`; with row-invariant forwards the result
+        is bit-equal to :meth:`entropies`.
+        """
+        return np.concatenate(list(self._overlay_blends(images, seed_offset)))
+
+    def blend_entropies(self, logits: np.ndarray) -> np.ndarray:
+        """Mean prediction entropy per input from the logits of
+        :meth:`blends` (accumulated overlay by overlay in float64)."""
+        per_overlay = np.split(np.asarray(logits), self.num_overlays)
+        total = np.zeros(len(per_overlay[0]), dtype=np.float64)
+        for overlay_logits in per_overlay:
+            z = overlay_logits - overlay_logits.max(axis=1, keepdims=True)
             probs = np.exp(z)
             probs /= probs.sum(axis=1, keepdims=True)
             total += F.entropy_of_probs(probs)
         return total / self.num_overlays
+
+    def entropies(self, images: np.ndarray, seed_offset: int = 0) -> np.ndarray:
+        """Mean prediction entropy over superimposed copies, per input.
+
+        One forward per overlay, so peak memory stays that of an
+        ``len(images)``-row sweep however many overlays there are.
+        """
+        model = self._infer.get()
+        return self.blend_entropies(np.concatenate(
+            [predict_logits(model, blend)
+             for blend in self._overlay_blends(images, seed_offset)]))
 
     def calibrate(self, clean_images: np.ndarray) -> float:
         """FRR-percentile entropy boundary from clean inputs."""

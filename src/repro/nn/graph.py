@@ -59,7 +59,7 @@ from ..obs import profile as _profile
 from . import functional as F
 from .fold import _state_fingerprint, count_foldable, shared_folded_cache
 from .module import Module
-from .tensor import Tensor, ensure_tensor, no_grad
+from .tensor import Tensor, ensure_tensor, matmul_rows, no_grad
 from .threading import MIN_BLOCK_BATCH, batch_blocks, map_blocks
 
 #: Arena offsets are aligned to this many bytes (cache-line friendly).
@@ -675,7 +675,7 @@ def _build_node(node: _TraceNode, i: int, out_array, scratch_arrays,
         a, b = inputs
 
         def run(values):
-            np.matmul(_resolve(a, values), _resolve(b, values), out=out)
+            matmul_rows(_resolve(a, values), _resolve(b, values), out=out)
             return out
         return run
 

@@ -57,6 +57,24 @@ def _as_array(value: ArrayLike, dtype=_DEFAULT_DTYPE) -> np.ndarray:
     return arr
 
 
+def matmul_rows(a: np.ndarray, b: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``a @ b`` whose output rows do not depend on how many rows ``a`` has.
+
+    BLAS picks its kernel, and with it the accumulation order, by GEMM
+    shape, so one 2-D GEMM gives a row different low-order bits at
+    different row counts.  A 2-D product therefore runs as stacked
+    one-row GEMMs, ``(n, 1, k) @ (1, k, m)``: every row is the same
+    ``(1, k) @ (k, m)`` call at any width and any row offset.  Batched
+    products already run one fixed-shape GEMM per leading index.
+    """
+    if a.ndim != 2 or b.ndim != 2:
+        return np.matmul(a, b, out=out)
+    rows = np.matmul(a[:, None, :], b[None],
+                     out=None if out is None else out[:, None, :])
+    return rows[:, 0]
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` (shaped by broadcasting) back to ``shape``.
 
@@ -300,10 +318,13 @@ class Tensor:
     # Linear algebra
     # ------------------------------------------------------------------
     def matmul(self, other: "Tensor") -> "Tensor":
-        """Matrix product.  Supports 2-D @ 2-D and batched (...,m,k)@(k,n)."""
+        """Matrix product.  Supports 2-D @ 2-D and batched (...,m,k)@(k,n).
+
+        Row-invariant (see :func:`matmul_rows`) in every grad mode.
+        """
         other = ensure_tensor(other)
         a, b = self, other
-        data = a.data @ b.data
+        data = matmul_rows(a.data, b.data)
 
         def backward(g):
             ga = gb = None

@@ -1,7 +1,7 @@
 """Retry policies and per-worker supervision.
 
-The serving determinism contract (every forward padded to exactly
-``max_batch_size``, bit-stable kernels at every thread count) makes a
+The serving determinism contract (row-invariant GEMMs at every batch
+width, bit-stable kernels at every thread count) makes a
 batch replay bit-identical by construction, so retrying an idempotent
 batch after a worker crash or stall is always safe.  This module
 supplies the knobs:

@@ -7,30 +7,35 @@ dedicated worker coalesces same-model groups under a
 ``max_batch_size`` / ``max_delay_ms`` policy, and one forward pass
 serves the whole group.
 
+Batch layout
+------------
+Every forward runs at one fixed compute width, ``max_batch_size``, the
+width the serving graph is compiled at.  A group's rows are laid out as
+
+    [ request rows | screen rows | zero rows ]
+
+The screen rows are the online STRIP blends of the request rows (see
+:mod:`repro.serve.screening`); they sit where zero padding would
+otherwise go, so a lone request is served *and* screened by one
+forward.  The rows are zero-padded to a multiple of the width and
+submitted as width-sized chunks, so every backend only ever sees
+``max_batch_size``-row batches.
+
 Determinism contract
 --------------------
 A request's logits are **bit-identical whether it was served solo or
-coalesced with any other traffic**.  This cannot be left to chance:
-BLAS picks different kernels (and therefore different accumulation
-orders) for different GEMM row counts, so the same image generally
-yields different low-order bits at batch width 1 vs width 8.  The
-batcher therefore runs *every* forward at one fixed compute width —
-``max_batch_size`` — padding short groups with zero rows and slicing
-the real rows back out.  Per-row GEMM results are independent of row
-offset and of the other rows' contents for a fixed shape (enforced by
-``tests/serve/test_batcher.py`` across the model zoo), so placement
-within the batch cannot change a request's bits either.
+coalesced with any other traffic**.  This rests on row-invariant
+GEMMs: conv GEMMs run one fixed-shape product per sample, and 2-D
+products run as stacked one-row GEMMs
+(:func:`repro.nn.tensor.matmul_rows`), so no GEMM's shape — and hence
+no BLAS kernel choice or accumulation order — depends on how many rows
+a batch has, where a row sits in it, or what the other rows hold
+(enforced zoo-wide by ``tests/nn/test_row_invariance.py``).  Any
+``max_batch_size`` keeps the contract.
 
-Two policy constraints follow:
-
-- ``max_batch_size`` must decompose into equal-length conv row-blocks
-  (``batch_blocks`` is shape-only: width < 16, or a multiple of 8), so
-  a sample's conv GEMMs have the same shape at every offset;
-- the padded forward costs a full-width pass even for a lone request —
-  that is the price of bit-stability, and exactly the waste coalescing
-  recovers: occupancy (real rows / padded rows) is the headline metric
-  of ``benchmarks/bench_serving.py``.  ``pad_to_full=False`` trades the
-  contract away for low-load latency.
+Occupancy (useful rows / computed rows, where request and screen rows
+are useful and zero rows are not) is the headline metric of
+``benchmarks/bench_serving.py``.
 
 The worker thread is a daemon and is drained at interpreter shutdown
 via ``atexit`` (mirroring the intra-op pool), so servers and long
@@ -50,7 +55,6 @@ from typing import Callable, Dict, Hashable, List, Optional
 
 import numpy as np
 
-from ..nn.threading import MIN_BLOCK_BATCH, NUM_BLOCKS, batch_blocks
 from ..obs import profile as _profile
 from ..obs import trace as _trace
 from ..obs.metrics import Registry
@@ -66,8 +70,8 @@ class BatchPolicy:
     """Coalescing policy of one :class:`MicroBatcher`.
 
     max_batch_size:
-        Fixed compute width of every forward pass (see module docstring
-        for why it is fixed, and which widths are legal).
+        Fixed compute width of every forward pass, and the most request
+        rows one group takes (see the module docstring).
     max_delay_ms:
         How long the scheduler holds the *first* request of a group to
         wait for companions.  0 disables coalescing-by-waiting: a group
@@ -75,17 +79,11 @@ class BatchPolicy:
     max_queue:
         Bound on queued (not yet running) requests; beyond it
         :meth:`~MicroBatcher.submit` raises :class:`QueueFullError`.
-    pad_to_full:
-        Pad every group to exactly ``max_batch_size`` rows (the
-        determinism contract).  Opting out serves groups at natural
-        width — faster when traffic is sparse, but solo and coalesced
-        serving of the same image may then differ in the low-order bits.
     """
 
     max_batch_size: int = 32
     max_delay_ms: float = 2.0
     max_queue: int = 128
-    pad_to_full: bool = True
 
     def __post_init__(self):
         if self.max_batch_size < 1:
@@ -94,15 +92,6 @@ class BatchPolicy:
             raise ValueError("max_delay_ms must be >= 0")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if self.pad_to_full:
-            lengths = {s.stop - s.start
-                       for s in batch_blocks(self.max_batch_size)}
-            if len(lengths) > 1:
-                raise ValueError(
-                    f"max_batch_size={self.max_batch_size} does not split "
-                    f"into equal conv row-blocks; use a width < "
-                    f"{MIN_BLOCK_BATCH} or a multiple of {NUM_BLOCKS} so "
-                    f"padded forwards are bit-stable at every row offset")
 
 
 @dataclass
@@ -166,6 +155,31 @@ class InlineBackend:
         pass
 
 
+def _gather(futures: List[Future]) -> Future:
+    """One future for the row-concatenated results of ``futures`` (the
+    first failure, if any)."""
+    if len(futures) == 1:
+        return futures[0]
+    gathered: Future = Future()
+    lock = threading.Lock()
+    pending = [len(futures)]
+
+    def done(_):
+        with lock:
+            pending[0] -= 1
+            if pending[0]:
+                return
+        try:
+            gathered.set_result(np.concatenate(
+                [np.asarray(future.result()) for future in futures]))
+        except BaseException as exc:    # noqa: BLE001 — relayed to callers
+            gathered.set_exception(exc)
+
+    for future in futures:
+        future.add_done_callback(done)
+    return gathered
+
+
 #: Live batchers, closed at interpreter shutdown so worker threads drain.
 _LIVE: "weakref.WeakSet[MicroBatcher]" = weakref.WeakSet()
 
@@ -185,15 +199,18 @@ class MicroBatcher:
     ----------
     infer_fn:
         ``infer_fn(key, images) -> logits`` — one forward pass over an
-        already-padded ``(B, C, H, W)`` batch for the model pinned by
-        ``key``.  Must be deterministic.
+        already-padded ``(max_batch_size, C, H, W)`` batch for the model
+        pinned by ``key``.  Must be deterministic.
     policy:
         The :class:`BatchPolicy`.
-    post_batch:
-        Optional ``post_batch(key, images, logits) -> {name: array}``
-        hook run once per batch over the *real* (un-padded) rows — the
-        serving layer uses it for online STRIP screening.  Returned
-        arrays are sliced per request into :attr:`BatchOutput.extra`.
+    screen:
+        Optional screen riding in each group's padding: an object with
+        ``rows(key, images) -> blend rows`` and
+        ``score(key, images, blend_logits) -> {name: array}``.  ``rows``
+        runs before the forward over the group's request rows; its
+        rows are forwarded after them, and ``score`` gets their logits.
+        Returned arrays hold one value per request row and are sliced
+        per request into :attr:`BatchOutput.extra`.
     backend:
         Execution backend (``submit(key, batch) -> Future`` +
         ``max_inflight``).  Defaults to :class:`InlineBackend` over
@@ -207,7 +224,7 @@ class MicroBatcher:
                  infer_fn: Optional[Callable[[Hashable, np.ndarray],
                                              np.ndarray]] = None,
                  policy: BatchPolicy = BatchPolicy(),
-                 post_batch: Optional[Callable] = None,
+                 screen=None,
                  name: str = "repro-serve-batcher",
                  backend=None):
         if backend is None:
@@ -217,7 +234,7 @@ class MicroBatcher:
         self.infer_fn = infer_fn
         self.backend = backend
         self.policy = policy
-        self.post_batch = post_batch
+        self.screen = screen
         self._cond = threading.Condition()
         self._queue: "deque[_Request]" = deque()
         self._closed = False
@@ -231,6 +248,7 @@ class MicroBatcher:
         self._errors = self.registry.counter("errors")
         self._batches = self.registry.counter("batches")
         self._real_rows = self.registry.counter("real_rows")
+        self._screen_rows = self.registry.counter("screen_rows")
         self._padded_rows = self.registry.counter("padded_rows")
         self._latency_hist = self.registry.histogram("request_latency_s")
         self._inflight = 0
@@ -339,13 +357,15 @@ class MicroBatcher:
             self._dispatch_group(head.key, group)
 
     def _dispatch_group(self, key: Hashable, group: List[_Request]) -> None:
-        """Pad a group to compute width and hand it to the backend.
+        """Lay a group out at compute width and hand it to the backend.
 
-        The backend future's done-callback finishes the group: with the
-        inline backend that happens synchronously right here (the
-        pre-seam behaviour, bit for bit); with a process backend it runs
-        in the backend's collector thread while this scheduler thread
-        coalesces the next group.
+        Request rows, then the screen's rows, then zeros up to a
+        multiple of ``max_batch_size``; each width-sized chunk is one
+        backend batch.  The gathered future's done-callback finishes
+        the group: with the inline backend that happens synchronously
+        right here; with a process backend it runs in the backend's
+        collector thread while this scheduler thread coalesces the
+        next group.
         """
         dispatched_at = time.perf_counter()
         if _trace.tracing_enabled():
@@ -369,28 +389,33 @@ class MicroBatcher:
                       if _prof is not None else None)
         images = np.concatenate([request.images for request in group])
         real = len(images)
-        width = self.policy.max_batch_size if self.policy.pad_to_full else real
-        batch = images
-        if width > real:
-            pad = np.zeros((width - real,) + images.shape[1:],
-                           dtype=images.dtype)
-            batch = np.concatenate([images, pad])
-        with self._cond:
-            self._inflight += 1
+        width = self.policy.max_batch_size
         traces = tuple(request.trace for request in group
                        if request.trace is not None)
+        futures: List[Future] = []
+        with self._cond:
+            self._inflight += 1
         try:
-            batch_future = self.backend.submit(key, batch, traces=traces)
+            screen = (self.screen.rows(key, images)
+                      if self.screen is not None else images[:0])
+            rows = real + len(screen)
+            batch = np.zeros((-(-rows // width) * width,) + images.shape[1:],
+                             dtype=np.float32)
+            batch[:real] = images
+            batch[real:rows] = screen
+            for start in range(0, len(batch), width):
+                futures.append(self.backend.submit(
+                    key, batch[start:start + width], traces=traces))
         except BaseException as exc:    # noqa: BLE001 — relayed to callers
+            # Chunks already submitted still complete; none is read.
             self._fail_group(group, exc)
+            return
+        finally:
             if _prof is not None:
                 _prof.stop(prof_token)
-            return
-        if _prof is not None:
-            _prof.stop(prof_token)
-        batch_future.add_done_callback(
-            lambda f: self._finish_group(key, group, images, real, width, f,
-                                         dispatched_at))
+        _gather(futures).add_done_callback(
+            lambda f: self._finish_group(key, group, images, len(screen),
+                                         len(batch), f, dispatched_at))
 
     def _fail_group(self, group: List[_Request], exc: BaseException) -> None:
         self._errors.inc(len(group))
@@ -403,21 +428,24 @@ class MicroBatcher:
             request.future.set_exception(exc)
 
     def _finish_group(self, key: Hashable, group: List[_Request],
-                      images: np.ndarray, real: int, width: int,
-                      batch_future: Future,
-                      dispatched_at: float) -> None:
+                      images: np.ndarray, screen_rows: int, computed: int,
+                      batch_future: Future, dispatched_at: float) -> None:
+        real = len(images)
         try:
-            logits = np.asarray(batch_future.result())[:real]
+            logits = np.asarray(batch_future.result())
             extra: Dict[str, np.ndarray] = {}
-            if self.post_batch is not None:
-                extra = dict(self.post_batch(key, images, logits) or {})
+            if self.screen is not None:
+                extra = dict(self.screen.score(
+                    key, images, logits[real:real + screen_rows]))
+            logits = logits[:real]
         except BaseException as exc:    # noqa: BLE001 — relayed to callers
             self._fail_group(group, exc)
             return
         now = time.perf_counter()
         self._batches.inc()
         self._real_rows.inc(real)
-        self._padded_rows.inc(width - real)
+        self._screen_rows.inc(screen_rows)
+        self._padded_rows.inc(computed - real - screen_rows)
         if _trace.tracing_enabled():
             head = group[0]
             if head.trace is not None:
@@ -425,7 +453,7 @@ class MicroBatcher:
                     "batch.dispatch", head.trace, now - dispatched_at,
                     start_s=dispatched_at,
                     tags={"key": _format_key(key), "real": real,
-                          "width": width})
+                          "screen": screen_rows, "width": computed})
         with self._cond:
             self._inflight -= 1
             for request in group:
@@ -454,9 +482,10 @@ class MicroBatcher:
             per_key = {_format_key(key): count for key, count in
                        sorted(self._per_key_requests.items())}
         real_rows = self._real_rows.value
+        screen_rows = self._screen_rows.value
         padded_rows = self._padded_rows.value
         batches = self._batches.value
-        compute_rows = real_rows + padded_rows
+        useful_rows = real_rows + screen_rows
         return {
             "requests": self._requests.value,
             "rejected": self._rejected.value,
@@ -465,9 +494,10 @@ class MicroBatcher:
             "queued": queued,
             "inflight": inflight,
             "real_rows": real_rows,
+            "screen_rows": screen_rows,
             "padded_rows": padded_rows,
-            "occupancy": (real_rows / compute_rows
-                          if compute_rows else 1.0),
+            "occupancy": (useful_rows / (useful_rows + padded_rows)
+                          if useful_rows else 1.0),
             "mean_batch_width": (real_rows / batches if batches else 0.0),
             "latency_p50_s": (float(np.quantile(latencies, 0.5))
                               if len(latencies) else 0.0),

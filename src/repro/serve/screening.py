@@ -5,21 +5,30 @@ STRIP (Gao et al., ACSAC 2019 — offline sweep in
 ReVeil threat model must survive *after* deployment: the provider
 screens every incoming request by superimposition entropy and flags
 low-entropy inputs as likely triggered.  :class:`OnlineStrip` adapts
-the offline detector to serving traffic:
+the offline detector to serving traffic in two steps around the served
+forward:
 
-- one :class:`~repro.defenses.StripDefense` is bound lazily per served
-  model *version*, directly to the store's folded inference copy — the
-  screen forwards through exactly what the scheduler serves, with no
-  extra fold and no per-batch weight fingerprinting;
-- the entropy boundary is calibrated once per version from a held-out
-  clean set at the configured false-rejection rate, in the submitting
-  thread (never the batcher worker, so queued traffic doesn't stall
-  behind a hot-swap's first calibration);
-- per-version counters expose the running flag rate via ``/metrics`` —
-  serving the camouflaged model shows a flag rate near the FRR, and the
-  post-unlearning hot-swap makes the rate on triggered traffic jump,
-  which is the paper's pre- vs post-restoration detectability story as
-  a live signal.
+- :meth:`OnlineStrip.rows` draws the blend rows of a batch (the
+  offline detector's :meth:`~repro.defenses.StripDefense.blends`, same
+  RNG draws); the batcher appends them after the request rows, in the
+  space it would otherwise fill with zero padding, so **one** forward
+  serves the requests and screens them;
+- :meth:`OnlineStrip.score` turns the blend rows' logits into
+  per-input entropies and flags.  Every GEMM is row-invariant
+  (:func:`repro.nn.tensor.matmul_rows`), so a blend's logits do not
+  depend on where it sat in the batch, and the entropies are bit-equal
+  to the offline ``StripDefense.entropies`` sweep.
+
+One :class:`~repro.defenses.StripDefense` is bound lazily per served
+model *version*, to the store's folded inference copy.  Its entropy
+boundary is calibrated once per version from a held-out clean set at
+the configured false-rejection rate, in the submitting thread (never
+the batcher worker, so queued traffic doesn't stall behind a
+hot-swap's first calibration).  Per-version counters expose the
+running flag rate via ``/metrics``: serving the camouflaged model shows
+a flag rate near the FRR, and the post-unlearning hot-swap makes the
+rate on triggered traffic jump — the paper's pre- vs post-restoration
+detectability story as a live signal.
 
 Screening is a monitoring side-channel: it never alters the served
 logits.  Entropies are computed with a fixed seed but the overlay draw
@@ -127,15 +136,22 @@ class OnlineStrip:
                 self._flagged[key] = 0
             return detector
 
-    def score(self, key: Hashable, model: Module,
-              images: np.ndarray) -> Dict[str, np.ndarray]:
-        """Screen one served batch; returns per-row entropy and flags.
+    def rows(self, key: Hashable, model: Module,
+             images: np.ndarray) -> np.ndarray:
+        """The blend rows that screen ``images`` (overlay-major).
 
-        The returned dict plugs straight into the batcher's
-        ``post_batch`` hook, so each request sees its own slice.
+        The batcher forwards them in the same batch as the request's
+        own rows and hands their logits to :meth:`score`.
         """
+        return self.ensure_bound(key, model).blends(images, seed_offset=2)
+
+    def score(self, key: Hashable, model: Module, images: np.ndarray,
+              blend_logits: np.ndarray) -> Dict[str, np.ndarray]:
+        """Score one served batch from the logits of its :meth:`rows`;
+        returns per-row entropy and flags, which the batcher slices
+        per request."""
         detector = self.ensure_bound(key, model)
-        entropies = detector.entropies(images, seed_offset=2)
+        entropies = detector.blend_entropies(blend_logits)
         with self._lock:
             boundary = self._boundaries[key]
         flagged = entropies < boundary

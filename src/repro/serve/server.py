@@ -3,11 +3,12 @@
 :class:`InferenceServer` is the transport-agnostic heart of
 ``repro serve``: it resolves requests against a :class:`ModelStore`,
 pushes them through the :class:`MicroBatcher` (one forward per
-coalesced group, on the per-version folded copy), and optionally runs
-the :class:`OnlineStrip` screen over every served batch.  The stdlib
-HTTP front end (:mod:`repro.serve.http`) and the in-process test/bench
-paths both drive this same object, so behaviour is identical with and
-without the network in the loop.
+coalesced group, on the per-version folded copy), and optionally
+screens every served batch with :class:`OnlineStrip`, whose blend rows
+ride in that same forward.  The stdlib HTTP front end
+(:mod:`repro.serve.http`) and the in-process test/bench paths both
+drive this same object, so behaviour is identical with and without the
+network in the loop.
 
 Forward passes run without tape construction even though the worker
 thread never touches the global ``no_grad`` switch: the folded
@@ -107,6 +108,23 @@ class ServerStats:
                 "failed": self._failed.value}
 
 
+class _StoreScreen:
+    """The batcher's view of an :class:`OnlineStrip`: each key screens
+    against the store's folded copy of that version."""
+
+    def __init__(self, strip: OnlineStrip, store: ModelStore):
+        self.strip = strip
+        self.store = store
+
+    def rows(self, key: ModelKey, images: np.ndarray) -> np.ndarray:
+        return self.strip.rows(key, self.store.folded(*key), images)
+
+    def score(self, key: ModelKey, images: np.ndarray,
+              blend_logits: np.ndarray) -> Dict[str, np.ndarray]:
+        return self.strip.score(key, self.store.folded(*key), images,
+                                blend_logits)
+
+
 class InferenceServer:
     """Micro-batched prediction service over a :class:`ModelStore`.
 
@@ -184,10 +202,10 @@ class InferenceServer:
                                             fallback_fn=self._infer)
         self.cache = (ResponseCache(response_cache)
                       if response_cache else None)
-        self.batcher = MicroBatcher(self._infer, policy,
-                                    post_batch=self._post_batch
-                                    if screening is not None else None,
-                                    backend=self.backend)
+        self.batcher = MicroBatcher(
+            self._infer, policy, backend=self.backend,
+            screen=(_StoreScreen(screening, store)
+                    if screening is not None else None))
         self.prefetch_replicas = prefetch_replicas
         # Online unlearning plane (attach_forget); ``/v1/forget`` 404s
         # until one is attached.
@@ -262,10 +280,6 @@ class InferenceServer:
     # -- scheduler callbacks -------------------------------------------
     def _infer(self, key: ModelKey, batch: np.ndarray) -> np.ndarray:
         return self.store.entry(*key).executable()(Tensor(batch)).data
-
-    def _post_batch(self, key: ModelKey, images: np.ndarray,
-                    logits: np.ndarray) -> Dict[str, np.ndarray]:
-        return self.screening.score(key, self.store.folded(*key), images)
 
     # -- public API ----------------------------------------------------
     def predict(self, model: str, images: np.ndarray,
@@ -434,7 +448,6 @@ class InferenceServer:
                 "max_batch_size": self.policy.max_batch_size,
                 "max_delay_ms": self.policy.max_delay_ms,
                 "max_queue": self.policy.max_queue,
-                "pad_to_full": self.policy.pad_to_full,
             },
             "models": self.store.describe(),
             "prefetch": {

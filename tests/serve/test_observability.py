@@ -70,8 +70,8 @@ def _post_predict(url: str, image, headers=None):
 def _assert_metrics_schema(metrics: dict) -> None:
     assert GOLDEN_TOP_KEYS <= set(metrics)
     assert set(metrics["requests"]) == GOLDEN_REQUEST_KEYS
-    assert {"max_batch_size", "max_delay_ms", "max_queue",
-            "pad_to_full"} <= set(metrics["policy"])
+    assert set(metrics["policy"]) == {"max_batch_size", "max_delay_ms",
+                                      "max_queue"}
     assert {"latency", "recorder", "tracing"} <= set(metrics["obs"])
     assert {"spans_started", "spans_ended", "spans_dropped",
             "spans_held", "capacity"} <= set(metrics["obs"]["recorder"])
