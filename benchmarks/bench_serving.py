@@ -22,9 +22,7 @@ the closed-loop load generator across several axes:
   the serving default) vs interpreted serving, at 1 and 2 workers, plus
   a compiled-vs-interpreted max-delta pinned to exactly 0.0 and a
   steady-p50 pair that ``check_regression.py`` gates — compiled must
-  not lose to interpreted.  Autotuned conv block tables are cached
-  under ``benchmarks/.bench_cache`` (the tier-2 CI bench cache), so
-  repeat runs skip re-timing the candidates.
+  not lose to interpreted.
 
 Records, per cell: throughput (req/s), p50/p95 client-observed latency,
 scheduler occupancy / mean batch width, dropped + errored responses,
@@ -44,9 +42,7 @@ Run directly (not collected by pytest)::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -55,7 +51,6 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from _common import CACHE_DIR  # noqa: E402
 from repro import nn  # noqa: E402
 from repro.data.registry import load_dataset  # noqa: E402
 from repro.models.registry import build_model  # noqa: E402
@@ -76,41 +71,6 @@ WORKER_COUNTS = (1, 2, 4)
 HOST_COUNTS = (1, 2, 4)
 
 
-def _cached_autotune(model_name: str, scale: str, dataset: str,
-                     width: int, shape) -> dict:
-    """Autotuned conv block table for (model, scale, width, shape).
-
-    Cached under ``benchmarks/.bench_cache`` — the directory the tier-2
-    CI job persists across runs — so the candidate timing sweep runs
-    once per configuration and every later bench invocation compiles
-    straight from the stored table (``autotune=False``).  The table only
-    picks block counts, never values, so a stale entry can cost
-    microseconds, not correctness.
-    """
-    from repro.nn import graph as nn_graph
-    CACHE_DIR.mkdir(exist_ok=True)
-    key = hashlib.md5(json.dumps(
-        [model_name, scale, dataset, int(width), [int(s) for s in shape]],
-        sort_keys=True).encode()).hexdigest()
-    path = CACHE_DIR / f"autotune-{key}.json"
-    if path.exists():
-        try:
-            table = json.loads(path.read_text())
-            return {str(k): int(v) for k, v in table.items()}
-        except (json.JSONDecodeError, ValueError, AttributeError):
-            pass
-    _, _, profile = load_dataset(dataset, seed=0)
-    nn.manual_seed(0)
-    model = build_model(model_name, profile.num_classes, scale=scale)
-    model.eval()
-    compiled = nn_graph.compile(model, width, input_shape=tuple(shape))
-    table = dict(compiled.plan.get("tuned") or {})
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    tmp.write_text(json.dumps(table, sort_keys=True))
-    os.replace(tmp, path)
-    return table
-
-
 def _build_server(policy: BatchPolicy, dataset: str = "cifar10-bench",
                   model_name: str = "small_cnn", scale: str = "bench",
                   workers: int = 1, response_cache: int = 0,
@@ -119,20 +79,11 @@ def _build_server(policy: BatchPolicy, dataset: str = "cifar10-bench",
     nn.manual_seed(0)
     model = build_model(model_name, profile.num_classes, scale=scale)
     model.eval()
-    shape = test.images.shape[1:]
-    plan = None
-    if compile_models:
-        # Seed registration with the cached autotune table: the server
-        # compiles at prefetch without re-running the candidate sweep.
-        tuned = _cached_autotune(model_name, scale, dataset,
-                                 policy.max_batch_size, shape)
-        plan = {"width": policy.max_batch_size, "tuned": tuned,
-                "input_shape": [int(s) for s in shape]}
     store = ModelStore()
     store.register(model_name, model, version="v1",
                    spec=ModelSpec(model_name, profile.num_classes,
                                   scale=scale),
-                   input_shape=shape, plan=plan)
+                   input_shape=test.images.shape[1:])
     server = InferenceServer(store, policy=policy, workers=workers,
                              response_cache=response_cache,
                              prefetch_replicas=prefetch,
@@ -680,7 +631,7 @@ def run_full() -> dict:
             section["compiled"][label] = cell
             plan = cell.get("plan") or {}
             note = (f", {plan.get('ops', 0)} ops / "
-                    f"{plan.get('tuned', 0)} tuned" if compiled else "")
+                    f"{plan.get('fused', 0)} fused" if compiled else "")
             print(f"  workers={workers} "
                   f"{'compiled' if compiled else 'interpreted'}: "
                   f"{cell['throughput_rps']:.1f} req/s, "

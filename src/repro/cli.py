@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compile", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="serve every version through its compiled graph "
-                        "(trace -> fuse -> arena -> autotune at the fixed "
+                        "(trace -> fuse -> arena at the fixed "
                         "compute width; bit-identical to interpreted); "
                         "--no-compile restores module-by-module forwards")
     p.add_argument("--worker-retries", type=int, default=3,

@@ -13,7 +13,7 @@ familiar ``torch``/``torch.nn`` split:
 - :mod:`repro.nn.threading` — intra-op thread pool for the conv kernels.
 - :mod:`repro.nn.fold` — eval-time BatchNorm folding (inference fast path).
 - :mod:`repro.nn.graph` — compiled inference graphs (``compile`` /
-  ``prepare_for_inference``): trace → fuse → arena → autotune.
+  ``prepare_for_inference``): trace → fuse → arena.
 """
 
 from . import fold
@@ -22,8 +22,7 @@ from . import graph
 from . import init
 from . import threading
 from .fold import (FoldedModelCache, fold_batchnorm, folded_replica,
-                   inference_copy, inference_mode, shared_folded_cache,
-                   state_fingerprint)
+                   inference_mode, shared_folded_cache, state_fingerprint)
 from .graph import CompiledModel, TraceError, compile, prepare_for_inference
 from .layers import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d, Dropout,
                      Flatten, GlobalAvgPool2d, Identity, Linear, MaxPool2d,
@@ -51,8 +50,8 @@ __all__ = [
     "functional", "init", "manual_seed",
     "threading", "intra_op_threads", "get_intra_op_threads",
     "set_intra_op_threads", "shutdown_intra_op_pool",
-    "fold", "fold_batchnorm", "folded_replica", "inference_copy",
-    "inference_mode", "state_fingerprint",
+    "fold", "fold_batchnorm", "folded_replica", "inference_mode",
+    "state_fingerprint",
     "FoldedModelCache", "shared_folded_cache",
     "graph", "compile", "CompiledModel", "TraceError",
     "prepare_for_inference",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import threading
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Callable, Optional, Tuple
@@ -127,48 +126,23 @@ def count_foldable(model: Module) -> int:
     return total
 
 
-#: Deprecation shims that already warned this process (warn once each).
-_SHIMS_WARNED: set = set()
+def _inference_copy(model: Module) -> Module:
+    """Eval-mode, BN-folded, parameter-frozen deep copy.
 
-
-def _warn_shim(old: str, new: str) -> None:
-    """Once-per-process deprecation warning for a legacy call shape."""
-    if old in _SHIMS_WARNED:
-        return
-    _SHIMS_WARNED.add(old)
-    warnings.warn(f"{old} is deprecated; use {new} instead",
-                  DeprecationWarning, stacklevel=3)
-
-
-def _inference_copy_impl(model: Module) -> Module:
-    """Eval-mode, BN-folded, parameter-frozen deep copy (internal core)."""
+    Never raises on a training-mode input: the *copy* is switched to
+    eval first (the original model's mode is untouched).  All parameters
+    of the copy get ``requires_grad=False``, so gradient-based sweeps
+    (Neural Cleanse's trigger optimization) skip every weight-gradient
+    GEMM while input gradients still flow.  The public route to it is
+    :func:`repro.nn.prepare_for_inference`, which shares copies via the
+    process cache.
+    """
     frozen = copy.deepcopy(model)
     frozen.eval()
     frozen = fold_batchnorm(frozen, inplace=True)
     for param in frozen.parameters():
         param.requires_grad = False
     return frozen
-
-
-def inference_copy(model: Module) -> Module:
-    """Eval-mode, BN-folded, parameter-frozen deep copy for prediction sweeps.
-
-    Unlike :func:`fold_batchnorm` this never raises on a training-mode
-    input — the *copy* is switched to eval first (the original model's
-    mode is untouched), matching how ``predict_logits`` already forces
-    eval mode before a forward pass.  All parameters of the copy get
-    ``requires_grad=False``: gradient-based sweeps (Neural Cleanse's
-    trigger optimization) then skip every weight-gradient GEMM while
-    input gradients still flow.
-
-    .. deprecated:: Route through
-       :func:`repro.nn.graph.prepare_for_inference`, the consolidated
-       inference front door (which also shares copies via the process
-       cache and can return a width-compiled plan).
-    """
-    _warn_shim("repro.nn.inference_copy",
-               "repro.nn.prepare_for_inference(model)")
-    return _inference_copy_impl(model)
 
 
 def _state_fingerprint(model: Module) -> str:
@@ -218,7 +192,7 @@ def folded_replica(factory, state, expected_fingerprint: Optional[str] = None,
                 f"the shipped fingerprint {expected_fingerprint[:12]} — the "
                 f"worker-side factory does not reproduce the registered "
                 f"model, so serving through it would break bit-identity")
-    return _inference_copy_impl(model)
+    return _inference_copy(model)
 
 
 class FoldedModelCache:
@@ -280,7 +254,7 @@ class FoldedModelCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return cached
-        built = (build or _inference_copy_impl)(model)
+        built = (build or _inference_copy)(model)
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:            # lost the build race
@@ -315,7 +289,7 @@ class LazyFoldedInference:
     """Lazily-built, staleness-aware folded inference copy of a model.
 
     The shared helper behind the defense sweeps' ``fold_inference``
-    knob: :meth:`get` returns :func:`inference_copy` of the bound
+    knob: :meth:`get` returns :func:`_inference_copy` of the bound
     model, rebuilt automatically whenever the model's parameters or
     buffers change (detected by value fingerprint, so a detector held
     across fine-tuning or a ``load_state_dict`` never sweeps stale
@@ -343,7 +317,7 @@ class LazyFoldedInference:
             if self.cache is not None:
                 self._copy = self.cache.get(self.model, fingerprint)
             else:
-                self._copy = _inference_copy_impl(self.model)
+                self._copy = _inference_copy(self.model)
             self._fingerprint = fingerprint
         return self._copy
 
@@ -365,6 +339,6 @@ def inference_mode(model: Module):
     The defense sweeps (STRIP / Neural Cleanse / Beatrix) route their
     thousands of forward passes through this fast path.
     """
-    frozen = _inference_copy_impl(model)
+    frozen = _inference_copy(model)
     with no_grad():
         yield frozen

@@ -16,7 +16,8 @@ The conv2d matmuls (forward, input gradient, weight gradient) run as
 row-blocks over the batch dimension dispatched through
 :mod:`repro.nn.threading`; the block decomposition is shape-only and
 reductions happen in block-index order, so results are bit-identical at
-every ``intra_op_threads`` setting.
+every ``intra_op_threads`` setting.  The forward GEMM is one kernel,
+:func:`_conv_gemm`, which compiled conv replays call too.
 """
 
 from __future__ import annotations
@@ -96,6 +97,30 @@ def _cached_scatter(key: tuple, k_idx, i_idx, j_idx,
     return _SCATTER_CACHE[key]
 
 
+def _conv_gemm(w_g: np.ndarray, cols_g: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """Forward conv GEMM ``(1, G, O/G, K) @ (N, G, K, L) -> out``.
+
+    ``out`` has shape ``(N, G, O/G, L)``.  The batch is split into the
+    shape-only :func:`~repro.nn.threading.batch_blocks` row-blocks; each
+    block writes its own disjoint ``out=`` rows, so the blocks run
+    concurrently on the intra-op pool without any reduction, and every
+    sample's GEMM is the same at any thread count.  The interpreted
+    :func:`conv2d` and the compiled graph's conv replay both call this.
+    """
+    _prof = _profile.ACTIVE
+    token = _prof.start("conv.forward") if _prof is not None else None
+    blocks = batch_blocks(len(out))
+    if len(blocks) == 1:
+        np.matmul(w_g[None], cols_g, out=out)
+    else:
+        map_blocks(lambda sl, _b: np.matmul(w_g[None], cols_g[sl],
+                                            out=out[sl]), blocks)
+    if _prof is not None:
+        _prof.stop(token)
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: IntPair = 1, padding: IntPair = 0, groups: int = 1) -> Tensor:
     """2-D convolution (cross-correlation, as in every DL framework).
@@ -136,24 +161,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     cols_g = cols.reshape(n, groups, kdim, loc)
     w_g = weight.data.reshape(groups, o // groups, kdim)
 
-    # Batched BLAS, blocked over the batch: (1, G, O/G, K) @ (B, G, K, L)
-    # -> (B, G, O/G, L) per row-block.  Output rows are disjoint, so the
-    # blocks run concurrently on the intra-op pool without any reduction.
-    _prof = _profile.ACTIVE
-    prof_token = _prof.start("conv.forward") if _prof is not None else None
-    blocks = batch_blocks(n)
-    if len(blocks) == 1:
-        out = np.matmul(w_g[None], cols_g)
-    else:
-        out = np.empty((n, groups, o // groups, loc),
-                       dtype=np.result_type(w_g.dtype, cols_g.dtype))
-
-        def _forward_block(sl: slice, _b: int) -> None:
-            np.matmul(w_g[None], cols_g[sl], out=out[sl])
-
-        map_blocks(_forward_block, blocks)
-    if _prof is not None:
-        _prof.stop(prof_token)
+    out = _conv_gemm(w_g, cols_g, np.empty(
+        (n, groups, o // groups, loc),
+        dtype=np.result_type(w_g.dtype, cols_g.dtype)))
     out = out.reshape(n, o, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, o, 1, 1)

@@ -1,4 +1,4 @@
-"""Compiled inference graphs: trace → fuse → arena-plan → autotune.
+"""Compiled inference graphs: trace → fuse → arena-plan.
 
 The interpreted path executes a model module-by-module, materializing a
 fresh array per op.  For serving that is pure overhead: the fixed
@@ -23,35 +23,29 @@ module compiles that knowledge into a flat program:
   a greedy first-fit offset assignment into one preallocated byte arena,
   so steady-state serving performs no per-batch intermediate
   allocation.
-- **Autotune.**  Per-(conv geometry, width) the batch row-block count of
-  the im2col GEMM is timed across a small candidate set, replacing the
-  global :data:`repro.nn.threading.NUM_BLOCKS` with a tuned table that
-  persists in the plan and ships to workers/hosts so they never re-tune.
 
 Bit-identity is the hard gate: each node replays the *exact* numpy
 expression the interpreted path runs (``relu`` is greater+multiply so
 negative zeros keep their sign, max-pool runs the interpreted path's
-own kernel with ``out=`` set to its arena buffer, rare ops re-run the
-original interpreted function into the arena).  Forward conv GEMMs are
-per-sample independent so block-count changes cannot move a bit.  :func:`compile` then
-*verifies* the program against the interpreted path on a second, fresh
-batch — any divergence (including data-dependent constants left behind
-by an untraceable op) raises :class:`TraceError` and the model falls
-back, with a once-per-model warning, to the interpreted folded copy.
+own kernel with ``out=`` set to its arena buffer, conv runs its GEMM
+kernel :func:`repro.nn.functional._conv_gemm` with the same shape-only
+row-blocks, rare ops re-run the original interpreted function into the
+arena).  :func:`compile` then *verifies* the program against the
+interpreted path on a second, fresh batch — any divergence (including
+data-dependent constants left behind by an untraceable op) raises
+:class:`TraceError` and the model falls back, with a once-per-model
+warning, to the interpreted folded copy.
 
 Public surface: :func:`compile` → :class:`CompiledModel`
-(``__call__`` / ``.plan`` / ``.save`` / ``.load``) and
-:func:`prepare_for_inference`, the single front door consolidating the
-older ``inference_copy`` / ``predict_logits(fold=)`` entry points.
+(``__call__`` / ``.plan``) and :func:`prepare_for_inference`, the single
+front door to a folded or compiled inference executable.
 """
 
 from __future__ import annotations
 
-import json
 import threading as _threading
-import time
 import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,16 +54,9 @@ from . import functional as F
 from .fold import _state_fingerprint, count_foldable, shared_folded_cache
 from .module import Module
 from .tensor import Tensor, ensure_tensor, matmul_rows, no_grad
-from .threading import MIN_BLOCK_BATCH, batch_blocks, map_blocks
 
 #: Arena offsets are aligned to this many bytes (cache-line friendly).
 _ALIGN = 64
-
-#: Candidate conv row-block counts tried by the autotuner.
-AUTOTUNE_CANDIDATES = (1, 2, 4, 8, 16)
-
-#: Timing repetitions per candidate (min is taken).
-AUTOTUNE_REPS = 2
 
 
 class TraceError(RuntimeError):
@@ -420,11 +407,6 @@ def _conv_geom(node: _TraceNode) -> tuple:
     return (c, h, w, kh, kw, sh, sw, ph, pw)
 
 
-def tuned_key(geom: tuple, n: int) -> str:
-    """JSON-safe tuned-table key: ``"c,h,w,kh,kw,sh,sw,ph,pw|n"``."""
-    return ",".join(str(v) for v in geom) + f"|{n}"
-
-
 def _plan_storages(nodes: List[_TraceNode], out_idx: int, fused: bool,
                    ) -> Tuple[List[int], Dict[int, int], int]:
     """Assign a storage root to every node; merge in-place-safe chains.
@@ -523,13 +505,11 @@ class GraphProgram:
     """A compiled flat program: ordered replay closures over one arena."""
 
     def __init__(self, runs: List[Optional[Callable]], out_idx: int,
-                 input_shape: Tuple[int, ...], arena: np.ndarray,
-                 conv_tuners: List[dict]):
+                 input_shape: Tuple[int, ...], arena: np.ndarray):
         self._runs = runs
         self._out = out_idx
         self.input_shape = input_shape
         self.arena = arena
-        self.conv_tuners = conv_tuners   # [{key, n, holder, gemm}] per conv
         self._values: List[Optional[np.ndarray]] = [None] * len(runs)
 
     def run(self, batch: np.ndarray) -> np.ndarray:
@@ -549,8 +529,8 @@ def _resolve(operand: _Operand, values: list) -> np.ndarray:
 
 
 def _build_program(nodes: List[_TraceNode], out_idx: int,
-                   storage_of: List[int], end_of: Dict[int, int],
-                   tuned: Dict[str, int]) -> GraphProgram:
+                   storage_of: List[int],
+                   end_of: Dict[int, int]) -> GraphProgram:
     arena = _Arena()
     offsets: Dict[int, int] = {}
     # Root buffers in definition order, then per-node scratch (lifetime
@@ -601,18 +581,16 @@ def _build_program(nodes: List[_TraceNode], out_idx: int,
                                                scratch_specs[i])]
 
     runs: List[Optional[Callable]] = [None] * len(nodes)
-    conv_tuners: List[dict] = []
     for i, node in enumerate(nodes):
         if i == 0:
             continue
-        runs[i] = _build_node(node, i, out_array, scratch_arrays,
-                              tuned, conv_tuners)
+        runs[i] = _build_node(node, i, out_array, scratch_arrays)
 
-    return GraphProgram(runs, out_idx, nodes[0].shape, buf, conv_tuners)
+    return GraphProgram(runs, out_idx, nodes[0].shape, buf)
 
 
-def _build_node(node: _TraceNode, i: int, out_array, scratch_arrays,
-                tuned: Dict[str, int], conv_tuners: List[dict]) -> Callable:
+def _build_node(node: _TraceNode, i: int, out_array,
+                scratch_arrays) -> Callable:
     op, inputs, params = node.op, tuple(node.inputs), node.params
 
     if op in _VIEW_OPS:
@@ -733,13 +711,13 @@ def _build_node(node: _TraceNode, i: int, out_array, scratch_arrays,
         return run
 
     if op == "conv2d":
-        return _build_conv(node, i, out, scratch_arrays, tuned, conv_tuners)
+        return _build_conv(node, i, out, scratch_arrays)
 
     raise TraceError(f"no replay rule for traced op {op!r}")
 
 
-def _build_conv(node: _TraceNode, i: int, out: np.ndarray, scratch_arrays,
-                tuned: Dict[str, int], conv_tuners: List[dict]) -> Callable:
+def _build_conv(node: _TraceNode, i: int, out: np.ndarray,
+                scratch_arrays) -> Callable:
     params = node.params
     a = node.inputs[0]
     n, c, h, w = params["in_shape"]
@@ -759,21 +737,6 @@ def _build_conv(node: _TraceNode, i: int, out: np.ndarray, scratch_arrays,
     cols6 = scratch[-1]
     cols_g = cols6.reshape(n, groups, kdim, loc)
     gemm = out.reshape(n, groups, o // groups, loc)
-    out4 = out   # node shape is already (n, o, out_h, out_w)
-
-    key = tuned_key(geom, n)
-    holder = [batch_blocks(n, tuned.get(key))]
-
-    def _gemm(blocks: Sequence[slice]) -> None:
-        if len(blocks) == 1:
-            np.matmul(w_g[None], cols_g, out=gemm)
-        else:
-            map_blocks(lambda sl, _b: np.matmul(w_g[None], cols_g[sl],
-                                                out=gemm[sl]), blocks)
-
-    if n >= MIN_BLOCK_BATCH:
-        conv_tuners.append({"key": key, "n": n, "holder": holder,
-                            "gemm": _gemm})
 
     def run(values):
         x = _resolve(a, values)
@@ -786,59 +749,11 @@ def _build_conv(node: _TraceNode, i: int, out: np.ndarray, scratch_arrays,
         windows = np.lib.stride_tricks.sliding_window_view(
             xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
         np.copyto(cols6, windows.transpose(0, 1, 4, 5, 2, 3))
-        _prof = _profile.ACTIVE
-        token = _prof.start("conv.forward") if _prof is not None else None
-        _gemm(holder[0])
-        if _prof is not None:
-            _prof.stop(token)
-        if bias_r is not None:
-            np.add(out4, bias_r, out=out4)
-        return out4
+        F._conv_gemm(w_g, cols_g, gemm)
+        if bias_r is not None:     # out is already (n, o, out_h, out_w)
+            np.add(out, bias_r, out=out)
+        return out
     return run
-
-
-# ---------------------------------------------------------------------------
-# Autotune
-# ---------------------------------------------------------------------------
-
-def _split(n: int, count: int) -> List[slice]:
-    return batch_blocks(n, count)
-
-
-def _autotune(program: GraphProgram, tuned: Dict[str, int]) -> None:
-    """Time candidate row-block counts per conv; smallest count wins ties.
-
-    Runs against whatever the trace left in the arena buffers, so the
-    GEMMs see realistic data.  Forward conv GEMMs are per-sample
-    independent, so the chosen count cannot change any output bit.
-    """
-    for tuner in program.conv_tuners:
-        if tuner["key"] in tuned:
-            tuner["holder"][0] = _split(tuner["n"], tuned[tuner["key"]])
-            continue
-        n, gemm = tuner["n"], tuner["gemm"]
-        best_count, best_time = 1, None
-        for cand in AUTOTUNE_CANDIDATES:
-            if cand > n:
-                break
-            blocks = _split(n, cand)
-            elapsed = None
-            for _ in range(AUTOTUNE_REPS):
-                t0 = time.perf_counter()
-                gemm(blocks)
-                dt = time.perf_counter() - t0
-                elapsed = dt if elapsed is None else min(elapsed, dt)
-            if best_time is None or elapsed < best_time:
-                best_count, best_time = cand, elapsed
-        tuned[tuner["key"]] = best_count
-        tuner["holder"][0] = _split(n, best_count)
-
-
-def _apply_tuned(program: GraphProgram, tuned: Dict[str, int]) -> None:
-    for tuner in program.conv_tuners:
-        count = tuned.get(tuner["key"])
-        if count:
-            tuner["holder"][0] = _split(tuner["n"], int(count))
 
 
 # ---------------------------------------------------------------------------
@@ -885,23 +800,6 @@ class CompiledModel:
             _prof.stop(token)
         return Tensor(out)
 
-    def save(self, path) -> None:
-        """Persist the plan (JSON: ops/fused/arena_bytes/tuned/width)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.plan, fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path, model: Module) -> "CompiledModel":
-        """Recompile ``model`` under a saved plan (no re-autotune)."""
-        with open(path, "r", encoding="utf-8") as fh:
-            plan = json.load(fh)
-        shape = plan.get("input_shape")
-        return compile(model, int(plan["width"]),
-                       input_shape=tuple(shape) if shape else None,
-                       tuned={str(k): int(v)
-                              for k, v in (plan.get("tuned") or {}).items()},
-                       autotune=False)
-
     def __repr__(self) -> str:
         state = "compiled" if self.compiled else "fallback"
         return (f"CompiledModel(width={self.width}, {state}, "
@@ -941,26 +839,25 @@ def _folded_for(model: Module) -> Module:
 
 def compile(model: Module, width: int, *,
             input_shape: Optional[Tuple[int, ...]] = None,
-            fused: bool = True, autotune: bool = True,
-            tuned: Optional[Dict[str, int]] = None,
-            verify: bool = True) -> CompiledModel:
+            fused: bool = True, verify: bool = True) -> CompiledModel:
     """Compile ``model`` for batches of exactly ``width`` samples.
 
     The model is folded first (through the shared folded cache) unless
     it already is; the folded copy is both the trace subject and the
     interpreted fallback.  ``input_shape`` is the per-sample shape —
-    taken from ``model.input_shape`` when omitted.  ``tuned`` seeds the
-    conv block table (a shipped plan skips re-autotuning);
-    ``verify=True`` replays a second, fresh batch through the program
-    and byte-compares against the interpreted path before accepting the
-    plan.  Any failure returns a fallback :class:`CompiledModel`
-    (interpreted path, ``compiled=False``) and warns once per model
-    class and failure kind.
+    taken from ``model.input_shape`` when omitted.  ``verify=True``
+    replays a second, fresh batch through the program and byte-compares
+    against the interpreted path before accepting the plan.  Any failure
+    returns a fallback :class:`CompiledModel` (interpreted path,
+    ``compiled=False``) and warns once per model class and failure kind.
     """
     width = int(width)
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     folded = _folded_for(model)
+    # ``tuned`` is always empty: conv row-blocks are shape-only, so no
+    # block table exists.  The key stays only because the repo
+    # benchmark's ``perfbench/measure.py`` still reads ``plan["tuned"]``.
     plan: Dict[str, Any] = {"ops": 0, "fused": 0, "arena_bytes": 0,
                             "tuned": {}, "width": width, "input_shape": None}
     try:
@@ -970,7 +867,6 @@ def compile(model: Module, width: int, *,
                 "input_shape is required (pass input_shape= or set "
                 "model.input_shape)")
         shape = tuple(int(s) for s in shape)
-        table = {str(k): int(v) for k, v in (tuned or {}).items()}
         rng = np.random.default_rng(0x5EED ^ (width * 2654435761 % (1 << 31)))
         batch_a = rng.standard_normal((width,) + shape,
                                       dtype=np.float32)
@@ -978,14 +874,11 @@ def compile(model: Module, width: int, *,
             nodes, out_idx = _trace(folded, Tensor(batch_a))
         nodes, out_idx = _prune(nodes, out_idx)
         storage_of, end_of, fused_count = _plan_storages(nodes, out_idx, fused)
-        program = _build_program(nodes, out_idx, storage_of, end_of, table)
-        # Warm run: proves the replay executes and fills the arena with
-        # realistic data for the autotune timings.
+        program = _build_program(nodes, out_idx, storage_of, end_of)
+        # Warm run: proves the replay executes, and leaves this batch's
+        # values in the arena, so the verify replay below cannot pass by
+        # relying on freshly zeroed memory.
         program.run(batch_a)
-        if autotune:
-            _autotune(program, table)
-        else:
-            _apply_tuned(program, table)
         if verify:
             vrng = np.random.default_rng(
                 0xA11CE ^ (width * 40503 % (1 << 31)))
@@ -1000,7 +893,7 @@ def compile(model: Module, width: int, *,
                     "on a verification batch (likely an untraceable op "
                     "captured as a constant)")
         plan.update(ops=len(nodes) - 1, fused=fused_count,
-                    arena_bytes=int(program.arena.nbytes), tuned=table,
+                    arena_bytes=int(program.arena.nbytes),
                     input_shape=list(shape))
         return CompiledModel(folded, program, plan, width)
     except Exception as exc:    # noqa: BLE001 — fallback must never fail
@@ -1011,14 +904,11 @@ def compile(model: Module, width: int, *,
 
 def prepare_for_inference(model: Module, width: Optional[int] = None,
                           compile: bool = True,
-                          input_shape: Optional[Tuple[int, ...]] = None,
-                          tuned: Optional[Dict[str, int]] = None):
+                          input_shape: Optional[Tuple[int, ...]] = None):
     """The single front door to an inference-ready executable.
 
     - ``width=None`` (or ``compile=False``): returns the BatchNorm-
-      folded, parameter-frozen copy from the shared folded cache — the
-      consolidated replacement for ``inference_copy`` and
-      ``predict_logits(fold=True)``.
+      folded, parameter-frozen copy from the shared folded cache.
     - ``width=N`` with ``compile=True``: returns a
       :class:`CompiledModel` for that serving width, cached in the same
       shared cache under ``(fingerprint, width)`` so every consumer of
@@ -1030,5 +920,4 @@ def prepare_for_inference(model: Module, width: Optional[int] = None,
     compile_fn = globals()["compile"]
     return shared_folded_cache().get(
         model, fingerprint, width=int(width),
-        build=lambda m: compile_fn(m, int(width), input_shape=input_shape,
-                                   tuned=tuned))
+        build=lambda m: compile_fn(m, int(width), input_shape=input_shape))

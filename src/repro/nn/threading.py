@@ -163,31 +163,21 @@ def _get_pool(size: int) -> ThreadPoolExecutor:
         return _pool
 
 
-def batch_blocks(n: int, blocks: "int | None" = None) -> List[slice]:
+def batch_blocks(n: int) -> List[slice]:
     """Contiguous row-block slices of a batch of ``n`` samples.
 
-    Shape-only by default: one block below :data:`MIN_BLOCK_BATCH`,
-    otherwise :data:`NUM_BLOCKS` near-equal blocks (remainder spread
-    over the leading blocks, matching ``np.array_split``).
-
-    ``blocks`` overrides the count — the compiled-graph path
-    (:mod:`repro.nn.graph`) passes a per-(conv geometry, width) value
-    from its autotuned table instead of the global default.  Forward
-    conv GEMMs are per-sample independent, so the override is shape-safe
-    for inference; the interpreted training path always uses the
-    default, keeping its reduction order fixed.
+    Shape-only: one block below :data:`MIN_BLOCK_BATCH`, otherwise
+    :data:`NUM_BLOCKS` near-equal blocks (remainder spread over the
+    leading blocks, matching ``np.array_split``).  Training, the
+    interpreted forward and the compiled graph all use this one
+    decomposition, so their reduction orders never differ.
     """
-    if blocks is None:
-        if n < MIN_BLOCK_BATCH:
-            return [slice(0, n)]
-        blocks = NUM_BLOCKS
-    blocks = max(1, min(int(blocks), max(n, 1)))
-    if blocks <= 1:
+    if n < MIN_BLOCK_BATCH:
         return [slice(0, n)]
-    base, extra = divmod(n, blocks)
+    base, extra = divmod(n, NUM_BLOCKS)
     out = []
     start = 0
-    for b in range(blocks):
+    for b in range(NUM_BLOCKS):
         stop = start + base + (1 if b < extra else 0)
         out.append(slice(start, stop))
         start = stop

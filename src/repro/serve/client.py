@@ -42,7 +42,7 @@ class ModelVersionEntry:
     """One model version from ``GET /v1/models``, typed.
 
     ``plan`` is the compact compiled-plan summary (``ops`` / ``fused``
-    / ``arena_bytes`` / ``tuned``) or ``None`` while the version serves
+    / ``arena_bytes``) or ``None`` while the version serves
     interpreted.  ``metadata`` is the registration metadata with the
     additive ``compiled``/``plan`` wire keys stripped back out.
     """

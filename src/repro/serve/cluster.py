@@ -173,8 +173,7 @@ def _host_register(store: ModelStore, message: dict,
                    metadata=message.get("metadata"),
                    activate=bool(message.get("activate", True)),
                    spec=factory,
-                   input_shape=message.get("input_shape"),
-                   plan=message.get("plan"))
+                   input_shape=message.get("input_shape"))
     # Registration on a prefetching host triggers replica ship + warm-up
     # before this reply is sent (the store subscription runs inline), so
     # "warmed" in the ship reply is the router's re-warm evidence.
@@ -222,11 +221,6 @@ def _host_main(conn, index: int, options: dict) -> None:
                 store.activate(message["name"], message["version"])
                 return {"active": message["version"]}
             if kind == "compile":
-                entry = store.entry(message["name"], message.get("version"))
-                if message.get("plan"):
-                    # The router's plan (autotune table included) seeds
-                    # this host's compile so no candidate timing reruns.
-                    entry.plan_hint = message["plan"]
                 return inference.compile_model(message["name"],
                                                message.get("version"))
             if kind == "ping":
@@ -572,8 +566,8 @@ class ServingCluster:
                                       spec=spec, input_shape=input_shape)
         key = (name, version)
         if self.compile_models and input_shape is not None:
-            # Compile once at the router; the plan (autotune table
-            # included) rides every ship below, so no host re-tunes.
+            # Compile at the router, which serves through it too; each
+            # host compiles its own copy from the shipped input shape.
             self.store.entry(*key).ensure_compiled(self.policy.max_batch_size)
         group = self.map.owner(name, version)
         for host_index in self.groups[group]:
@@ -637,21 +631,20 @@ class ServingCluster:
                       version: Optional[str] = None) -> dict:
         """Compile ``name/version`` cluster-wide (``/v1/compile``).
 
-        Compiles once at the router (autotune runs here), then pushes
-        the plan to every reachable host of the owning group over the
-        netstate control port — hosts that already hold the version
-        recompile from the shipped table; hosts that never got it are
-        shipped the full payload (plan included).  Returns the router's
-        compilation report plus ``hosts_acked``.
+        Compiles at the router, then sends a compile message to every
+        reachable host of the owning group over the netstate control
+        port — hosts that already hold the version compile it from its
+        registered input shape; hosts that never got it are shipped the
+        full payload and compile during their register-time prefetch.
+        Returns the router's compilation report plus ``hosts_acked``.
         """
         key = self.store.resolve(name, version)
         entry = self.store.entry(*key)
-        if entry.input_shape is None and not entry.plan_hint:
+        if entry.input_shape is None:
             raise ValueError(
                 f"cannot compile {key[0]}/{key[1]}: no input_shape was "
                 f"registered for it")
         compiled = entry.ensure_compiled(self.policy.max_batch_size)
-        plan = entry.plan()
         group = self.map.owner(*key)
         acked = 0
         for host_index in self.groups[group]:
@@ -661,14 +654,14 @@ class ServingCluster:
                 shipped = key in self._shipped[host_index]
             try:
                 if not shipped:
-                    # The full ship already carries the plan; the host
-                    # compiles during its register-time prefetch.
+                    # The host compiles during its register-time
+                    # prefetch.
                     if self._ensure_shipped(host_index, key):
                         acked += 1
                     continue
                 reply = request(self.hosts[host_index].state_address,
                                 {"kind": "compile", "name": key[0],
-                                 "version": key[1], "plan": plan})
+                                 "version": key[1]})
                 if not reply.get("ok"):
                     raise NetstateError(
                         f"host {host_index} refused compile: "
@@ -702,8 +695,7 @@ class ServingCluster:
                    "factory": payload["factory"],
                    "fingerprint": payload["fingerprint"],
                    "input_shape": entry.input_shape,
-                   "metadata": entry.metadata, "activate": activate,
-                   "plan": payload.get("plan")}
+                   "metadata": entry.metadata, "activate": activate}
         transfer_id = f"{key[0]}@{key[1]}#h{host_index}.g{host.generation}"
         with _trace.span("state.ship", trace=trace, host=host_index,
                          key=f"{key[0]}/{key[1]}") as tags:

@@ -25,7 +25,7 @@ paths remain as aliases answering identically but with a
 - ``POST /v1/activate`` — ``{"model": str, "version": str}`` hot-swaps
   the active version; subsequent unversioned requests hit the new one.
 - ``POST /v1/compile`` — ``{"model": str, "version"?: str}`` compiles
-  the version into a fused/arena/autotuned program at the serving width
+  the version into a fused/arena program at the serving width
   (:func:`repro.nn.compile`) and pushes the plan to every serving
   worker; answers with the compilation report (``compiled``/``plan``).
   ``400`` when the entry registered no input shape.

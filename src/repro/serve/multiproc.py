@@ -76,7 +76,7 @@ from typing import Callable, Dict, Hashable, List, Optional
 import numpy as np
 
 from ..nn import graph as _graph
-from ..nn.fold import _inference_copy_impl, folded_replica
+from ..nn.fold import _inference_copy, folded_replica
 from ..nn.tensor import Tensor
 from ..nn.threading import set_intra_op_threads
 from ..obs import trace as _trace
@@ -92,21 +92,17 @@ from . import batcher as _batcher
 def _compiled_replica(replica, plan: dict):
     """Rebuild the parent's compiled program from its shipped plan.
 
-    The plan carries the width, input shape and the parent's autotuned
-    conv block table, so the worker compiles without timing a single
-    candidate (``autotune=False``) — and the built-in verification
-    forward still byte-checks the program against the local interpreted
-    replica before it serves.  A trace failure degrades to the folded
+    The plan carries the width and input shape, so the worker compiles
+    the parent's program — and the built-in verification forward still
+    byte-checks it against the local interpreted replica before it
+    serves.  A trace failure degrades to the folded
     replica (one warning, interpreted serving), never to an error.
     """
     base = (replica.model if isinstance(replica, _graph.CompiledModel)
             else replica)
     shape = plan.get("input_shape")
-    return _graph.compile(
-        base, int(plan["width"]),
-        input_shape=tuple(shape) if shape else None,
-        tuned={str(k): int(v) for k, v in (plan.get("tuned") or {}).items()},
-        autotune=False)
+    return _graph.compile(base, int(plan["width"]),
+                          input_shape=tuple(shape) if shape else None)
 
 
 class ReplicaWorker:
@@ -160,7 +156,7 @@ class ReplicaWorker:
 
     def load_model(self, key, model, plan=None) -> int:
         """Fallback: materialize from a pickled module (no factory)."""
-        return self._install(key, _inference_copy_impl(model), plan)
+        return self._install(key, _inference_copy(model), plan)
 
     def compile(self, key, plan) -> int:
         """(Re)compile an already-loaded replica under a shipped plan."""
@@ -499,8 +495,8 @@ class MultiprocBackend:
 
         The explicit-compile path (``/v1/compile`` after replicas
         already shipped plan-less): each worker rebuilds its replica as
-        a compiled program from the plan's autotune table.  Recovery
-        needs no special casing — by the time this runs the parent
+        a compiled program from the plan's width and input shape.
+        Recovery needs no special casing — by the time this runs the parent
         entry is compiled, so :meth:`_recover_handle_locked`'s re-ship
         payloads carry the plan themselves.  Returns the worker count
         reached.

@@ -170,11 +170,11 @@ class InferenceServer:
         bit-identical by the fingerprint contract).
     compile_models:
         Compile every entry that declares an ``input_shape`` into a
-        fused/arena/autotuned program at the serving width
+        fused/arena program at the serving width
         (:func:`repro.nn.compile`) during prefetch, and serve through
         it (default on).  The compiled plan ships to worker processes
-        with the replica payload, so workers reuse the parent's
-        autotune table.  Logits are bit-identical either way — a trace
+        with the replica payload, so workers compile the same width and
+        input shape.  Logits are bit-identical either way — a trace
         failure warns once and falls back to the interpreted path.
     """
 
@@ -240,9 +240,8 @@ class InferenceServer:
         first real request for the version does no lazy work at all.
         """
         key = entry.key
-        # Compile *before* the replica ships: the plan (with its
-        # autotuned block table) rides the payload, so workers build
-        # the same program without re-timing candidates.
+        # Compile *before* the replica ships: the plan rides the
+        # payload, so workers build the same program.
         self._ensure_compiled(entry)
         if self.backend is not None:
             self.backend.ensure_loaded(key, entry)
@@ -267,13 +266,12 @@ class InferenceServer:
 
     def _ensure_compiled(self, entry) -> None:
         """Compile ``entry`` at the serving width when the knob is on
-        and the input shape is known (via registration or a shipped
-        plan hint).  Never raises: compilation failures surface as a
+        and the input shape was registered.  Never raises: compilation failures surface as a
         one-time warning inside :func:`repro.nn.compile` and the entry
         keeps serving interpreted."""
         if not self.compile_models:
             return
-        if entry.input_shape is None and not entry.plan_hint:
+        if entry.input_shape is None:
             return                       # no shape → nothing to trace
         entry.ensure_compiled(self.policy.max_batch_size)
 
@@ -382,7 +380,7 @@ class InferenceServer:
         Explicit admin trigger — works even with ``compile_models``
         off.  When the multi-process backend is up, the resulting plan
         is pushed to every worker so they rebuild their replicas as the
-        same fused/arena program (reusing the parent's autotune table).
+        same fused/arena program.
         Returns the JSON-ready compilation report.
 
         Raises :class:`KeyError` for unknown models/versions and
@@ -391,7 +389,7 @@ class InferenceServer:
         """
         key = self.store.resolve(name, version)
         entry = self.store.entry(*key)
-        if entry.input_shape is None and not entry.plan_hint:
+        if entry.input_shape is None:
             raise ValueError(
                 f"cannot compile {key[0]}/{key[1]}: no input_shape was "
                 f"registered for it")

@@ -293,8 +293,7 @@ def run_basic(args) -> int:
             return 1
         print(f"compiled: {version.plan['ops']} ops "
               f"({version.plan['fused']} fused buffers), arena "
-              f"{version.plan['arena_bytes']} bytes, "
-              f"{version.plan['tuned']} tuned conv blockings")
+              f"{version.plan['arena_bytes']} bytes")
         # One distinct image per request: the load-bearing assertions
         # (p50 budget, zero drops, worker dispatch) must measure real
         # scheduler + forward traffic, not response-cache lookups.  The

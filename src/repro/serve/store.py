@@ -56,12 +56,6 @@ class ModelEntry:
     #: compute width right after replicas ship, so the first real batch
     #: pays no lazy-initialization cost.
     input_shape: Optional[Tuple[int, ...]] = None
-    #: Optional pre-built compilation plan (the ``CompiledModel.plan``
-    #: dict) shipped from another process/host.  When the plan's width
-    #: matches the serving width, :meth:`ensure_compiled` reuses its
-    #: autotuned table instead of re-timing candidates locally — that is
-    #: how workers and remote hosts compile without paying autotune.
-    plan_hint: Optional[dict] = None
     fingerprint: str = field(init=False, repr=False)
     _folded: Optional[Module] = field(init=False, repr=False, default=None)
     _compiled: Optional["_graph.CompiledModel"] = field(
@@ -100,29 +94,17 @@ class ModelEntry:
         Goes through the process-wide folded cache keyed by
         ``(fingerprint, width)``, so every consumer of this version at
         this width — server, eval harness, forget plane — shares one
-        compiled program and one arena.  A :attr:`plan_hint` whose width
-        matches seeds the autotuned block table, skipping local timing
-        runs entirely.  Trace failures never propagate: the returned
-        :class:`~repro.nn.graph.CompiledModel` falls back to the folded
-        interpreter and says so via ``.compiled``.
+        compiled program and one arena.  Trace failures never propagate:
+        the returned :class:`~repro.nn.graph.CompiledModel` falls back to
+        the folded interpreter and says so via ``.compiled``.
         """
         width = int(width)
         if self._compiled is not None and self._compiled.width == width:
             return self._compiled
-        tuned = None
-        hint = self.plan_hint
-        if hint and int(hint.get("width", -1)) == width:
-            tuned = hint.get("tuned") or None
-        shape = self.input_shape
-        if shape is None and hint and hint.get("input_shape"):
-            shape = tuple(hint["input_shape"])
-
-        def build(model: Module) -> "_graph.CompiledModel":
-            return _graph.compile(model, width, input_shape=shape,
-                                  tuned=tuned, autotune=tuned is None)
-
         self._compiled = shared_folded_cache().get(
-            self.model, self.fingerprint, width=width, build=build)
+            self.model, self.fingerprint, width=width,
+            build=lambda model: _graph.compile(
+                model, width, input_shape=self.input_shape))
         return self._compiled
 
     @property
@@ -142,8 +124,7 @@ class ModelEntry:
         if plan is None:
             return None
         return {"ops": plan["ops"], "fused": plan["fused"],
-                "arena_bytes": plan["arena_bytes"],
-                "tuned": len(plan.get("tuned") or {})}
+                "arena_bytes": plan["arena_bytes"]}
 
     def executable(self) -> Module:
         """What the hot path should call: the compiled program when one
@@ -162,8 +143,8 @@ class ModelEntry:
         (:func:`repro.nn.fold.folded_replica`).  Without one, the
         pickled module itself travels (same bits, fatter payload).
         Either way the shipment happens once per version.  A compiled
-        plan, when present, rides along so workers compile from the
-        parent's autotuned table instead of re-tuning.
+        plan, when present, rides along so workers compile the same
+        width and input shape.
         """
         if self.spec is not None:
             payload = {"kind": "state", "factory": self.spec,
@@ -225,8 +206,7 @@ class ModelStore:
                  metadata: Optional[Dict[str, str]] = None,
                  activate: bool = True,
                  spec: Optional[Callable[[], Module]] = None,
-                 input_shape: Optional[Tuple[int, ...]] = None,
-                 plan: Optional[dict] = None) -> str:
+                 input_shape: Optional[Tuple[int, ...]] = None) -> str:
         """Register ``model`` as ``name/version``; returns the version.
 
         ``spec`` (optional) is a picklable zero-arg architecture factory
@@ -234,11 +214,7 @@ class ModelStore:
         state dict instead of a pickled module.  ``input_shape``
         (optional) is the per-input array shape; providing it lets the
         serving layer warm this version up (replica ship + fixed-width
-        forward) before the first request arrives.  ``plan`` (optional)
-        is a compiled-plan dict from another process/host — it becomes
-        the entry's :attr:`~ModelEntry.plan_hint` *before* listeners
-        fire, so a subscribed server's prefetch compiles from the
-        shipped autotune table instead of re-timing.
+        forward) before the first request arrives.
         """
         if not name:
             raise ValueError("model name must be non-empty")
@@ -251,8 +227,7 @@ class ModelStore:
             entry = ModelEntry(name, version, model, dict(metadata or {}),
                                spec=spec,
                                input_shape=(tuple(input_shape)
-                                            if input_shape else None),
-                               plan_hint=plan)
+                                            if input_shape else None))
             versions[version] = entry
             if activate or name not in self._active:
                 self._active[name] = version

@@ -90,23 +90,13 @@ def train_model(model: nn.Module, dataset: ArrayDataset,
 
 
 def predict_logits(model: nn.Module, images: np.ndarray,
-                   batch_size: int = 256, fold: bool = None) -> np.ndarray:
+                   batch_size: int = 256) -> np.ndarray:
     """Batched forward pass without tape construction.
 
-    .. deprecated::
-        ``fold=`` is deprecated; call
-        :func:`repro.nn.prepare_for_inference` once yourself and pass
-        the prepared model in.  ``fold=True`` still works (it routes
-        through ``prepare_for_inference``) but warns once per process.
+    For the folded fast path, prepare the model once with
+    :func:`repro.nn.prepare_for_inference` and pass the prepared copy in.
     """
     model.eval()
-    if fold is not None:
-        from .nn.fold import _warn_shim
-        _warn_shim("predict_logits(fold=)",
-                   "prepare the model once with "
-                   "repro.nn.prepare_for_inference(model) and pass it in")
-        if fold:
-            model = nn.prepare_for_inference(model)
     outputs = []
     with nn.no_grad():
         for start in range(0, len(images), batch_size):

@@ -7,8 +7,7 @@ import pytest
 
 from repro import nn
 from repro.models.registry import available_models, build_model
-from repro.nn.fold import (LazyFoldedInference, count_foldable,
-                           fold_batchnorm, inference_copy)
+from repro.nn.fold import LazyFoldedInference, count_foldable, fold_batchnorm
 from repro.nn.layers import BatchNorm1d, BatchNorm2d, Identity, Linear
 from repro.nn.module import Module, ModuleList, Sequential
 from repro.train import predict_logits
@@ -113,7 +112,7 @@ def test_inference_copy_freezes_and_keeps_original_mode(trained_tiny_model,
     model = trained_tiny_model
     model.train()
     try:
-        frozen = inference_copy(model)
+        frozen = nn.prepare_for_inference(model)
         assert model.training            # original untouched
         assert not frozen.training
         assert all(not p.requires_grad for p in frozen.parameters())
@@ -124,7 +123,7 @@ def test_inference_copy_freezes_and_keeps_original_mode(trained_tiny_model,
 
 def test_inference_copy_input_gradients_still_flow(trained_tiny_model,
                                                    small_batch):
-    frozen = inference_copy(trained_tiny_model)
+    frozen = nn.prepare_for_inference(trained_tiny_model)
     x = nn.Tensor(small_batch, requires_grad=True)
     frozen(x).sum().backward()
     assert x.grad is not None
@@ -184,5 +183,6 @@ def test_lazy_folded_inference_disabled_returns_model(trained_tiny_model):
 
 def test_predict_logits_fold_flag(trained_tiny_model, small_batch):
     reference = predict_logits(trained_tiny_model, small_batch)
-    folded = predict_logits(trained_tiny_model, small_batch, fold=True)
+    folded = predict_logits(nn.prepare_for_inference(trained_tiny_model),
+                            small_batch)
     np.testing.assert_allclose(folded, reference, atol=1e-5)

@@ -1,4 +1,4 @@
-"""repro.nn.graph: trace → fuse → arena → autotune, bit-identity contract.
+"""repro.nn.graph: trace → fuse → arena, bit-identity contract.
 
 The compiled path is only allowed to exist because it is invisible:
 for every registered architecture, at every serving width, thread
@@ -10,7 +10,6 @@ with a single warning instead of failing.
 
 from __future__ import annotations
 
-import json
 import warnings
 
 import numpy as np
@@ -18,13 +17,12 @@ import pytest
 
 from repro import nn
 from repro.models import available_models, build_model
-from repro.nn.fold import FoldedModelCache, _inference_copy_impl
-from repro.nn.graph import (_FALLBACK_WARNED, CompiledModel,
-                            prepare_for_inference)
+from repro.nn.fold import FoldedModelCache, _inference_copy
+from repro.nn.graph import _FALLBACK_WARNED, prepare_for_inference
 from repro.nn.graph import compile as nn_compile
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
-from repro.nn.threading import batch_blocks, intra_op_threads
+from repro.nn.threading import intra_op_threads
 from tests.nn import reference_kernels
 
 #: Per-sample shape of the unit profile every tiny model accepts.
@@ -54,16 +52,15 @@ class TestBitIdentity:
     """Property sweep: architectures × widths × threads × fusion."""
 
     @pytest.mark.parametrize("name", available_models())
-    @pytest.mark.parametrize("width", [1, 8])
+    @pytest.mark.parametrize("width", [1, 8, 32])
     def test_compiled_matches_interpreted_bitwise(self, name, width):
         model = _model(name)
-        interpreted = _inference_copy_impl(model)
+        interpreted = _inference_copy(model)
         batch = _batch(width)
         with nn.no_grad():
             reference = interpreted(Tensor(batch)).data
         for fused in (True, False):
-            compiled = nn_compile(model, width, input_shape=SHAPE,
-                                  fused=fused, autotune=False)
+            compiled = nn_compile(model, width, input_shape=SHAPE, fused=fused)
             assert compiled.compiled, compiled.fallback_reason
             for threads in (1, 0):      # serial and one-per-core
                 with intra_op_threads(threads):
@@ -94,51 +91,19 @@ class TestBitIdentity:
         zeros = reference[reference == 0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         for fused in (True, False):
-            compiled = nn_compile(model, width, input_shape=SHAPE,
-                                  fused=fused, autotune=False)
+            compiled = nn_compile(model, width, input_shape=SHAPE, fused=fused)
             assert compiled.compiled, compiled.fallback_reason
             out = compiled(batch).data
             assert out.tobytes() == reference.tobytes(), (
                 f"width={width} fused={fused} diverged from interpreted")
 
-    def test_autotune_keeps_bits_and_records_table(self):
-        model = _model()
-        width = 32
-        compiled = nn_compile(model, width, input_shape=SHAPE, autotune=True)
-        assert compiled.compiled, compiled.fallback_reason
-        table = compiled.plan["tuned"]
-        assert table, "autotune recorded no conv blockings"
-        for key, blocks in table.items():
-            geometry, _, tuned_width = key.rpartition("|")
-            assert geometry and int(tuned_width) == width
-            assert blocks in (1, 2, 4, 8, 16)
-        batch = _batch(width)
-        interpreted = _inference_copy_impl(model)
-        with nn.no_grad():
-            reference = interpreted(Tensor(batch)).data
-        assert compiled(batch).data.tobytes() == reference.tobytes()
-
     def test_off_width_batches_delegate_to_interpreted(self):
         model = _model()
-        compiled = nn_compile(model, 8, input_shape=SHAPE, autotune=False)
+        compiled = nn_compile(model, 8, input_shape=SHAPE)
         batch = _batch(3)
         with nn.no_grad():
             reference = compiled.model(Tensor(batch)).data
         assert compiled(batch).data.tobytes() == reference.tobytes()
-
-    def test_plan_save_load_roundtrip(self, tmp_path):
-        model = _model()
-        compiled = nn_compile(model, 8, input_shape=SHAPE)
-        path = tmp_path / "plan.json"
-        compiled.save(path)
-        plan = json.loads(path.read_text())
-        assert plan["width"] == 8 and plan["ops"] >= 1
-        reloaded = CompiledModel.load(path, model)
-        assert reloaded.compiled
-        assert reloaded.plan["tuned"] == compiled.plan["tuned"]
-        batch = _batch(8)
-        assert reloaded(batch).data.tobytes() \
-            == compiled(batch).data.tobytes()
 
 
 class TestFallback:
@@ -203,47 +168,3 @@ class TestCacheKeys:
         assert cache.get(model) is plain                  # None slot intact
         assert cache.get(model, width=8) is tagged
         assert len(cache) == 2
-
-
-class TestBlockOverride:
-    def test_batch_blocks_override_and_clamp(self):
-        # Default decomposition untouched (the training path's contract).
-        assert batch_blocks(8) == [slice(0, 8)]
-        assert len(batch_blocks(64)) == 8
-        # Explicit override: exact count, clamped to the batch.
-        assert len(batch_blocks(64, blocks=4)) == 4
-        assert batch_blocks(64, blocks=1) == [slice(0, 64)]
-        assert len(batch_blocks(3, blocks=16)) == 3
-        covered = batch_blocks(64, blocks=4)
-        assert covered[0].start == 0 and covered[-1].stop == 64
-        for left, right in zip(covered, covered[1:]):
-            assert left.stop == right.start
-
-
-class TestDeprecationShims:
-    def test_inference_copy_warns_once_and_matches(self, small_batch):
-        from repro.nn.fold import _SHIMS_WARNED, inference_copy
-        _SHIMS_WARNED.discard("repro.nn.inference_copy")
-        model = _model(seed=13)
-        with pytest.warns(DeprecationWarning, match="prepare_for_inference"):
-            shimmed = inference_copy(model)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")      # second call must be silent
-            inference_copy(model)
-        batch = Tensor(small_batch)
-        with nn.no_grad():
-            np.testing.assert_array_equal(
-                shimmed(batch).data,
-                prepare_for_inference(model)(batch).data)
-
-    def test_predict_logits_fold_warns_once(self, small_batch):
-        from repro.nn.fold import _SHIMS_WARNED
-        from repro.train import predict_logits
-        _SHIMS_WARNED.discard("predict_logits(fold=)")
-        model = _model(seed=14)
-        with pytest.warns(DeprecationWarning, match="prepare_for_inference"):
-            folded = predict_logits(model, small_batch, fold=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plain = predict_logits(model, small_batch)
-        np.testing.assert_allclose(folded, plain, atol=1e-5)

@@ -64,11 +64,9 @@ def test_interpreted_rows_match_full_width(zoo_model, batch, grad):
 
 def test_compiled_rows_match_full_width(zoo_model, batch):
     name, model = zoo_model
-    reference = nn_compile(model, FULL, input_shape=SHAPE,
-                           autotune=False)(batch).data
+    reference = nn_compile(model, FULL, input_shape=SHAPE)(batch).data
     for width, offset in _windows():
-        compiled = nn_compile(model, width, input_shape=SHAPE,
-                              autotune=False)
+        compiled = nn_compile(model, width, input_shape=SHAPE)
         assert compiled.compiled, compiled.fallback_reason
         rows = compiled(batch[offset:offset + width]).data
         assert rows.tobytes() == reference[offset:offset + width].tobytes(), (

@@ -79,8 +79,7 @@ class TestDeterminism:
         forward = served_model.folded(*key)
         if compiled:
             forward = nn.compile(served_model.entry(*key).model, 20,
-                                 input_shape=images.shape[1:],
-                                 autotune=False)
+                                 input_shape=images.shape[1:])
             assert forward.compiled, forward.fallback_reason
 
         def infer(_key, batch):

@@ -15,7 +15,7 @@ import pytest
 
 from repro import nn
 from repro.models import build_model
-from repro.nn.fold import _inference_copy_impl
+from repro.nn.fold import _inference_copy
 from repro.nn.tensor import Tensor
 from repro.parallel import ModelSpec
 from repro.serve import (BatchPolicy, InferenceServer, ModelStore,
@@ -24,7 +24,7 @@ from repro.serve import (BatchPolicy, InferenceServer, ModelStore,
 
 SHAPE = (3, 12, 12)
 POLICY = BatchPolicy(max_batch_size=8, max_delay_ms=1.0)
-PLAN_KEYS = {"ops", "fused", "arena_bytes", "tuned"}
+PLAN_KEYS = {"ops", "fused", "arena_bytes"}
 
 
 def _tiny_model(seed):
@@ -57,7 +57,7 @@ class TestCompileEndpoint:
         report = client.compile("m")
         assert report["model"] == "m" and report["version"] == "v1"
         assert report["compiled"] is True
-        assert PLAN_KEYS <= set(report["plan"])
+        assert set(report["plan"]) == PLAN_KEYS
         assert report["plan"]["ops"] >= 1
         assert "fallback" not in report
 
@@ -67,7 +67,7 @@ class TestCompileEndpoint:
         listed = {(entry.name, entry.version): entry
                   for entry in client.models()}
         compiled = listed[("m", "v1")]
-        assert compiled.compiled and PLAN_KEYS <= set(compiled.plan)
+        assert compiled.compiled and set(compiled.plan) == PLAN_KEYS
         bare = listed[("bare", "v1")]
         assert bare.compiled is False and bare.plan is None
         # The wire keys are additive on the legacy dict shape.
@@ -116,7 +116,7 @@ class TestCompiledHotPath:
                           dtype=np.float32)
         batch = np.zeros((POLICY.max_batch_size,) + SHAPE, np.float32)
         batch[0] = image
-        interpreted = _inference_copy_impl(store.model("m", "v1"))
+        interpreted = _inference_copy(store.model("m", "v1"))
         with nn.no_grad():
             direct = interpreted(Tensor(batch)).data[0].astype(np.float32)
         assert np.array_equal(served, direct)
@@ -157,7 +157,7 @@ class TestPlanShipping:
             after = server.predict("m", np.stack([image])).logits[0]
             batch = np.zeros((POLICY.max_batch_size,) + SHAPE, np.float32)
             batch[0] = image
-            interpreted = _inference_copy_impl(model)
+            interpreted = _inference_copy(model)
             with nn.no_grad():
                 direct = interpreted(Tensor(batch)).data[0]
             assert np.array_equal(served, direct.astype(served.dtype))

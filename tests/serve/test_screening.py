@@ -48,7 +48,7 @@ class TestScoring:
         screen = OnlineStrip(overlays, calibration_images=calibration,
                              config=config)
         suspects = calibration[:6]
-        served_copy = nn.inference_copy(trained_tiny_model)
+        served_copy = nn.prepare_for_inference(trained_tiny_model)
         scored = _screen(screen, ("m", "v1"), served_copy, suspects)
 
         offline = StripDefense(trained_tiny_model, overlays,
