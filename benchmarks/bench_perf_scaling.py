@@ -212,6 +212,10 @@ def run_quick_gate() -> dict:
     start = time.perf_counter()
     serial_row = time_sisa("unit", epochs=2, workers=1)
     cells["sisa_fit_unlearn_seconds"] = time.perf_counter() - start
+    # One untimed run first: the first process after the box idles runs
+    # its BLAS GEMMs several times slower for a while, and a cold cell
+    # reads 6-8x the warm one on unchanged code.
+    time_conv_threads("unit", epochs=2, threads=1)
     cells["conv_train_seconds"] = time_conv_threads(
         "unit", epochs=2, threads=1)["seconds"]
     folding = time_folded_inference("unit", epochs=1, repeats=3)

@@ -14,10 +14,6 @@ the closed-loop load generator across several axes:
 - **cache**: the exact-response LRU under repeated traffic, on vs off,
   plus a cached-vs-fresh max-delta that the determinism contract pins
   to exactly 0.0;
-- **cluster**: aggregate throughput at 1/2/4 simulated host processes
-  behind the rendezvous router (one spanning replica group), plus a
-  routed-vs-direct max-delta pinned to exactly 0.0 — distribution must
-  not change a single bit;
 - **compiled**: the traced/fused/arena graph path (``repro.nn.compile``,
   the serving default) vs interpreted serving, at 1 and 2 workers, plus
   a compiled-vs-interpreted max-delta pinned to exactly 0.0 and a
@@ -59,8 +55,8 @@ from repro.nn.threading import available_cpu_count  # noqa: E402
 from repro.obs import profiled, set_tracing  # noqa: E402
 from repro.parallel import ModelSpec  # noqa: E402
 from repro.serve import (BatchPolicy, InferenceServer, ModelStore,  # noqa: E402
-                         ServingClient, ServingCluster, run_load,
-                         start_http_server, stop_http_server)
+                         ServingClient, run_load, start_http_server,
+                         stop_http_server)
 
 OUT_PATH = Path(__file__).parent / "BENCH_perf_scaling.json"
 
@@ -68,7 +64,6 @@ OUT_PATH = Path(__file__).parent / "BENCH_perf_scaling.json"
 POLICIES = ((1, 0.0), (8, 2.0), (32, 4.0))
 THREAD_COUNTS = (1, 2)
 WORKER_COUNTS = (1, 2, 4)
-HOST_COUNTS = (1, 2, 4)
 
 
 def _build_server(policy: BatchPolicy, dataset: str = "cifar10-bench",
@@ -161,87 +156,6 @@ def time_workers(workers: int, max_batch: int = 8, delay_ms: float = 2.0,
         return cell
     finally:
         server.close()
-
-
-def time_cluster(hosts: int, max_batch: int = 8, delay_ms: float = 2.0,
-                 requests: int = 96, concurrency: int = 16,
-                 dataset: str = "cifar10-bench", scale: str = "bench") -> dict:
-    """One router cell: ``hosts`` simulated host processes behind the
-    rendezvous router, one spanning replica group (``group_size=hosts``)
-    so in-group round-robin spreads the load across every host.
-
-    Bench scale keeps a forward heavy enough (~milliseconds) that the
-    aggregate throughput is host-bound, not router-bound — the axis the
-    scaling gate in ``check_regression.py`` reads.
-    """
-    policy = BatchPolicy(max_batch_size=max_batch, max_delay_ms=delay_ms)
-    _, test, profile = load_dataset(dataset, seed=0)
-    nn.manual_seed(0)
-    model = build_model("small_cnn", profile.num_classes, scale=scale)
-    model.eval()
-    cluster = ServingCluster(hosts=hosts, group_size=hosts,
-                             workers_per_host=1, policy=policy)
-    try:
-        cluster.register("small_cnn", model, version="v1",
-                         spec=ModelSpec("small_cnn", profile.num_classes,
-                                        scale=scale),
-                         input_shape=test.images.shape[1:])
-        httpd = cluster.serve()
-        try:
-            client = ServingClient(httpd.url)
-            # Warm every host's replica + the connection path out of the
-            # timed run (one predict per host: round-robin reaches all).
-            for _ in range(hosts):
-                client.predict("small_cnn", test.images[0])
-            report = run_load(client, "small_cnn", test.images[:64],
-                              requests=requests, concurrency=concurrency)
-        finally:
-            stop_http_server(httpd)
-        counters = cluster.metrics()["router"]
-        return {
-            "hosts": hosts,
-            "requests": requests,
-            "concurrency": concurrency,
-            "ok": report.ok,
-            "rejected": report.rejected,
-            "errors": report.errors,
-            "throughput_rps": report.throughput_rps,
-            "p50_ms": report.p50_ms,
-            "p95_ms": report.p95_ms,
-            "routed_per_host": counters["routed_per_host"],
-            "degraded_routes": counters["degraded_routes"],
-            "inline_batches": counters["inline_batches"],
-        }
-    finally:
-        cluster.close()
-
-
-def cluster_vs_single_delta(dataset: str = "unit") -> float:
-    """Max |delta| between router-served and direct fixed-width logits
-    (want exactly 0.0 — distribution must not change a single bit)."""
-    policy = BatchPolicy(max_batch_size=8, max_delay_ms=2.0)
-    _, test, profile = load_dataset(dataset, seed=0)
-    nn.manual_seed(0)
-    model = build_model("small_cnn", profile.num_classes, scale="tiny")
-    model.eval()
-    with ServingCluster(hosts=2, group_size=2, workers_per_host=1,
-                        policy=policy) as cluster:
-        cluster.register("small_cnn", model, version="v1",
-                         spec=ModelSpec("small_cnn", profile.num_classes,
-                                        scale="tiny"),
-                         input_shape=test.images.shape[1:])
-        folded = cluster.store.folded("small_cnn", "v1")
-        deltas = []
-        for i in range(8):
-            image = np.asarray(test.images[i], dtype=np.float32)
-            routed = cluster.predict("small_cnn", image).logits[0]
-            batch = np.zeros((policy.max_batch_size,) + image.shape,
-                             np.float32)
-            batch[0] = image
-            direct = folded(Tensor(batch)).data[0].astype(np.float32)
-            deltas.append(np.abs(np.asarray(routed, np.float32)
-                                 - direct).max())
-        return float(max(deltas))
 
 
 def time_cache(response_cache: int, distinct_images: int = 8,
@@ -471,7 +385,7 @@ def phase_breakdown(requests: int = 64, concurrency: int = 8) -> dict:
     path into its instrumented phases — ``serve.dispatch`` (pad +
     submit), ``conv.forward`` (the kernel block layer; visible inline,
     where the forward runs in-process) and, with worker processes,
-    ``session.call`` / ``netstate.ship``.
+    ``session.call``.
     """
     policy = BatchPolicy(max_batch_size=8, max_delay_ms=2.0)
     server, test = _build_server(policy, dataset="unit",
@@ -510,8 +424,6 @@ def run_quick_gate() -> dict:
                             concurrency=4)
     warm = first_batch_latency(workers=2, prefetch=True)
     cold = first_batch_latency(workers=2, prefetch=False)
-    one_host = time_cluster(1, requests=96, concurrency=16)
-    two_hosts = time_cluster(2, requests=96, concurrency=16)
     return {
         "serving_p50_seconds": report_cell["p50_ms"] / 1e3,
         "serving_throughput_rps": report_cell["throughput_rps"],
@@ -533,20 +445,6 @@ def run_quick_gate() -> dict:
         "serving_first_batch_seconds": warm["first_batch_p99_seconds"],
         "serving_steady_p50_seconds": warm["steady_p50_seconds"],
         "serving_cold_first_batch_seconds": cold["first_batch_p99_seconds"],
-        # Cluster pair: the same bench-scale load routed to 1 vs 2 host
-        # processes (one spanning group, round-robin).  The scale ratio
-        # is measured-vs-measured on this machine; the delta cell pins
-        # routed bits to the direct fixed-width forward.
-        "serving_cluster_1host_rps": one_host["throughput_rps"],
-        "serving_cluster_2host_rps": two_hosts["throughput_rps"],
-        "serving_cluster_scale_2v1": (two_hosts["throughput_rps"]
-                                      / max(one_host["throughput_rps"],
-                                            1e-9)),
-        "serving_cluster_p50_seconds": two_hosts["p50_ms"] / 1e3,
-        "serving_cluster_dropped": (one_host["rejected"] + one_host["errors"]
-                                    + two_hosts["rejected"]
-                                    + two_hosts["errors"]),
-        "serving_cluster_vs_single_max_delta": cluster_vs_single_delta(),
         # Compiled pair: the same in-process steady load served through
         # the traced/fused/arena graph vs module-by-module, plus the
         # bit-identity delta the compiled path must keep at exactly 0.0.
@@ -613,15 +511,6 @@ def run_full() -> dict:
                if capacity else "")
         print(f"  cache={capacity}: {cell['throughput_rps']:.1f} req/s, "
               f"p50 {cell['p50_ms']:.1f}ms{hit}")
-    print(f"cluster host sweep at batch<=8 (hosts {HOST_COUNTS}, one "
-          f"spanning group, 1 worker/host)")
-    section["cluster"] = {}
-    for hosts in HOST_COUNTS:
-        cell = time_cluster(hosts)
-        section["cluster"][f"h{hosts}"] = cell
-        print(f"  hosts={hosts}: {cell['throughput_rps']:.1f} req/s, "
-              f"p50 {cell['p50_ms']:.1f}ms, "
-              f"per-host {cell['routed_per_host']}")
     print("compiled sweep at batch<=32 (compile on/off x workers 1/2)")
     section["compiled"] = {}
     for workers in (1, 2):
@@ -686,14 +575,6 @@ def main(argv=None) -> int:
     if section["quick_gate"]["serving_cached_vs_fresh_max_delta"] != 0.0:
         print("ERROR: cached vs fresh logits diverged — response cache "
               "exactness broken", file=sys.stderr)
-        return 1
-    if section["quick_gate"]["serving_cluster_dropped"] != 0:
-        print("ERROR: cluster quick-gate load dropped responses",
-              file=sys.stderr)
-        return 1
-    if section["quick_gate"]["serving_cluster_vs_single_max_delta"] != 0.0:
-        print("ERROR: routed vs direct logits diverged — cluster "
-              "determinism contract broken", file=sys.stderr)
         return 1
     if section["quick_gate"][
             "serving_compiled_vs_interpreted_max_delta"] != 0.0:

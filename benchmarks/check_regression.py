@@ -35,13 +35,6 @@ latency against the committed baseline, and the serving p99 measured
 same run's steady-state p99 (measured-vs-measured, so machine speed
 cancels out).
 
-The cluster lane extends the same posture to the multi-host tier: the
-routed load must drop zero responses, router-served logits must equal
-the direct fixed-width forward bit-for-bit (delta exactly 0.0), and —
-with >= 4 usable cores — 2 host processes must deliver at least
-``REVEIL_CLUSTER_SCALE_FACTOR`` (default 1.6) times the 1-host
-aggregate throughput on the same machine.
-
 Modes
 -----
 - default: gate — regressions exit 1;
@@ -83,11 +76,6 @@ Environment knobs::
                                 absolute seconds the first batch may
                                 exceed the factor bound — fresh-server
                                 scheduling noise, not a cold start
-    REVEIL_CLUSTER_SCALE_FACTOR=1.6
-                                2-host aggregate throughput must be >=
-                                1-host times this (near-linear scaling;
-                                compared measured-vs-measured, skipped
-                                below 4 usable cores)
     REVEIL_COMPILE_SPEEDUP=1.0  compiled steady p50 must be <= the
                                 interpreted steady p50 times this —
                                 the compiled graph path must not lose
@@ -149,7 +137,6 @@ SERVING_TIMING_CELLS = ("serving_p50_seconds", "serving_single_p50_seconds",
                         "serving_multiproc_p50_seconds",
                         "serving_cache_hit_p50_seconds",
                         "serving_first_batch_seconds",
-                        "serving_cluster_p50_seconds",
                         "serving_compiled_steady_p50_seconds")
 FORGET_TIMING_CELLS = ("forget_deletion_to_swap_seconds",
                        "forget_steady_p99_seconds")
@@ -341,29 +328,6 @@ def main(argv=None) -> int:
              f"{fb_factor:g}x + {fb_slack:g}s", regressed)
     gate.add("serving_cold_first_batch_seconds", f"{cold * 1e3:.1f}ms",
              "—", "informational", None)
-
-    # -- cluster lane --------------------------------------------------
-    gate.add("serving_cluster_dropped",
-             str(serving["serving_cluster_dropped"]), "—", "0",
-             serving["serving_cluster_dropped"] != 0, correctness=True)
-    cluster_delta = serving["serving_cluster_vs_single_max_delta"]
-    gate.add("serving_cluster_vs_single_max_delta", f"{cluster_delta:.2e}",
-             "—", "exactly 0", cluster_delta != 0.0, correctness=True)
-    one_rps = serving["serving_cluster_1host_rps"]
-    two_rps = serving["serving_cluster_2host_rps"]
-    scale = serving["serving_cluster_scale_2v1"]
-    scale_floor = float(os.environ.get("REVEIL_CLUSTER_SCALE_FACTOR", "1.6"))
-    if cores >= 4:
-        # Two host processes (each one worker) plus the router and the
-        # load generator: below ~4 cores the hosts time-share and the
-        # near-linear expectation is physically meaningless.
-        gate.add("cluster_scale_2v1", f"{scale:.2f}x ({two_rps:.1f} rps)",
-                 f"{one_rps:.1f} rps (1 host)", f">= {scale_floor:g}x",
-                 scale < scale_floor)
-    else:
-        gate.add("cluster_scale_2v1", f"{scale:.2f}x ({two_rps:.1f} rps)",
-                 f"{one_rps:.1f} rps (1 host)",
-                 f"skipped: {cores} cores", None, note="skipped")
 
     # -- compiled graphs -----------------------------------------------
     # The compiled path must be bit-invisible (delta exactly 0.0) and

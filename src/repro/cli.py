@@ -131,8 +131,6 @@ def cmd_serve(args) -> int:
     reliability = ReliabilityConfig(
         retry=RetryPolicy(max_attempts=max(1, args.worker_retries),
                           deadline_s=args.worker_deadline))
-    if args.hosts >= 2:
-        return _serve_cluster(args, cfg, policy, reliability)
     print(f"training ReVeil deployment scenario: {cfg.dataset}/{cfg.attack} "
           f"(camouflage + unlearn stages)...")
     start = time.time()
@@ -167,51 +165,6 @@ def cmd_serve(args) -> int:
     finally:
         stop_http_server(httpd)
         serving.close()
-    return 0
-
-
-def _serve_cluster(args, cfg, policy, reliability) -> int:
-    """``repro serve --hosts N``: the distributed tier behind the router.
-
-    Every host process runs its own full single-host stack; the router
-    relays bit-identical bytes, so the client-facing API is unchanged.
-    Online STRIP screening is a single-host feature — the cluster path
-    serves unscreened (screening runs inside one process's batcher and
-    does not yet propagate across hosts).
-    """
-    from .serve import build_reveil_cluster, stop_http_server
-    if not args.no_screen:
-        print("note: --hosts >= 2 serves without online screening "
-              "(single-host feature); pass --no-screen to silence this")
-    print(f"training ReVeil deployment scenario: {cfg.dataset}/{cfg.attack} "
-          f"(camouflage + unlearn stages)...")
-    start = time.time()
-    scenario = build_reveil_cluster(
-        cfg, hosts=args.hosts, workers_per_host=max(1, args.serve_workers),
-        policy=policy, response_cache=args.response_cache,
-        reliability=reliability, compile_models=args.compile)
-    print(f"trained in {time.time() - start:.0f}s")
-    cluster = scenario.cluster
-    httpd = cluster.serve(host=args.host, port=args.port)
-    name = scenario.model_name
-    active = cluster.store.active_version(name)
-    print(f"routing {name} (versions {cluster.store.versions(name)}, "
-          f"active '{active}') at {httpd.url} "
-          f"[{args.hosts} hosts x {max(1, args.serve_workers)} workers, "
-          f"group size {len(cluster.groups[0])}]")
-    print(f"  predict: POST {httpd.url}/v1/predict "
-          f'{{"model": "{name}", "inputs": [...]}}')
-    print(f"  hot-swap (cluster-wide): POST {httpd.url}/v1/activate "
-          f'{{"model": "{name}", "version": "unlearned"}}')
-    print(f"  metrics: GET {httpd.url}/v1/metrics   (Ctrl-C to stop)")
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        stop_http_server(httpd)
-        scenario.close()
     return 0
 
 
@@ -338,14 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-worker-call deadline in seconds; a call past "
                         "it is treated as a stall and the worker is "
                         "respawned (default: no deadline)")
-    p.add_argument("--hosts", type=_nonnegative_arg("--hosts"), default=1,
-                   help="simulated host processes: 1 = the single-host "
-                        "stack (default), >= 2 = that many full serving "
-                        "stacks behind a router that hashes (model, "
-                        "version) onto replica groups, survives host "
-                        "death, and hot-swaps cluster-wide; logits stay "
-                        "bit-identical at every host count (screening is "
-                        "single-host only)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("client",

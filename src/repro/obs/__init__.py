@@ -1,19 +1,19 @@
 """``repro.obs`` — the unified observability plane.
 
-One substrate for everything the serving, cluster, and training layers
+One substrate for everything the serving and training layers
 report about themselves:
 
 - :mod:`repro.obs.metrics` — typed :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments behind per-component
   :class:`Registry` objects, with deterministic log-spaced histogram
-  buckets so snapshots merge across worker/host processes, and a
-  Prometheus text renderer for ``/metrics.prom``;
-- :mod:`repro.obs.trace` — 64-bit request trace ids propagated router
-  → host → batcher → worker, span records collected into the bounded
+  buckets so snapshots merge across worker processes, and a
+  Prometheus text renderer for ``/v1/metrics.prom``;
+- :mod:`repro.obs.trace` — 64-bit request trace ids propagated HTTP
+  front end → batcher → worker, span records collected into the bounded
   process-local :data:`~repro.obs.trace.RECORDER` flight recorder,
-  dumpable via ``GET /debug/traces``;
+  dumpable via ``GET /v1/debug/traces``;
 - :mod:`repro.obs.profile` — per-phase wall/CPU timers (batcher,
-  session call, netstate ship, conv kernels), off by default and
+  session call, conv kernels), off by default and
   zero-cost when off (module-attr ``None`` check, same idiom as
   :mod:`repro.reliability.faults`);
 - :mod:`repro.obs.backoff` — the one shared deterministic sha1-jitter

@@ -1,16 +1,15 @@
 """Deterministic jittered exponential backoff (the one shared copy).
 
-Three retry loops — the multiproc batch retry
-(:class:`repro.reliability.retry.RetryPolicy`), the netstate ship retry
-(:func:`repro.parallel.netstate.ship_state`) and the HTTP client's
+Both retry loops — the multiproc batch retry
+(:class:`repro.reliability.retry.RetryPolicy`) and the HTTP client's
 connection-reset retry (:class:`repro.serve.client.ServingClient`) —
-all back off through this function.  The jitter factor is hashed from
+back off through this function.  The jitter factor is hashed from
 ``(token, attempt)`` instead of drawn from a global RNG, so
 
 - a retry schedule never perturbs any seeded randomness the workload
   owns,
 - two runs of the same chaos plan back off identically, and
-- distinct tokens (workers, transfers, client paths) still
+- distinct tokens (workers, client paths) still
   de-correlate, which is the whole point of jitter.
 """
 

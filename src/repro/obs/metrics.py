@@ -15,15 +15,14 @@ instruments behind a :class:`Registry`:
   child-process ship-back below depends on.
 
 Snapshots are plain JSON-able dicts.  :meth:`Registry.drain` returns a
-*delta* snapshot and resets the instruments, which is how worker- and
-host-process metrics travel home: the child drains its registry into
-the existing reply envelope (session ``_Outcome`` / netstate reply
-dict) and the parent :meth:`Registry.merge`-s the delta in.  Merging is
+*delta* snapshot and resets the instruments, which is how
+worker-process metrics travel home: the child drains its registry into
+the existing reply envelope (the session ``_Outcome``) and the parent :meth:`Registry.merge`-s the delta in.  Merging is
 associative, so any interleaving of replies sums to the same totals.
 
 :func:`render_prometheus` turns one or more registries (or plain
 scalar dicts) into the Prometheus text exposition format served at
-``/metrics.prom``.  The JSON ``/metrics`` payload keeps its historical
+``/v1/metrics.prom``.  The JSON ``/v1/metrics`` payload keeps its historical
 schema — registries only changed what backs the numbers.
 """
 

@@ -1,8 +1,7 @@
 """Per-phase profiling hooks: wall + CPU timers, zero-cost when off.
 
 The instrumented layers — the batcher's dispatch path, the worker
-session pipe round-trip, the netstate ship, and the conv-kernel block
-layer — each guard their timer with the same module-attribute idiom as
+session pipe round-trip, and the conv-kernel block layer — each guard their timer with the same module-attribute idiom as
 :mod:`repro.reliability.faults`::
 
     _prof = _profile.ACTIVE

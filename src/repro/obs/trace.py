@@ -1,17 +1,16 @@
 """Request tracing: 64-bit trace ids and a bounded flight recorder.
 
-A trace id is minted at the front end — the HTTP handler or the cluster
-router — as 16 lowercase hex characters (64 bits), accepted from the
-client via the ``X-Trace-Id`` header and echoed back on the response.
-It rides the existing envelopes downstream: the predict payload router
-→ host, the batcher's request objects, and the dispatch path into the
-worker processes — so every span a request leaves behind, at any layer,
-carries the same id.
+A trace id is minted at the front end — the HTTP handler — as 16
+lowercase hex characters (64 bits), accepted from the client via the
+``X-Trace-Id`` header and echoed back on the response.  It rides the
+existing envelopes downstream: the batcher's request objects and the
+dispatch path into the worker processes — so every span a request
+leaves behind, at any layer, carries the same id.
 
 Spans are closed intervals recorded into the process-local
 :data:`RECORDER`, a bounded ring buffer (the *flight recorder*): cheap
 enough to leave on in production, always holding the last few thousand
-spans when something goes wrong.  ``GET /debug/traces`` dumps it; the
+spans when something goes wrong.  ``GET /v1/debug/traces`` dumps it; the
 smoke lanes write the dump into the CI failure artifact when an
 assertion trips.
 
@@ -23,7 +22,7 @@ Invariants the smoke lanes assert:
 - **no overflow under default load** — the ring never wrapped, so the
   dump is the complete span history, not a suffix.
 
-Fork-aware: a child process (serving worker, cluster host) starts with
+Fork-aware: a child process (a serving worker) starts with
 an empty recorder and its own mint sequence — spans never leak across
 the process boundary, and two processes cannot mint the same id run.
 """

@@ -52,7 +52,6 @@ from .shm import (ArrayChannel, ArraySlot, ChannelPeer, SharedDataset,
                   SharedDatasetHandle, StateChannel, StateSlot,
                   StateVerifyError, leaked_segments, share_dataset,
                   shm_segment_names, state_fingerprint)
-from .netstate import NetstateError, StateStreamServer, ship_state
 from .tasks import ModelSpec, ShardTrainResult, ShardTrainTask, StageSpec
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "WorkerSession",
     "ArrayChannel", "ArraySlot", "ChannelPeer",
     "StateChannel", "StateSlot", "StateVerifyError", "state_fingerprint",
-    "NetstateError", "StateStreamServer", "ship_state",
     "shm_segment_names", "leaked_segments",
     "SharedDataset", "SharedDatasetHandle", "share_dataset",
     "ModelSpec", "ShardTrainResult", "ShardTrainTask", "StageSpec",

@@ -9,15 +9,11 @@ processes holding per-process folded replicas with a shared-memory
 logits return path — an exact-response LRU (:class:`ResponseCache`,
 provably bit-identical replays), a stdlib HTTP front end with explicit
 429 backpressure, an online STRIP screen (:class:`OnlineStrip`) and a
-closed-loop load generator.  One level up, :class:`ServingCluster`
-runs N such stacks as separate host processes behind a router that
-hashes ``(model, version)`` onto replica groups, ships states over the
-network state channel, and survives host death (re-route, re-ship,
-re-warm) with cluster-wide hot-swap under a bounded version skew.
-``repro serve`` / ``repro client`` are the CLI entry points;
-:func:`build_reveil_serving` / :func:`build_reveil_cluster` assemble
-the paper's camouflage → unlearn → hot-swap timeline as a live serving
-workload, single-host or clustered.
+closed-loop load generator.  ``repro serve`` / ``repro client`` are
+the CLI entry points; :func:`build_reveil_serving` assembles the
+paper's camouflage → unlearn → hot-swap timeline as a live serving
+workload, and :func:`build_reveil_forget` adds the online ``/v1/forget``
+plane.
 """
 
 from .batcher import (BatchOutput, BatchPolicy, InlineBackend, MicroBatcher,
@@ -25,16 +21,14 @@ from .batcher import (BatchOutput, BatchPolicy, InlineBackend, MicroBatcher,
 from .cache import ResponseCache, input_digest
 from .client import (LoadReport, ModelVersionEntry, ServingClient,
                      ServingError, run_load)
-from .cluster import (GroupMap, HostHandle, RouterHTTPServer, ServingCluster,
-                      VersionSkewError)
 from .forget import (DeletionFlagged, DeletionRateLimited, ForgetConfig,
                      ForgetPlane, GuardPolicy, OnlineUnlearningGuard)
 from .http import (API_PREFIX, Route, ServingHTTPServer, route_table,
                    start_http_server, stop_http_server)
 from .multiproc import MultiprocBackend, ReplicaWorker
-from .scenario import (ReVeilCluster, ReVeilForgetServing, ReVeilServing,
-                       build_reveil_cluster, build_reveil_forget,
-                       build_reveil_serving, serving_store)
+from .scenario import (ReVeilForgetServing, ReVeilServing,
+                       build_reveil_forget, build_reveil_serving,
+                       serving_store)
 from .screening import OnlineStrip, ScreenConfig
 from .server import InferenceServer, PredictResult
 from .store import ModelEntry, ModelKey, ModelStore
@@ -50,11 +44,8 @@ __all__ = [
     "API_PREFIX", "Route", "route_table",
     "ForgetPlane", "ForgetConfig", "OnlineUnlearningGuard", "GuardPolicy",
     "DeletionRateLimited", "DeletionFlagged",
-    "ServingCluster", "GroupMap", "HostHandle", "RouterHTTPServer",
-    "VersionSkewError",
     "ServingClient", "ServingError", "LoadReport", "ModelVersionEntry",
     "run_load",
     "ReVeilServing", "build_reveil_serving", "serving_store",
-    "ReVeilCluster", "build_reveil_cluster",
     "ReVeilForgetServing", "build_reveil_forget",
 ]

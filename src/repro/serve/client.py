@@ -15,7 +15,6 @@ import http.client
 import json
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 from urllib.parse import urlparse
@@ -23,18 +22,7 @@ from urllib.parse import urlparse
 import numpy as np
 
 from ..obs.backoff import backoff_delay
-
-#: Deprecation shims that already warned this process (warn once each).
-_SHIMS_WARNED: set = set()
-
-
-def _warn_shim(old: str, new: str) -> None:
-    if old in _SHIMS_WARNED:
-        return
-    _SHIMS_WARNED.add(old)
-    warnings.warn(f"ServingClient.{old}() is deprecated; use "
-                  f"ServingClient.{new}()", DeprecationWarning,
-                  stacklevel=3)
+from .http import API_PREFIX
 
 
 @dataclass(frozen=True)
@@ -78,23 +66,19 @@ class ServingClient:
 
     All endpoint methods (``predict`` / ``forget`` / ``activate`` /
     ``health`` / …) ride one request core that speaks the versioned
-    ``/v1`` API and understands the unified error envelope.  The old
-    call shapes (``healthz`` / ``readyz``) remain as thin deprecation
-    shims.  Connections are per-call (the load generator opens one per
-    worker thread through ``http.client`` anyway), which keeps the
-    client trivially thread-safe.
+    ``/v1`` API and understands the unified error envelope.
+    Connections are per-call (the load generator opens one per worker
+    thread through ``http.client`` anyway), which keeps the client
+    trivially thread-safe.
     """
 
     def __init__(self, url: str, timeout: float = 60.0,
-                 retry_resets: int = 1, api_prefix: str = "/v1"):
+                 retry_resets: int = 1):
         parsed = urlparse(url)
         if parsed.scheme not in ("http", ""):
             raise ValueError(f"only http:// endpoints are supported, got {url}")
         self.host = parsed.hostname or "127.0.0.1"
         self.port = parsed.port or 80
-        #: Path prefix for every endpoint; "" talks to the legacy
-        #: unprefixed aliases (deprecated server-side).
-        self.api_prefix = api_prefix.rstrip("/")
         #: Per-request socket timeout: a stalled server fails the call
         #: instead of hanging a closed-loop worker (and the whole load
         #: run behind it) forever.
@@ -110,16 +94,16 @@ class ServingClient:
                  timeout: Optional[float] = None) -> dict:
         """One logical round-trip, retrying connection resets.
 
-        ``path`` is the endpoint name (``/predict``); the configured
-        ``api_prefix`` is prepended here — the one request core every
-        endpoint method rides.  A server restarting a worker (or an OS
-        reclaiming sockets under pressure) shows up client-side as a
-        reset or mid-response hangup; those retry up to
+        ``path`` is the endpoint name (``/predict``); the ``/v1`` prefix
+        is prepended here — the one request core every endpoint method
+        rides.  A server restarting a worker (or an OS reclaiming
+        sockets under pressure) shows up client-side as a reset or
+        mid-response hangup; those retry up to
         ``retry_resets`` times.  Anything still failing is normalized
         into :class:`ServingError` / ``OSError`` so callers — the load
         generator's worker threads in particular — only ever see those
         two."""
-        path = f"{self.api_prefix}{path}"
+        path = f"{API_PREFIX}{path}"
         last_exc: Optional[BaseException] = None
         for attempt in range(self.retry_resets + 1):
             try:
@@ -130,8 +114,8 @@ class ServingClient:
                 last_exc = exc
                 if attempt < self.retry_resets:
                     # Same deterministic sha1-jitter curve as the worker
-                    # and netstate retries (repro.obs.backoff); keyed by
-                    # path so concurrent workers don't thundering-herd.
+                    # retries (repro.obs.backoff); keyed by path so
+                    # concurrent workers don't thundering-herd.
                     time.sleep(backoff_delay(attempt + 1,
                                              base_delay_s=0.05,
                                              max_delay_s=1.0,
@@ -275,17 +259,6 @@ class ServingClient:
         if version is not None:
             payload["version"] = version
         return self._request("POST", "/compile", payload)
-
-    # -- deprecated shims ----------------------------------------------
-    def healthz(self) -> dict:
-        """Deprecated alias of :meth:`health` (warns once)."""
-        _warn_shim("healthz", "health")
-        return self.health()
-
-    def readyz(self) -> dict:
-        """Deprecated alias of :meth:`ready` (warns once)."""
-        _warn_shim("readyz", "ready")
-        return self.ready()
 
 
 @dataclass

@@ -32,9 +32,7 @@ serving*.  A ``POST /v1/forget`` request travels::
   pool the ensemble is configured with).  The live shard models are
   retrained *in place* and are never registered; the plane publishes a
   fresh snapshot as a new immutable ``ModelStore`` version and
-  activates it — through a :class:`~repro.serve.cluster.ServingCluster`
-  that propagates under the PR 7 skew rules (version-skew refusals are
-  retried with deterministic backoff).  Predict traffic never drops:
+  activates it.  Predict traffic never drops:
   in-flight requests stay pinned to the version they resolved, and the
   swap is atomic at the store.
 
@@ -58,7 +56,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import trace as _trace
-from ..obs.backoff import backoff_delay
 from ..obs.metrics import Registry
 from .batcher import QueueFullError
 
@@ -248,8 +245,6 @@ class ForgetConfig:
     max_round: int = 64
     #: Pending-request bound; overflow answers 429 (backpressure).
     max_queue: int = 256
-    #: Version-skew (409) retry budget when publishing into a cluster.
-    swap_retries: int = 8
     #: Published versions are named ``<prefix>-<n>``.
     version_prefix: str = "forget"
 
@@ -277,11 +272,8 @@ class ForgetPlane:
         shard models stay private to the plane — serving always gets
         immutable snapshots.
     store:
-        Where retrained versions are published: a
-        :class:`~repro.serve.ModelStore` or a
-        :class:`~repro.serve.cluster.ServingCluster` (duck-typed
-        ``register`` / ``activate``; cluster publishing ships replicas
-        and propagates under the skew rules).
+        The :class:`~repro.serve.ModelStore` retrained versions are
+        published into.
     model:
         Served model name whose active version the plane advances.
     guard:
@@ -293,8 +285,7 @@ class ForgetPlane:
         single-shard ensembles; multi-shard serving must say how the
         ensemble folds into one served module.
     spec / input_shape:
-        Registration extras; default to the model's current entry (a
-        cluster *requires* a spec to rebuild replicas remotely).
+        Registration extras; default to the model's current entry.
     """
 
     def __init__(self, ensemble, store, model: str, *,
@@ -314,14 +305,10 @@ class ForgetPlane:
                 "one served module")
         self._publisher = (publisher if publisher is not None
                            else lambda ens: ens.snapshot_model(0))
-        # The authoritative ModelStore: the cluster's own store when
-        # publishing cluster-wide, the store itself otherwise.
-        authority = getattr(store, "store", store)
-        entry = authority.entry(model)
+        entry = store.entry(model)
         self._spec = spec if spec is not None else entry.spec
         self._input_shape = (input_shape if input_shape is not None
                              else entry.input_shape)
-        self._authority = authority
 
         self.registry = Registry()
         self._requests = self.registry.counter("requests")
@@ -332,7 +319,6 @@ class ForgetPlane:
         self._rounds = self.registry.counter("rounds")
         self._failed_rounds = self.registry.counter("failed_rounds")
         self._swaps = self.registry.counter("swaps")
-        self._swap_retries = self.registry.counter("swap_retries")
         self._samples_removed = self.registry.counter("samples_removed")
         self._already_removed = self.registry.counter("already_removed")
         self._shards_retrained = self.registry.counter("shards_retrained")
@@ -450,7 +436,7 @@ class ForgetPlane:
                                  "request's retrain round ran"))
 
     def _next_version(self) -> str:
-        existing = set(self._authority.versions(self.model))
+        existing = set(self.store.versions(self.model))
         while True:
             self._version_counter += 1
             version = (f"{self.config.version_prefix}-"
@@ -513,7 +499,7 @@ class ForgetPlane:
         self.store.register(self.model, snapshot, version=version,
                             activate=False, spec=self._spec,
                             input_shape=self._input_shape)
-        self._activate(version)
+        self.store.activate(self.model, version)
         swap_s = time.perf_counter() - swap_start
         self._swaps.inc()
         for item in items:
@@ -531,25 +517,6 @@ class ForgetPlane:
                                   if int(i) in live_set))
                 for item in items},
         }
-
-    def _activate(self, version: str) -> None:
-        # Cluster activation can collide with a concurrent manual swap
-        # (one in-flight activation per model); back off and retry
-        # within the budget instead of failing the round.
-        attempt = 0
-        while True:
-            try:
-                self.store.activate(self.model, version)
-                return
-            except Exception as exc:  # noqa: BLE001 - skew retry only
-                if (getattr(exc, "error_code", None) != "version_skew"
-                        or attempt >= self.config.swap_retries):
-                    raise
-                attempt += 1
-                self._swap_retries.inc()
-                time.sleep(backoff_delay(
-                    attempt, base_delay_s=0.02, max_delay_s=0.5,
-                    token=f"forget-swap-{self.model}"))
 
     # -- introspection / lifecycle -------------------------------------
     def stats(self) -> dict:

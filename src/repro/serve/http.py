@@ -1,14 +1,11 @@
 """Stdlib HTTP front end for the inference server.
 
 The API is mounted under a versioned prefix and driven by a declarative
-route table — every endpoint is one :class:`Route` entry, shared by this
-front end and the cluster router front end, so new endpoints (like
-``/v1/forget``) are one-line registrations instead of another branch in
-an if/elif chain.
+route table — every endpoint is one :class:`Route` entry, so new
+endpoints (like ``/v1/forget``) are one-line registrations instead of
+another branch in an if/elif chain.
 
-Endpoints (all JSON, canonical under ``/v1``; the legacy unprefixed
-paths remain as aliases answering identically but with a
-``Deprecation: true`` response header):
+Endpoints (all JSON, each on exactly one ``/v1`` path):
 
 - ``POST /v1/predict`` — ``{"model": str, "version"?: str, "inputs":
   nested lists (C,H,W) or (N,C,H,W)}`` → logits, argmax labels, the
@@ -34,8 +31,8 @@ paths remain as aliases answering identically but with a
   (with worker-pool detail) when every serving worker is ejected and
   requests run through the inline fallback.
 - ``GET /v1/readyz`` — load-balancer readiness: ``200`` at full
-  capacity, ``503`` while degraded, so traffic drains to healthier
-  hosts without killing a process that is still (slowly) serving.
+  capacity, ``503`` while degraded, so traffic drains elsewhere without
+  killing a process that is still (slowly) serving.
 - ``GET /v1/metrics`` — scheduler counters (occupancy, latency
   percentiles, queue depth), request outcomes, per-version screening
   flag rates.
@@ -48,7 +45,7 @@ paths remain as aliases answering identically but with a
 - ``GET /v1/models`` — the store listing (versions, active flags, and
   per-version ``compiled``/``plan`` compilation state).
 
-Every response — success or error, on either prefix — echoes the
+Every response — success or error — echoes the
 request's trace id on the ``X-Trace-Id`` header (minted here when the
 client did not send one), so a client can pull exactly its own spans
 from ``/v1/debug/traces``.  Error responses share one envelope::
@@ -57,8 +54,8 @@ from ``/v1/debug/traces``.  Error responses share one envelope::
 
 where ``code`` is a stable machine-readable slug (``bad_request``,
 ``not_found``, ``method_not_allowed``, ``backpressure``,
-``version_skew``, ``rate_limited``, ``deletion_flagged``, ``internal``,
-…) and ``message`` is human-readable detail.
+``rate_limited``, ``deletion_flagged``, ``internal``, …) and
+``message`` is human-readable detail.
 
 Built on ``http.server.ThreadingHTTPServer`` (one thread per
 connection) so concurrent requests genuinely queue up in the batcher —
@@ -84,7 +81,7 @@ from .batcher import QueueFullError
 #: Refuse request bodies beyond this size (64 MiB of JSON ≈ abuse).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
-#: Canonical API prefix; unprefixed paths are deprecated aliases.
+#: The API prefix every route is mounted under.
 API_PREFIX = "/v1"
 
 #: Fallback error-code slugs per status when the raising exception does
@@ -94,7 +91,6 @@ ERROR_CODES = {
     403: "forbidden",
     404: "not_found",
     405: "method_not_allowed",
-    409: "conflict",
     429: "backpressure",
     500: "internal",
     503: "unavailable",
@@ -103,11 +99,9 @@ ERROR_CODES = {
 
 @dataclass(frozen=True)
 class Route:
-    """One endpoint: method + canonical name + handler + body policy.
+    """One endpoint: method + name + handler + body policy.
 
-    ``handler`` names a method on the request handler class, so front
-    ends specialize endpoints by plain subclassing (the cluster router
-    overrides ``_predict`` / ``_activate`` and inherits the rest).
+    ``handler`` names a method on the request handler class.
     ``needs_body`` routes get their JSON body parsed and validated
     before dispatch; the handler receives the payload dict.
     """
@@ -134,31 +128,31 @@ ROUTES: Tuple[Route, ...] = (
 
 
 def route_table(routes: Tuple[Route, ...]
-                ) -> Tuple[Dict[Tuple[str, str], Tuple[Route, bool]],
+                ) -> Tuple[Dict[Tuple[str, str], Route],
                            Dict[str, Tuple[str, ...]]]:
-    """Expand routes into ``(method, path) -> (route, deprecated)`` plus
-    a ``path -> allowed methods`` map (for 405 responses).
+    """Expand routes into ``(method, path) -> route`` plus a
+    ``path -> allowed methods`` map (for 405 responses).
 
-    Each route answers on its canonical ``/v1/<name>`` path and on the
-    legacy ``/<name>`` alias, which is marked deprecated.
+    Each route answers on ``/v1/<name>`` only.
     """
-    lookup: Dict[Tuple[str, str], Tuple[Route, bool]] = {}
+    lookup: Dict[Tuple[str, str], Route] = {}
     methods: Dict[str, set] = {}
     for route in routes:
-        for path, deprecated in ((f"{API_PREFIX}/{route.name}", False),
-                                 (f"/{route.name}", True)):
-            lookup[(route.method, path)] = (route, deprecated)
-            methods.setdefault(path, set()).add(route.method)
+        path = f"{API_PREFIX}/{route.name}"
+        lookup[(route.method, path)] = route
+        methods.setdefault(path, set()).add(route.method)
     return lookup, {path: tuple(sorted(ms)) for path, ms in methods.items()}
+
+
+#: The expanded table every request dispatches through.
+_LOOKUP, _METHODS = route_table(ROUTES)
 
 
 class ServingHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer bound to an :class:`InferenceServer`.
 
     ``inference`` is duck-typed: anything with ``predict`` / ``health``
-    / ``metrics`` and a ``store`` can sit behind the handler — the
-    cluster router front end (:mod:`repro.serve.cluster`) reuses this
-    exact server with its own handler subclass via ``handler_cls``.
+    / ``metrics`` and a ``store`` can sit behind the handler.
     """
 
     daemon_threads = True
@@ -171,11 +165,8 @@ class ServingHTTPServer(ThreadingHTTPServer):
     # spurious "errored responses" that have nothing to do with serving.
     request_queue_size = 128
 
-    #: Handler class; subclasses override to reroute individual verbs.
-    handler_cls = None  # filled in after _Handler is defined
-
     def __init__(self, address: Tuple[int, int], inference) -> None:
-        super().__init__(address, type(self).handler_cls)
+        super().__init__(address, _Handler)
         self.inference = inference
 
     @property
@@ -185,10 +176,6 @@ class ServingHTTPServer(ThreadingHTTPServer):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    #: Route table shared by every front end; subclasses may extend
-    #: ``routes`` and the expanded table is rebuilt per class.
-    routes: Tuple[Route, ...] = ROUTES
-
     # The default implementation logs every request to stderr.
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
@@ -197,59 +184,29 @@ class _Handler(BaseHTTPRequestHandler):
     def inference(self):
         return self.server.inference
 
-    @classmethod
-    def table(cls):
-        cached = cls.__dict__.get("_route_table")
-        if cached is None:
-            cached = route_table(cls.routes)
-            cls._route_table = cached
-        return cached
-
     # -- plumbing ------------------------------------------------------
     def _response_headers(self, headers: Optional[dict] = None) -> dict:
         merged = {}
         trace = getattr(self, "_trace", None)
         if trace is not None:
             merged[_trace.TRACE_HEADER] = trace
-        if getattr(self, "_deprecated", False):
-            # Draft RFC 9745 header on legacy unprefixed aliases; bodies
-            # stay byte-for-byte identical to the /v1 canonical path.
-            merged["Deprecation"] = "true"
         merged.update(headers or {})
         return merged
 
+    def _send(self, status: int, body: bytes, content_type: str,
+              headers: Optional[dict] = None) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in self._response_headers(headers).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
     def _send_json(self, status: int, payload: dict,
                    headers: Optional[dict] = None) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in self._response_headers(headers).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str,
-                   content_type: str = "text/plain; charset=utf-8") -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in self._response_headers().items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_raw(self, status: int, body: bytes,
-                  headers: Optional[dict] = None,
-                  content_type: str = "application/json") -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in self._response_headers(headers).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, json.dumps(payload).encode(), "application/json",
+                   headers)
 
     def _send_error_envelope(self, status: int, code: str, message: str,
                              headers: Optional[dict] = None) -> None:
@@ -282,12 +239,9 @@ class _Handler(BaseHTTPRequestHandler):
         # response — success or error, any endpoint.
         self._trace = _trace.coerce_trace_id(
             self.headers.get(_trace.TRACE_HEADER))
-        lookup, methods = self.table()
-        entry = lookup.get((method, path))
-        if entry is None:
-            allowed = methods.get(path)
-            self._deprecated = (allowed is not None
-                                and not path.startswith(API_PREFIX + "/"))
+        route = _LOOKUP.get((method, path))
+        if route is None:
+            allowed = _METHODS.get(path)
             if allowed:
                 self._send_error_envelope(
                     405, "method_not_allowed",
@@ -298,7 +252,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error_envelope(404, "not_found",
                                           f"unknown path {path}")
             return
-        route, self._deprecated = entry
         try:
             payload = self._read_json() if route.needs_body else None
             getattr(self, route.handler)(payload, self._trace)
@@ -312,8 +265,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_envelope(400, "bad_request", str(exc))
         except Exception as exc:  # noqa: BLE001 - surfaced as 500
             # Exceptions carrying an ``http_status`` pick their own code
-            # (version-skew refusals answer 409, guard rejections 403 or
-            # 429); ``error_code`` picks the envelope slug.
+            # (guard rejections answer 403 or 429); ``error_code`` picks
+            # the envelope slug.
             status = int(getattr(exc, "http_status", 500))
             code = (getattr(exc, "error_code", None)
                     or ERROR_CODES.get(status, "internal"))
@@ -330,7 +283,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _readyz(self, payload, trace) -> None:
         # Readiness: 503 while degraded so load balancers route around
-        # this host until the pool re-promotes.
+        # this process until the pool re-promotes.
         health = self.inference.health()
         self._send_json(200 if health["ready"] else 503, health)
 
@@ -341,9 +294,8 @@ class _Handler(BaseHTTPRequestHandler):
         renderer = getattr(self.inference, "prometheus", None)
         if not callable(renderer):
             raise KeyError("no prometheus exposition for this server")
-        self._send_text(
-            200, renderer(),
-            content_type="text/plain; version=0.0.4; charset=utf-8")
+        self._send(200, renderer().encode(),
+                   "text/plain; version=0.0.4; charset=utf-8")
 
     def _debug_traces(self, payload, trace) -> None:
         query = parse_qs(getattr(self, "_query", ""))
@@ -424,13 +376,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200 if wait else 202, result)
 
 
-ServingHTTPServer.handler_cls = _Handler
-
-
 def start_http_server(inference, host: str = "127.0.0.1",
-                      port: int = 0, retries: int = 3,
-                      server_factory: type = ServingHTTPServer,
-                      ) -> ServingHTTPServer:
+                      port: int = 0, retries: int = 3) -> ServingHTTPServer:
     """Bind (``port=0`` = ephemeral) and serve on a background thread.
 
     A requested port that turns out to be taken (``EADDRINUSE`` — CI
@@ -446,7 +393,7 @@ def start_http_server(inference, host: str = "127.0.0.1",
     attempt = 0
     while True:
         try:
-            httpd = server_factory((host, port), inference)
+            httpd = ServingHTTPServer((host, port), inference)
             break
         except OSError as exc:
             if exc.errno != errno.EADDRINUSE or attempt >= retries:

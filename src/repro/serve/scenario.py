@@ -59,7 +59,6 @@ class ReVeilServing:
 
 
 def serving_store(result: PipelineResult, name: Optional[str] = None,
-                  store: Optional[ModelStore] = None,
                   activate: Optional[str] = None) -> ModelStore:
     """Register a pipeline run's stage models as versions of one model.
 
@@ -67,14 +66,11 @@ def serving_store(result: PipelineResult, name: Optional[str] = None,
     ``unlearned``), for whichever stages the run produced single-model
     artifacts.  ``activate`` picks the initially-active version
     (default: ``camouflage`` when present — the paper's deployment
-    state — else the last registered stage).  ``store`` may be any
-    object with ``register``/``activate`` in the :class:`ModelStore`
-    shape — passing a :class:`~repro.serve.cluster.ServingCluster`
-    replicates every stage model across its host groups.
+    state — else the last registered stage).
     """
     cfg = result.config
     name = name or cfg.model
-    store = store or ModelStore()
+    store = ModelStore()
     profile = get_profile(cfg.dataset)
     # Every stage model came out of build_model(cfg.model, ...), so a
     # picklable ModelSpec can rebuild the architecture worker-side —
@@ -236,58 +232,3 @@ def build_reveil_forget(cfg: PipelineConfig,
                                result=result, clean_test=result.clean_test,
                                attack_test=result.attack_test,
                                target_label=result.target_label)
-
-
-@dataclass
-class ReVeilCluster:
-    """The deployment scenario behind the multi-host serving tier."""
-
-    cluster: "ServingCluster"
-    model_name: str
-    result: PipelineResult
-    clean_test: ArrayDataset
-    attack_test: ArrayDataset
-    target_label: int
-
-    def hot_swap_to_unlearned(self) -> None:
-        """The post-unlearning deployment step — now cluster-wide."""
-        self.cluster.activate(self.model_name, "unlearned")
-
-    def close(self) -> None:
-        self.cluster.close()
-
-
-def build_reveil_cluster(cfg: PipelineConfig, hosts: int = 2,
-                         group_size: Optional[int] = None,
-                         workers_per_host: int = 1,
-                         policy: BatchPolicy = BatchPolicy(),
-                         response_cache: int = 0,
-                         reliability: Optional[ReliabilityConfig] = None,
-                         compile_models: bool = True,
-                         ) -> ReVeilCluster:
-    """Train the scenario and stand it up on a multi-host cluster.
-
-    The same pipeline run as :func:`build_reveil_serving`, but the
-    stage models register into a :class:`~repro.serve.cluster.
-    ServingCluster` — ``serving_store`` duck-types onto it, so every
-    version ships to its replica group and the camouflage → unlearn
-    hot-swap propagates cluster-wide through the skew-bounded
-    ``activate``.  Call ``cluster.serve()`` on the result for the
-    router's HTTP front end.
-    """
-    from .cluster import ServingCluster
-    result = run_pipeline(cfg, stages=("camouflage", "unlearn"))
-    cluster = ServingCluster(hosts=hosts, group_size=group_size,
-                             workers_per_host=workers_per_host,
-                             policy=policy, response_cache=response_cache,
-                             reliability=reliability,
-                             compile_models=compile_models)
-    try:
-        serving_store(result, store=cluster)
-    except BaseException:
-        cluster.close()
-        raise
-    return ReVeilCluster(cluster=cluster, model_name=cfg.model,
-                         result=result, clean_test=result.clean_test,
-                         attack_test=result.attack_test,
-                         target_label=result.target_label)

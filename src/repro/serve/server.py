@@ -291,7 +291,7 @@ class InferenceServer:
         and in-flight requests are unaffected by later swaps.
 
         ``trace`` is the request's 64-bit trace id (minted by the HTTP
-        front end or the cluster router; minted here when absent); every
+        front end; minted here when absent); every
         span this request produces — queue wait, coalesce, dispatch,
         worker call — carries it.
 

@@ -175,17 +175,8 @@ def main(argv=None) -> int:
                              "deterministic fault schedule (crash, stall, "
                              "corrupt fingerprint), then kill every worker "
                              "and assert degraded serving + re-promotion, "
-                             "with zero errored client responses throughout "
-                             "(with --cluster: SIGKILL a whole host "
-                             "mid-load instead)")
-    parser.add_argument("--cluster", action="store_true",
-                        help="run the distributed-tier gate: N simulated "
-                             "host processes behind the router, bit-identity "
-                             "vs the direct forward, cluster-wide hot-swap "
-                             "under the version-skew bound")
-    parser.add_argument("--hosts", type=int, default=2,
-                        help="simulated host processes for --cluster "
-                             "(default 2)")
+                             "with zero errored client responses "
+                             "throughout")
     parser.add_argument("--forget", action="store_true",
                         help="run the unlearning-as-a-service gate: mixed "
                              "predict/forget traffic against the camouflaged "
@@ -197,8 +188,6 @@ def main(argv=None) -> int:
         parser.error("--serve-workers must be >= 0 (0 = one per core)")
     if args.response_cache < 0:
         parser.error("--response-cache must be >= 0 (0 = disabled)")
-    if args.hosts < 1:
-        parser.error("--hosts must be >= 1")
     # CI step timeouts deliver SIGTERM; turn it into SystemExit so the
     # finally blocks below still stop servers, close worker pools, and
     # unlink shared memory instead of orphaning the process tree.
@@ -206,8 +195,6 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
     if args.forget:
         return _gate(run_forget, args)
-    if args.cluster:
-        return _gate(run_cluster, args)
     if args.chaos:
         return _gate(run_chaos, args)
     return _gate(run_basic, args)
@@ -266,13 +253,6 @@ def run_basic(args) -> int:
         client = ServingClient(httpd.url)
         if client.health().get("status") != "ok":
             print("SMOKE FAIL: /healthz not ok", file=sys.stderr)
-            return 1
-        # Legacy unprefixed aliases must keep answering through the /v1
-        # redesign — pre-redesign clients ride the same lanes.
-        if ServingClient(httpd.url,
-                         api_prefix="").health().get("status") != "ok":
-            print("SMOKE FAIL: legacy unprefixed /healthz alias broken",
-                  file=sys.stderr)
             return 1
         # Compiled serving is the default: the registered version must
         # advertise its plan through /v1/models (typed client entries)
@@ -885,289 +865,6 @@ def run_chaos(args) -> int:
         return 1
     print(f"chaos smoke ok: crash/stall/corruption recovered, degradation "
           f"+ re-promotion clean, 0 errored responses "
-          f"({elapsed:.1f}s, budget {args.timeout:.0f}s)")
-    return 0
-
-
-def _drain_leaked_segments(shm_before, grace_s: float = 8.0) -> list:
-    """Leaked segments after close, with a grace window.
-
-    A SIGKILLed host never runs its own cleanup — its resource tracker
-    unlinks the orphaned segments asynchronously once the process tree
-    is gone — so the cluster lanes poll briefly before calling a
-    segment leaked for real.
-    """
-    deadline = time.perf_counter() + grace_s
-    leaked = leaked_segments(shm_before)
-    while leaked and time.perf_counter() < deadline:
-        time.sleep(0.25)
-        leaked = leaked_segments(shm_before)
-    return leaked
-
-
-def run_cluster(args) -> int:
-    """Distributed-tier gate: N simulated hosts behind the router.
-
-    Stands up a :class:`~repro.serve.cluster.ServingCluster` — every
-    host its own process running a full single-host stack, states
-    shipped over the network state channel — and asserts through the
-    router's HTTP front end: zero dropped responses under concurrent
-    load, every host served traffic, logits bit-identical to the
-    direct fixed-width forward, and the hot-swap arc (register v2 →
-    cluster-wide activate) propagating to every host under the
-    version-skew bound with unversioned traffic flipping atomically.
-
-    With ``--chaos``, one host is SIGKILLed mid-load instead: the gate
-    demands zero errored or rejected responses throughout (in-group
-    re-route), bit-identical logits immediately after the kill, a
-    background respawn that re-ships and re-warms the replacement, the
-    recovered host taking traffic again, and no leaked shared memory
-    once the cluster closes.
-    """
-    from .cluster import ServingCluster
-
-    start = time.perf_counter()
-    shm_before = shm_segment_names()
-    hosts = args.hosts
-    workers = args.serve_workers if args.serve_workers >= 2 else 2
-    requests = max(args.requests, 64 if args.chaos else 32)
-    concurrency = max(args.concurrency, 2 * hosts)
-
-    _, test, profile = load_dataset("unit", seed=0)
-    spec = ModelSpec("small_cnn", profile.num_classes, scale="tiny")
-    nn.manual_seed(0)
-    model_v1 = build_model("small_cnn", profile.num_classes, scale="tiny")
-    model_v1.eval()
-    nn.manual_seed(1)
-    model_v2 = build_model("small_cnn", profile.num_classes, scale="tiny")
-    model_v2.eval()
-    policy = BatchPolicy(max_batch_size=8, max_delay_ms=2.0)
-    # Host-level supervision tight enough for the kill drill to eject
-    # and probe within the smoke budget (same knobs run_chaos uses one
-    # level down for workers).
-    reliability = ReliabilityConfig(
-        retry=RetryPolicy(max_attempts=3, base_delay_s=0.01,
-                          max_delay_s=0.05, deadline_s=30.0),
-        failure_threshold=2, respawn_budget=2, breaker_cooldown_s=0.2)
-
-    lane = "cluster-chaos" if args.chaos else "cluster"
-    print(f"serving smoke [{lane}]: hosts={hosts} x {workers} workers, "
-          f"one replica group")
-    httpd = None
-    cluster = None
-    try:
-        cluster = ServingCluster(hosts=hosts, group_size=hosts,
-                                 workers_per_host=workers, policy=policy,
-                                 reliability=reliability)
-        global _prom_renderer
-        _prom_renderer = cluster.prometheus
-        cluster.register("smoke", model_v1, version="v1", spec=spec,
-                         input_shape=test.images.shape[1:])
-        router = cluster.metrics()["router"]
-        if router["ships"] != hosts:
-            print(f"CLUSTER FAIL: v1 shipped {router['ships']} times for "
-                  f"{hosts} hosts (want one network ship per host)",
-                  file=sys.stderr)
-            return 1
-        httpd = cluster.serve()
-        client = ServingClient(httpd.url)
-        health = client.health()
-        if health.get("status") != "ok" or not health.get("ready"):
-            print(f"CLUSTER FAIL: /healthz not ok+ready at start: "
-                  f"{health.get('status')}/{health.get('ready')}",
-                  file=sys.stderr)
-            return 1
-
-        # Reference logits: the direct fixed-width forward every path
-        # (any host, any failover tier) must reproduce bit-for-bit.
-        image = test.images[0]
-        batch = np.zeros((policy.max_batch_size,) + image.shape,
-                         dtype=np.float32)
-        batch[0] = image
-        direct_v1 = cluster.store.folded("smoke", "v1")(
-            Tensor(batch)).data[0].astype(np.float32)
-
-        killer = None
-        victim = None
-        if args.chaos:
-            victim = cluster.hosts[0]
-
-            def _kill():
-                time.sleep(0.1)     # let the load hit its stride first
-                victim.kill()
-
-            killer = threading.Thread(target=_kill, name="host-killer")
-            killer.start()
-        report = run_load(client, "smoke", test.images[:requests],
-                          requests=requests, concurrency=concurrency)
-        if killer is not None:
-            killer.join()
-            print(f"SIGKILLed host 0 (pid {victim.pid}) mid-load")
-        print(f"load: {report.summary()}")
-        if report.rejected or report.errors or report.ok != requests:
-            print(f"CLUSTER FAIL: {report.ok}/{requests} ok, "
-                  f"{report.rejected} rejected, {report.errors} errored "
-                  f"(want {requests}/0/0 across host "
-                  f"{'death' if args.chaos else 'fan-out'})",
-                  file=sys.stderr)
-            return 1
-        if report.p50_ms > args.p50_ms:
-            print(f"CLUSTER FAIL: p50 {report.p50_ms:.1f}ms > budget "
-                  f"{args.p50_ms:.0f}ms", file=sys.stderr)
-            return 1
-        served = np.array(client.predict("smoke", image)["logits"][0],
-                          dtype=np.float32)
-        if not np.array_equal(served, direct_v1):
-            print("CLUSTER FAIL: routed logits diverged from the direct "
-                  "fixed-width forward", file=sys.stderr)
-            return 1
-
-        if args.chaos:
-            # Recovery: the router must respawn host 0 in the
-            # background (re-ship + re-warm via the host's own
-            # prefetch), close its breaker, and route to it again.
-            deadline = time.perf_counter() + 60.0
-            while time.perf_counter() < deadline:
-                counters = cluster.metrics()["router"]
-                if (counters["host_respawns"] >= 1
-                        and cluster.hosts[0].alive):
-                    break
-                client.predict("smoke", image)  # traffic drives the probes
-                time.sleep(0.1)
-            counters = cluster.metrics()["router"]
-            if not (counters["host_respawns"] >= 1
-                    and cluster.hosts[0].alive):
-                print(f"CLUSTER FAIL: host 0 not respawned within budget "
-                      f"(respawns={counters['host_respawns']}, "
-                      f"alive={cluster.hosts[0].alive})", file=sys.stderr)
-                return 1
-            if counters["reroutes"] < 1:
-                print("CLUSTER FAIL: no re-routes recorded around the "
-                      "host kill", file=sys.stderr)
-                return 1
-            served_before = counters["routed_per_host"][0]
-            for index in range(4 * hosts):
-                client.predict("smoke", test.images[index % 16])
-            counters = cluster.metrics()["router"]
-            if counters["routed_per_host"][0] <= served_before:
-                print(f"CLUSTER FAIL: recovered host 0 took no traffic "
-                      f"(routed_per_host={counters['routed_per_host']})",
-                      file=sys.stderr)
-                return 1
-            served = np.array(client.predict("smoke", image)["logits"][0],
-                              dtype=np.float32)
-            if not np.array_equal(served, direct_v1):
-                print("CLUSTER FAIL: recovered cluster serves different "
-                      "bits", file=sys.stderr)
-                return 1
-            health = client.health()
-            if health.get("status") != "ok":
-                print(f"CLUSTER FAIL: /healthz {health.get('status')} "
-                      f"after recovery (want ok)", file=sys.stderr)
-                return 1
-            print(f"recovery ok: {counters['host_respawns']} respawn(s), "
-                  f"{counters['reroutes']} re-route(s), "
-                  f"{counters['reships']} re-ship(s), host 0 serving again")
-
-            # Failover forensics: the whole recovery arc — the forward
-            # that died, the respawn it triggered, and the warmed
-            # re-ship onto the replacement — must be reconstructible
-            # from the spans of a single trace id.
-            spans = _trace.RECORDER.dump()
-            arc = None
-            for tid in {s.get("trace") for s in spans
-                        if s["name"] == "host.respawn"} - {None}:
-                mine = [s for s in spans if s.get("trace") == tid]
-                names = {s["name"] for s in mine}
-                warmed = any(s["name"] == "state.ship"
-                             and s.get("tags", {}).get("warmed")
-                             for s in mine)
-                if ({"route.forward", "host.respawn",
-                     "state.ship"} <= names and warmed):
-                    arc = tid
-                    break
-            if arc is None:
-                print("CLUSTER FAIL: no single trace id reconstructs the "
-                      "failover arc (route.forward error → host.respawn "
-                      "→ warmed state.ship)", file=sys.stderr)
-                return 1
-            hops = [s["name"] for s in spans if s.get("trace") == arc]
-            print(f"failover arc reconstructed from trace {arc}: "
-                  f"{len(hops)} spans (re-route → re-ship → re-warm)")
-        else:
-            counters = cluster.metrics()["router"]
-            idle = [index for index, count
-                    in enumerate(counters["routed_per_host"]) if count == 0]
-            if idle:
-                print(f"CLUSTER FAIL: hosts {idle} served no traffic "
-                      f"(routed_per_host={counters['routed_per_host']})",
-                      file=sys.stderr)
-                return 1
-            if counters["degraded_routes"] or counters["inline_batches"]:
-                print(f"CLUSTER FAIL: healthy cluster used fallback tiers "
-                      f"(degraded={counters['degraded_routes']}, "
-                      f"inline={counters['inline_batches']})",
-                      file=sys.stderr)
-                return 1
-
-            # The hot-swap arc, cluster-wide: register the unlearned
-            # weights as v2, activate through the router, and demand
-            # every host acked before unversioned traffic flipped.
-            cluster.register("smoke", model_v2, version="v2", spec=spec,
-                             input_shape=test.images.shape[1:],
-                             activate=False)
-            swap = client.activate("smoke", "v2")
-            if swap.get("hosts_acked") != hosts:
-                print(f"CLUSTER FAIL: activation acked by "
-                      f"{swap.get('hosts_acked')}/{hosts} hosts",
-                      file=sys.stderr)
-                return 1
-            direct_v2 = cluster.store.folded("smoke", "v2")(
-                Tensor(batch)).data[0].astype(np.float32)
-            reply = client.predict("smoke", image)
-            served = np.array(reply["logits"][0], dtype=np.float32)
-            if reply.get("version") != "v2":
-                print(f"CLUSTER FAIL: post-swap request served "
-                      f"{reply.get('version')} (want v2)", file=sys.stderr)
-                return 1
-            if not np.array_equal(served, direct_v2):
-                print("CLUSTER FAIL: post-swap logits diverged from the "
-                      "v2 direct forward", file=sys.stderr)
-                return 1
-            counters = cluster.metrics()["router"]
-            if counters["skew_refusals"]:
-                print(f"CLUSTER FAIL: {counters['skew_refusals']} skew "
-                      f"refusals on a serialized activation",
-                      file=sys.stderr)
-                return 1
-            print(f"hot-swap ok: v2 acked by {swap['hosts_acked']} hosts, "
-                  f"unversioned traffic flipped atomically, bit-identical")
-
-        # Router-side flight recorder must be loss-free in both branches.
-        violation = _recorder_violation()
-        if violation:
-            print(f"CLUSTER FAIL: {violation}", file=sys.stderr)
-            return 1
-        rec = _trace.RECORDER.stats()
-        print(f"obs: {rec['spans_ended']} router spans balanced, 0 dropped")
-    finally:
-        if httpd is not None:
-            stop_http_server(httpd)
-        if cluster is not None:
-            cluster.close()
-
-    leaked = _drain_leaked_segments(shm_before)
-    if leaked:
-        print(f"CLUSTER FAIL: {len(leaked)} shared-memory segments leaked "
-              f"after close: {leaked[:8]}", file=sys.stderr)
-        return 1
-    elapsed = time.perf_counter() - start
-    if elapsed > args.timeout:
-        print(f"CLUSTER FAIL: took {elapsed:.1f}s > budget "
-              f"{args.timeout:.0f}s", file=sys.stderr)
-        return 1
-    print(f"cluster smoke ok [{lane}]: {hosts} hosts x {workers} workers, "
-          f"{requests} requests, 0 dropped, bit-identical logits "
           f"({elapsed:.1f}s, budget {args.timeout:.0f}s)")
     return 0
 

@@ -1,7 +1,7 @@
 """The one shared deterministic-jitter backoff curve.
 
 These tests pin the semantics every retry loop in the tree depends on
-(multiproc batch retry, netstate ship retry, serving-client retry):
+(multiproc batch retry, serving-client retry):
 reproducible across runs, decorrelated across tokens, and exactly the
 curve :class:`repro.reliability.RetryPolicy` exposes.
 """

@@ -255,6 +255,60 @@ class TestForgetPlane:
         finally:
             plane.close()
 
+    @pytest.mark.parametrize("stage", ["publisher", "activate"])
+    def test_failed_round_fails_every_waiter_and_keeps_the_version(
+            self, stage):
+        plane, _, store, train = _plane_stack(
+            config=ForgetConfig(max_delay_ms=400.0))
+        try:
+            boom = RuntimeError(f"{stage} failed")
+            target = plane if stage == "publisher" else store
+            name = "_publisher" if stage == "publisher" else "activate"
+            original = getattr(target, name)
+            calls = []
+
+            def fail_once(*args, **kwargs):
+                calls.append(args)
+                if len(calls) == 1:
+                    raise boom
+                return original(*args, **kwargs)
+
+            setattr(target, name, fail_once)
+            errors = [None, None, None]
+
+            def submit(slot):
+                try:
+                    plane.request(f"user-{slot}",
+                                  [int(train.sample_ids[slot])])
+                except RuntimeError as exc:
+                    errors[slot] = exc
+
+            threads = [threading.Thread(target=submit, args=(slot,))
+                       for slot in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            # One coalesced round failed: every waiter sees its error and
+            # serving stays on the version it had.
+            assert all(exc is boom for exc in errors)
+            counters = plane.stats()["counters"]
+            assert counters["rounds"] == 1
+            assert counters["failed_rounds"] == 1
+            assert counters["swaps"] == 0
+            assert store.active_version("m") == "base"
+            assert plane.ledger_balanced()
+            # The next round publishes normally.
+            result = plane.request("alice", [int(train.sample_ids[5])])
+            assert store.active_version("m") == result["version"]
+            assert result["samples_removed"] == 1
+            counters = plane.stats()["counters"]
+            assert counters["failed_rounds"] == 1
+            assert counters["swaps"] == 1
+        finally:
+            plane.close()
+
 
 @pytest.fixture(scope="module")
 def forget_stack():
@@ -351,20 +405,3 @@ class TestForgetHTTP:
         finally:
             stop_http_server(httpd)
             server.close()
-
-
-class TestClientShims:
-    def test_legacy_call_shapes_warn_once(self, forget_stack):
-        import warnings
-
-        from repro.serve import client as client_mod
-        _, _, client, _, _, _ = forget_stack
-        client_mod._SHIMS_WARNED.discard("healthz")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            client.healthz()
-            client.healthz()
-        shim_warnings = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(shim_warnings) == 1
-        assert "health()" in str(shim_warnings[0].message)

@@ -44,7 +44,7 @@ def image(rng):
 class TestEndpoints:
     def test_healthz(self, stack):
         _, _, _, client = stack
-        payload = client.healthz()
+        payload = client.health()
         assert payload["status"] == "ok" and payload["models"] == ["m"]
 
     def test_models_listing(self, stack):
@@ -59,7 +59,7 @@ class TestEndpoints:
         for entry in entries:
             assert entry.compiled is False and entry.plan is None
             assert "compiled" not in entry.metadata
-        # The raw wire dict is still there for legacy-shaped consumers.
+        # The raw wire dict is still there for consumers of the payload.
         raw = client.models_json()
         assert set(raw["m"]["versions"]) == {"v1", "v2"}
 
@@ -109,7 +109,7 @@ class TestErrorMapping:
         for body in (b"not json", b'{"inputs": [[[0.0]]]}',
                      b'{"model": "m"}'):
             request = urllib.request.Request(
-                f"{httpd.url}/predict", data=body, method="POST",
+                f"{httpd.url}/v1/predict", data=body, method="POST",
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
@@ -142,7 +142,7 @@ class TestErrorMapping:
         body = json.dumps({"model": "m",
                            "inputs": image.tolist()}).encode()
         request = urllib.request.Request(
-            f"{httpd.url}/predict", data=body, method="POST",
+            f"{httpd.url}/v1/predict", data=body, method="POST",
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)

@@ -60,7 +60,7 @@ def _get(url: str):
 def _post_predict(url: str, image, headers=None):
     body = json.dumps({"model": "m", "inputs": image.tolist()}).encode()
     request = urllib.request.Request(
-        f"{url}/predict", data=body, method="POST",
+        f"{url}/v1/predict", data=body, method="POST",
         headers={"Content-Type": "application/json", **(headers or {})})
     with urllib.request.urlopen(request) as response:
         return response.status, dict(response.headers), \
@@ -81,7 +81,7 @@ class TestMetricsSchemaInline:
     def test_metrics_json_golden_keys(self, stack, image):
         server, httpd = stack
         _post_predict(httpd.url, image)
-        status, _, body = _get(f"{httpd.url}/metrics")
+        status, _, body = _get(f"{httpd.url}/v1/metrics")
         assert status == 200
         metrics = json.loads(body)
         _assert_metrics_schema(metrics)
@@ -93,7 +93,7 @@ class TestMetricsSchemaInline:
     def test_prometheus_exposition_over_http(self, stack, image):
         _, httpd = stack
         _post_predict(httpd.url, image)
-        status, headers, body = _get(f"{httpd.url}/metrics.prom")
+        status, headers, body = _get(f"{httpd.url}/v1/metrics.prom")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
         text = body.decode()
@@ -124,7 +124,7 @@ class TestTracePropagation:
             httpd.url, image, headers={_trace.TRACE_HEADER: trace})
         assert status == 200
         assert headers[_trace.TRACE_HEADER] == trace
-        _, _, body = _get(f"{httpd.url}/debug/traces?trace={trace}")
+        _, _, body = _get(f"{httpd.url}/v1/debug/traces?trace={trace}")
         dump = json.loads(body)
         spans = dump["spans"]
         assert spans, "no spans recorded under the client's trace id"
@@ -159,7 +159,7 @@ class TestTracePropagation:
         body = json.dumps({"model": "ghost",
                            "inputs": image.tolist()}).encode()
         request = urllib.request.Request(
-            f"{httpd.url}/predict", data=body, method="POST",
+            f"{httpd.url}/v1/predict", data=body, method="POST",
             headers={"Content-Type": "application/json",
                      _trace.TRACE_HEADER: trace})
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -1,9 +1,8 @@
-"""Route table semantics: /v1 prefix, legacy aliases, unified errors.
+"""Route table semantics: one /v1 path per endpoint, unified errors.
 
-Satellite contract of the API redesign: every endpoint answers under
-``/v1/`` with the ``{"error": {code, message, trace_id}}`` envelope and
-an echoed ``X-Trace-Id``; the legacy unprefixed paths stay byte-for-byte
-compatible on success bodies (headers gain ``Deprecation: true``).
+Every endpoint answers under ``/v1/`` only, with the
+``{"error": {code, message, trace_id}}`` envelope and an echoed
+``X-Trace-Id``; unprefixed paths are unknown (404).
 """
 
 from __future__ import annotations
@@ -50,16 +49,14 @@ def _fetch(url, data=None, method=None, headers=None):
 
 
 class TestRouteTable:
-    def test_every_route_is_mounted_twice(self):
+    def test_every_route_is_mounted_once(self):
         lookup, methods = route_table(ROUTES)
+        assert len(lookup) == len(ROUTES)
         for route in ROUTES:
-            versioned, deprecated = lookup[
-                (route.method, f"{API_PREFIX}/{route.name}")]
-            legacy, legacy_deprecated = lookup[(route.method,
-                                                f"/{route.name}")]
-            assert versioned is route and legacy is route
-            assert not deprecated and legacy_deprecated
-            assert route.method in methods[f"/{route.name}"]
+            path = f"{API_PREFIX}/{route.name}"
+            assert lookup[(route.method, path)] is route
+            assert route.method in methods[path]
+            assert f"/{route.name}" not in methods
 
     def test_405_names_the_allowed_methods(self, stack):
         status, body, headers = _fetch(f"{stack.url}/v1/healthz",
@@ -71,11 +68,17 @@ class TestRouteTable:
         assert "GET" in error["message"]
 
     def test_unknown_path_404_envelope(self, stack):
-        status, body, headers = _fetch(f"{stack.url}/v1/nope")
-        assert status == 404
-        error = json.loads(body)["error"]
-        assert error["code"] == "not_found"
-        assert error["trace_id"] == headers["X-Trace-Id"]
+        predict = json.dumps({"model": "m",
+                              "inputs": np.zeros((3, 12, 12)).tolist()})
+        # Unprefixed paths are unknown, whatever the method.
+        for path, data in (("/v1/nope", None), ("/healthz", None),
+                           ("/predict", predict.encode())):
+            status, body, headers = _fetch(f"{stack.url}{path}", data=data)
+            assert status == 404, path
+            error = json.loads(body)["error"]
+            assert error["code"] == "not_found"
+            assert error["trace_id"] == headers["X-Trace-Id"]
+            assert "Deprecation" not in headers
 
     def test_trace_id_echoes_on_success_and_error(self, stack):
         supplied = "deadbeefdeadbeef"
@@ -106,32 +109,3 @@ class TestRouteTable:
             assert error["code"] == expected_code
             assert error["message"]
             assert error["trace_id"] == headers["X-Trace-Id"]
-
-
-class TestLegacyAliases:
-    @pytest.mark.parametrize("path,data", [
-        ("/healthz", None),
-        ("/readyz", None),
-        ("/models", None),
-        ("/metrics", None),
-        ("/predict", json.dumps(
-            {"model": "m",
-             "inputs": np.zeros((3, 12, 12)).tolist()}).encode()),
-    ])
-    def test_success_bodies_are_byte_identical(self, stack, path, data):
-        legacy_status, legacy_body, legacy_headers = _fetch(
-            f"{stack.url}{path}", data=data)
-        v1_status, v1_body, v1_headers = _fetch(
-            f"{stack.url}/v1{path}", data=data)
-        assert legacy_status == v1_status
-        assert legacy_body == v1_body
-        assert legacy_headers.get("Deprecation") == "true"
-        assert "Deprecation" not in v1_headers
-
-    def test_legacy_errors_carry_the_envelope_too(self, stack):
-        status, body, headers = _fetch(f"{stack.url}/predict",
-                                       data=b"not json")
-        assert status == 400
-        error = json.loads(body)["error"]
-        assert error["code"] == "bad_request"
-        assert headers.get("Deprecation") == "true"

@@ -40,7 +40,7 @@ class TestAddrInUse:
             try:
                 bound_port = httpd.server_address[1]
                 assert bound_port != taken_port
-                assert ServingClient(httpd.url).healthz()["status"] == "ok"
+                assert ServingClient(httpd.url).health()["status"] == "ok"
             finally:
                 stop_http_server(httpd)
         finally:
@@ -76,8 +76,10 @@ class TestCacheMissFlood:
             assert not cached["cached"]
 
             real_infer = server.batcher.backend.infer_fn
+            running = threading.Event()
 
             def blocked_infer(key, batch):
+                running.set()
                 release.wait(timeout=30.0)
                 return real_infer(key, batch)
 
@@ -97,7 +99,12 @@ class TestCacheMissFlood:
 
             threads = [threading.Thread(target=flood, args=(i,), daemon=True)
                        for i in range(1, 7)]
-            for thread in threads:
+            # The first flooder's batch blocks in the forward before the
+            # rest start, so the others cannot coalesce into it and must
+            # fill the queue behind it.
+            threads[0].start()
+            assert running.wait(timeout=30.0)
+            for thread in threads[1:]:
                 thread.start()
             # Wait until the queue is saturated behind the blocked batch.
             for _ in range(200):
