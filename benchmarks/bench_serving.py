@@ -1,28 +1,24 @@
-"""Serving-layer benchmark: throughput/latency vs policy, workers, cache.
+"""Serving-layer benchmark: throughput/latency vs policy, threads, cache.
 
 Stands up the real stack — ModelStore, fixed-width micro-batcher,
 stdlib HTTP front end — around a bench-scale model and drives it with
 the closed-loop load generator across several axes:
 
 - **policies**: coalescing (max_batch_size, max_delay_ms) sweep;
-- **threads**: intra-op thread counts at the widest policy;
-- **multiproc**: ``--serve-workers`` 1/2/4 — fixed-width batches
-  dispatched over per-process folded replicas with the shared-memory
-  logits return path (the win only materializes with >= 2 available
-  cores; ``cpu_count`` is recorded alongside so the cells are
-  interpretable);
+- **threads**: intra-op thread counts at the widest policy (``cpu_count``
+  is recorded alongside so the cells are interpretable);
 - **cache**: the exact-response LRU under repeated traffic, on vs off,
   plus a cached-vs-fresh max-delta that the determinism contract pins
   to exactly 0.0;
 - **compiled**: the traced/fused/arena graph path (``repro.nn.compile``,
-  the serving default) vs interpreted serving, at 1 and 2 workers, plus
-  a compiled-vs-interpreted max-delta pinned to exactly 0.0 and a
+  the serving default) vs interpreted serving, plus a
+  compiled-vs-interpreted max-delta pinned to exactly 0.0 and a
   steady-p50 pair that ``check_regression.py`` gates — compiled must
   not lose to interpreted.
 
 Records, per cell: throughput (req/s), p50/p95 client-observed latency,
 scheduler occupancy / mean batch width, dropped + errored responses,
-and (where relevant) backend shm-return counts and cache hit rates.
+and (where relevant) cache hit rates.
 
 Writes the ``serving`` section of ``benchmarks/BENCH_perf_scaling.json``
 (other sections preserved), including the ``serving.quick_gate`` cells
@@ -53,7 +49,6 @@ from repro.models.registry import build_model  # noqa: E402
 from repro.nn.tensor import Tensor  # noqa: E402
 from repro.nn.threading import available_cpu_count  # noqa: E402
 from repro.obs import profiled, set_tracing  # noqa: E402
-from repro.parallel import ModelSpec  # noqa: E402
 from repro.serve import (BatchPolicy, InferenceServer, ModelStore,  # noqa: E402
                          ServingClient, run_load, start_http_server,
                          stop_http_server)
@@ -63,23 +58,20 @@ OUT_PATH = Path(__file__).parent / "BENCH_perf_scaling.json"
 #: (max_batch_size, max_delay_ms) policies swept by the full run.
 POLICIES = ((1, 0.0), (8, 2.0), (32, 4.0))
 THREAD_COUNTS = (1, 2)
-WORKER_COUNTS = (1, 2, 4)
 
 
 def _build_server(policy: BatchPolicy, dataset: str = "cifar10-bench",
                   model_name: str = "small_cnn", scale: str = "bench",
-                  workers: int = 1, response_cache: int = 0,
-                  prefetch: bool = True, compile_models: bool = True):
+                  response_cache: int = 0, prefetch: bool = True,
+                  compile_models: bool = True):
     _, test, profile = load_dataset(dataset, seed=0)
     nn.manual_seed(0)
     model = build_model(model_name, profile.num_classes, scale=scale)
     model.eval()
     store = ModelStore()
     store.register(model_name, model, version="v1",
-                   spec=ModelSpec(model_name, profile.num_classes,
-                                  scale=scale),
                    input_shape=test.images.shape[1:])
-    server = InferenceServer(store, policy=policy, workers=workers,
+    server = InferenceServer(store, policy=policy,
                              response_cache=response_cache,
                              prefetch_replicas=prefetch,
                              compile_models=compile_models)
@@ -92,8 +84,7 @@ def _run_cell(server: InferenceServer, test, requests: int, concurrency: int,
     httpd = start_http_server(server)
     try:
         client = ServingClient(httpd.url)
-        # Warm the folded copy / replicas + connection path out of the
-        # timed run.
+        # Warm the folded copy + connection path out of the timed run.
         client.predict("small_cnn", test.images[0])
         report = run_load(client, "small_cnn",
                           test.images[:distinct_images],
@@ -113,11 +104,6 @@ def _run_cell(server: InferenceServer, test, requests: int, concurrency: int,
         "occupancy": stats["occupancy"],
         "mean_batch_width": stats["mean_batch_width"],
     }
-    if server.backend is not None:
-        backend = server.backend.stats()
-        cell["workers"] = backend["workers"]
-        cell["shm_returns"] = backend["shm_returns"]
-        cell["pipe_returns"] = backend["pipe_returns"]
     if server.cache is not None:
         cache = server.cache.stats()
         cell["cache_hits"] = cache["hits"]
@@ -141,23 +127,6 @@ def time_policy(max_batch: int, delay_ms: float, threads: int,
         server.close()
 
 
-def time_workers(workers: int, max_batch: int = 8, delay_ms: float = 2.0,
-                 requests: int = 192, concurrency: int = 32,
-                 dataset: str = "cifar10-bench",
-                 scale: str = "bench") -> dict:
-    """One ``--serve-workers`` cell: inline at 1, multiproc beyond."""
-    policy = BatchPolicy(max_batch_size=max_batch, max_delay_ms=delay_ms)
-    server, test = _build_server(policy, dataset=dataset, scale=scale,
-                                 workers=workers)
-    try:
-        cell = _run_cell(server, test, requests, concurrency)
-        cell.update(serve_workers=workers, max_batch_size=max_batch,
-                    max_delay_ms=delay_ms)
-        return cell
-    finally:
-        server.close()
-
-
 def time_cache(response_cache: int, distinct_images: int = 8,
                requests: int = 192, concurrency: int = 16,
                dataset: str = "cifar10-bench") -> dict:
@@ -176,18 +145,18 @@ def time_cache(response_cache: int, distinct_images: int = 8,
         server.close()
 
 
-def time_compiled(compile_models: bool, workers: int = 1,
+def time_compiled(compile_models: bool,
                   max_batch: int = 32, delay_ms: float = 4.0,
                   requests: int = 128, concurrency: int = 16,
                   dataset: str = "cifar10-bench") -> dict:
     """One compiled-vs-interpreted cell: the same HTTP load served
     through the traced/fused/arena graph or module-by-module."""
     policy = BatchPolicy(max_batch_size=max_batch, max_delay_ms=delay_ms)
-    server, test = _build_server(policy, dataset=dataset, workers=workers,
+    server, test = _build_server(policy, dataset=dataset,
                                  compile_models=compile_models)
     try:
         cell = _run_cell(server, test, requests, concurrency)
-        cell.update(compiled=compile_models, serve_workers=workers,
+        cell.update(compiled=compile_models,
                     max_batch_size=max_batch, max_delay_ms=delay_ms)
         entry = server.store.entry("small_cnn", "v1")
         cell["plan"] = entry.plan_summary()
@@ -261,13 +230,13 @@ def compiled_vs_interpreted_delta(dataset: str = "unit") -> float:
         server.close()
 
 
-def first_batch_latency(workers: int, prefetch: bool, repeats: int = 3,
+def first_batch_latency(prefetch: bool, repeats: int = 3,
                         dataset: str = "unit", steady: int = 16) -> dict:
     """First-request vs steady-state latency, fresh server per repeat.
 
     The first request is the one that pays every deferred cost when
-    prefetch is off — replica ship to the workers, folded-copy build,
-    kernel planning, shm lane growth.  With prefetch + warm-up all of
+    prefetch is off — folded-copy build, compile, kernel planning,
+    screen calibration.  With prefetch + warm-up all of
     that ran at construction time, so the first request should land
     within a small factor of the steady-state p50 (gated in
     ``check_regression.py``).  In-process predicts, so the cell
@@ -279,7 +248,7 @@ def first_batch_latency(workers: int, prefetch: bool, repeats: int = 3,
     for _ in range(repeats):
         server, test = _build_server(policy, dataset=dataset,
                                      model_name="small_cnn", scale="tiny",
-                                     workers=workers, prefetch=prefetch)
+                                     prefetch=prefetch)
         try:
             start = time.perf_counter()
             server.predict("small_cnn", test.images[0])
@@ -294,7 +263,6 @@ def first_batch_latency(workers: int, prefetch: bool, repeats: int = 3,
         finally:
             server.close()
     return {
-        "workers": workers,
         "prefetch": prefetch,
         "repeats": repeats,
         "first_batch_p99_seconds": float(max(firsts)),
@@ -383,9 +351,7 @@ def phase_breakdown(requests: int = 64, concurrency: int = 8) -> dict:
     Enables the zero-cost profiling hooks (:func:`repro.obs.profiled`)
     for the duration of a short load: the snapshot splits the serving
     path into its instrumented phases — ``serve.dispatch`` (pad +
-    submit), ``conv.forward`` (the kernel block layer; visible inline,
-    where the forward runs in-process) and, with worker processes,
-    ``session.call``.
+    forward) and ``conv.forward`` (the kernel block layer).
     """
     policy = BatchPolicy(max_batch_size=8, max_delay_ms=2.0)
     server, test = _build_server(policy, dataset="unit",
@@ -400,15 +366,7 @@ def phase_breakdown(requests: int = 64, concurrency: int = 8) -> dict:
 
 
 def run_quick_gate() -> dict:
-    """Smoke-scale serving cells for the CI perf gate.
-
-    The multiproc pair (``serving_single_p50_seconds`` vs
-    ``serving_multiproc_p50_seconds``) runs the *same* load at 1 and 2
-    serve-workers on bench scale, where a forward is heavy enough
-    (~milliseconds) that two overlapping batches beat two serialized
-    ones whenever >= 2 cores exist — the gate compares measured vs
-    measured, never measured vs a foreign machine's baseline.
-    """
+    """Smoke-scale serving cells for the CI perf gate."""
     policy = BatchPolicy(max_batch_size=8, max_delay_ms=2.0)
     server, test = _build_server(policy, dataset="unit",
                                  model_name="small_cnn", scale="tiny")
@@ -418,28 +376,20 @@ def run_quick_gate() -> dict:
     finally:
         server.close()
 
-    single = time_workers(1, requests=64, concurrency=16)
-    multi = time_workers(2, requests=64, concurrency=16)
     cache_cell = time_cache(16, distinct_images=4, requests=64,
                             concurrency=4)
-    warm = first_batch_latency(workers=2, prefetch=True)
-    cold = first_batch_latency(workers=2, prefetch=False)
+    warm = first_batch_latency(prefetch=True)
+    cold = first_batch_latency(prefetch=False)
     return {
         "serving_p50_seconds": report_cell["p50_ms"] / 1e3,
         "serving_throughput_rps": report_cell["throughput_rps"],
         "serving_dropped": report_cell["rejected"] + report_cell["errors"],
         "serving_solo_vs_coalesced_max_delta": solo_vs_coalesced_delta(),
-        "serving_single_p50_seconds": single["p50_ms"] / 1e3,
-        "serving_multiproc_p50_seconds": multi["p50_ms"] / 1e3,
-        "serving_multiproc_throughput_rps": multi["throughput_rps"],
-        "serving_multiproc_dropped": multi["rejected"] + multi["errors"],
-        "serving_multiproc_shm_returns": multi["shm_returns"],
-        "serving_multiproc_pipe_returns": multi["pipe_returns"],
         "serving_cache_hit_p50_seconds": cache_cell["p50_ms"] / 1e3,
         "serving_cache_hit_rate": cache_cell["cache_hit_rate"],
         "serving_cached_vs_fresh_max_delta": cached_vs_fresh_delta(),
-        # First-batch pair: prefetch+warm-up vs lazy cold start, 2-worker
-        # backend.  The warm p99 is gated against steady p50 in
+        # First-batch pair: prefetch+warm-up vs lazy cold start.  The
+        # warm p99 is gated against steady p50 in
         # check_regression.py; the cold cell records the spike prefetch
         # exists to kill.
         "serving_first_batch_seconds": warm["first_batch_p99_seconds"],
@@ -477,7 +427,7 @@ def _merge_write(path: Path, serving_updates: dict) -> None:
 
 def run_full() -> dict:
     section = {"dataset": "cifar10-bench", "policies": {}, "threads": {},
-               "multiproc": {}, "cache": {}}
+               "cache": {}}
     print(f"serving policy sweep on cifar10-bench "
           f"(policies {POLICIES}, 192 requests, concurrency 16)")
     for max_batch, delay_ms in POLICIES:
@@ -494,15 +444,6 @@ def run_full() -> dict:
         section["threads"][str(threads)] = cell
         print(f"  threads={threads}: {cell['throughput_rps']:.1f} req/s, "
               f"p50 {cell['p50_ms']:.1f}ms")
-    print(f"serve-workers sweep at batch<=8 (workers {WORKER_COUNTS}, "
-          f"concurrency 32, {available_cpu_count()} cores available)")
-    for workers in WORKER_COUNTS:
-        cell = time_workers(workers)
-        section["multiproc"][f"w{workers}"] = cell
-        shm = (f", {cell['shm_returns']} shm returns"
-               if "shm_returns" in cell else "")
-        print(f"  workers={workers}: {cell['throughput_rps']:.1f} req/s, "
-              f"p50 {cell['p50_ms']:.1f}ms{shm}")
     print("response-cache sweep (8 distinct images round-robined)")
     for capacity in (0, 256):
         cell = time_cache(capacity)
@@ -511,32 +452,28 @@ def run_full() -> dict:
                if capacity else "")
         print(f"  cache={capacity}: {cell['throughput_rps']:.1f} req/s, "
               f"p50 {cell['p50_ms']:.1f}ms{hit}")
-    print("compiled sweep at batch<=32 (compile on/off x workers 1/2)")
+    # Cell labels keep their "w1-" prefix so refreshed cells overwrite
+    # the recorded ones in BENCH_perf_scaling.json.
+    print("compiled sweep at batch<=32 (compile on/off)")
     section["compiled"] = {}
-    for workers in (1, 2):
-        for compiled in (True, False):
-            cell = time_compiled(compiled, workers=workers)
-            label = f"w{workers}-{'on' if compiled else 'off'}"
-            section["compiled"][label] = cell
-            plan = cell.get("plan") or {}
-            note = (f", {plan.get('ops', 0)} ops / "
-                    f"{plan.get('fused', 0)} fused" if compiled else "")
-            print(f"  workers={workers} "
-                  f"{'compiled' if compiled else 'interpreted'}: "
-                  f"{cell['throughput_rps']:.1f} req/s, "
-                  f"p50 {cell['p50_ms']:.1f}ms{note}")
+    for compiled in (True, False):
+        cell = time_compiled(compiled)
+        section["compiled"][f"w1-{'on' if compiled else 'off'}"] = cell
+        plan = cell.get("plan") or {}
+        note = (f", {plan.get('ops', 0)} ops / "
+                f"{plan.get('fused', 0)} fused" if compiled else "")
+        print(f"  {'compiled' if compiled else 'interpreted'}: "
+              f"{cell['throughput_rps']:.1f} req/s, "
+              f"p50 {cell['p50_ms']:.1f}ms{note}")
     print("first-batch latency: prefetch+warm-up vs lazy cold start")
     section["first_batch"] = {}
-    for workers in (1, 2):
-        for prefetch in (True, False):
-            cell = first_batch_latency(workers=workers, prefetch=prefetch)
-            label = f"w{workers}-{'warm' if prefetch else 'cold'}"
-            section["first_batch"][label] = cell
-            print(f"  workers={workers} "
-                  f"{'prefetch' if prefetch else 'lazy'}: first "
-                  f"{cell['first_batch_p99_seconds'] * 1e3:.1f}ms, steady "
-                  f"p50 {cell['steady_p50_seconds'] * 1e3:.1f}ms")
-    print("per-phase breakdown (profiling hooks on, inline backend)")
+    for prefetch in (True, False):
+        cell = first_batch_latency(prefetch=prefetch)
+        section["first_batch"][f"w1-{'warm' if prefetch else 'cold'}"] = cell
+        print(f"  {'prefetch' if prefetch else 'lazy'}: first "
+              f"{cell['first_batch_p99_seconds'] * 1e3:.1f}ms, steady "
+              f"p50 {cell['steady_p50_seconds'] * 1e3:.1f}ms")
+    print("per-phase breakdown (profiling hooks on)")
     phases = phase_breakdown()
     section["phases"] = phases
     for name, bucket in phases.items():
@@ -557,8 +494,7 @@ def main(argv=None) -> int:
     if not args.quick:
         section.update(run_full())
 
-    print("serving quick-gate cells (unit profile + bench-scale "
-          "multiproc pair)")
+    print("serving quick-gate cells")
     start = time.perf_counter()
     section["quick_gate"] = run_quick_gate()
     for name, value in section["quick_gate"].items():

@@ -10,16 +10,12 @@ pooled SISA fit + unlearn must hash identically to the serial one, the
 serving load must drop zero responses, and solo- vs
 coalesced-served logits must be bit-identical (delta exactly 0.0).
 
-Beyond the baseline-relative timing cells, the serving gate makes three
+Beyond the baseline-relative timing cells, the serving gate makes
 same-machine, measured-vs-measured assertions: the response cache's
-replayed logits are exactly the fresh ones (delta 0.0); with >= 2
-usable cores multi-process serving's p50 beats single-process at the
-gate scale; and — prefetch + warm-up being on by default — the first
-batch served by a fresh multi-process server lands within
-``REVEIL_FIRST_BATCH_FACTOR`` (default 2.0) of its own steady-state
-p50, i.e. the cold-start spike stays dead.  On a single-core runner the
-multiproc comparison is physically meaningless and is reported as
-skipped.
+replayed logits are exactly the fresh ones (delta 0.0); and — prefetch
++ warm-up being on by default — the first batch served by a fresh
+server lands within ``REVEIL_FIRST_BATCH_FACTOR`` (default 2.0) of its
+own steady-state p50, i.e. the cold-start spike stays dead.
 
 The forget lane closes the unlearning-as-a-service loop: the full
 ReVeil arc is replayed as live mixed predict/forget traffic
@@ -61,14 +57,6 @@ Environment knobs::
                                 baseline regardless of ratio — keeps
                                 millisecond-scale cells from tripping
                                 the gate on scheduler jitter alone
-    REVEIL_MULTIPROC_P50_FACTOR=1.0
-                                multiproc p50 must be <= single-process
-                                p50 times this factor (raise above 1.0
-                                only to de-flake a noisy runner)
-    REVEIL_MULTIPROC_MIN_SLACK=0.02
-                                absolute seconds multiproc p50 may
-                                exceed the single-process p50 before
-                                the comparison fails
     REVEIL_FIRST_BATCH_FACTOR=2.0
                                 warmed first-batch p99 must be <= the
                                 same server's steady p50 times this
@@ -127,14 +115,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from bench_forget import run_quick_gate as run_forget_quick_gate  # noqa: E402
 from bench_perf_scaling import OUT_PATH, run_quick_gate  # noqa: E402
 from bench_serving import run_quick_gate as run_serving_quick_gate  # noqa: E402
-from repro.nn.threading import available_cpu_count  # noqa: E402
 
 #: Timing cells compared against the baseline (seconds, lower = better).
 TIMING_CELLS = ("sisa_fit_unlearn_seconds", "conv_train_seconds",
                 "folded_predict_seconds", "sisa_pooled_seconds")
 ATOL_CELL = "folding_max_abs_delta"
-SERVING_TIMING_CELLS = ("serving_p50_seconds", "serving_single_p50_seconds",
-                        "serving_multiproc_p50_seconds",
+SERVING_TIMING_CELLS = ("serving_p50_seconds",
                         "serving_cache_hit_p50_seconds",
                         "serving_first_batch_seconds",
                         "serving_compiled_steady_p50_seconds")
@@ -285,35 +271,6 @@ def main(argv=None) -> int:
     serve_delta = serving["serving_solo_vs_coalesced_max_delta"]
     gate.add("serving_solo_vs_coalesced_max_delta", f"{serve_delta:.2e}",
              "—", "exactly 0", serve_delta != 0.0, correctness=True)
-
-    # -- multiproc lane ------------------------------------------------
-    gate.add("serving_multiproc_dropped",
-             str(serving["serving_multiproc_dropped"]), "—", "0",
-             serving["serving_multiproc_dropped"] != 0, correctness=True)
-    # With prefetch + warm-up on by default not a single batch may fall
-    # back to the pipe while lanes size themselves.
-    gate.add("serving_multiproc_pipe_returns",
-             str(serving["serving_multiproc_pipe_returns"]), "—", "<= 2",
-             serving["serving_multiproc_pipe_returns"] > 2)
-    single_p50 = serving["serving_single_p50_seconds"]
-    multi_p50 = serving["serving_multiproc_p50_seconds"]
-    cores = available_cpu_count()
-    factor = float(os.environ.get("REVEIL_MULTIPROC_P50_FACTOR", "1.0"))
-    mp_slack = float(os.environ.get("REVEIL_MULTIPROC_MIN_SLACK", "0.02"))
-    if cores >= 2:
-        # Ratio AND absolute slack, like the timing cells: a few ms of
-        # scheduler noise must not flake the gate, while a real
-        # regression (multiproc batches serializing) blows both bounds.
-        regressed = (multi_p50 > single_p50 * factor
-                     and (multi_p50 - single_p50) > mp_slack)
-        gate.add("multiproc_vs_single_p50",
-                 f"{multi_p50 * 1e3:.1f}ms",
-                 f"{single_p50 * 1e3:.1f}ms (single)",
-                 f"{factor:g}x + {mp_slack:g}s", regressed)
-    else:
-        gate.add("multiproc_vs_single_p50", f"{multi_p50 * 1e3:.1f}ms",
-                 f"{single_p50 * 1e3:.1f}ms (single)",
-                 f"skipped: {cores} core", None, note="skipped")
 
     # -- first-batch latency (prefetch + warm-up) ----------------------
     fb_factor = float(os.environ.get("REVEIL_FIRST_BATCH_FACTOR", "2.0"))

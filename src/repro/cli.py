@@ -119,7 +119,6 @@ def cmd_sweep_sigma(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .reliability import ReliabilityConfig, RetryPolicy
     from .serve import (BatchPolicy, ScreenConfig, build_reveil_serving,
                         start_http_server, stop_http_server)
     cfg = _config_from(args)
@@ -128,28 +127,21 @@ def cmd_serve(args) -> int:
                          max_queue=args.max_queue)
     screen = None if args.no_screen else ScreenConfig(
         num_overlays=args.screen_overlays)
-    reliability = ReliabilityConfig(
-        retry=RetryPolicy(max_attempts=max(1, args.worker_retries),
-                          deadline_s=args.worker_deadline))
     print(f"training ReVeil deployment scenario: {cfg.dataset}/{cfg.attack} "
           f"(camouflage + unlearn stages)...")
     start = time.time()
     serving = build_reveil_serving(cfg, policy=policy, screen=screen,
-                                   serve_workers=args.serve_workers,
                                    response_cache=args.response_cache,
                                    prefetch_replicas=args.prefetch_replicas,
-                                   reliability=reliability,
                                    compile_models=args.compile)
     print(f"trained in {time.time() - start:.0f}s")
     httpd = start_http_server(serving.server, host=args.host, port=args.port)
     name = serving.model_name
     active = serving.store.active_version(name)
-    backend = "inline" if serving.server.backend is None else (
-        f"{serving.server.workers} worker processes")
     cache = (f"response cache {args.response_cache} entries"
              if args.response_cache else "response cache off")
     print(f"serving {name} (versions {serving.store.versions(name)}, "
-          f"active '{active}') at {httpd.url} [{backend}, {cache}]")
+          f"active '{active}') at {httpd.url} [{cache}]")
     print(f"  predict: POST {httpd.url}/v1/predict "
           f'{{"model": "{name}", "inputs": [...]}}')
     print(f"  forget: POST {httpd.url}/v1/forget "
@@ -258,12 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable online STRIP screening")
     p.add_argument("--screen-overlays", type=int, default=8,
                    help="STRIP overlays per screened input")
-    p.add_argument("--serve-workers",
-                   type=_nonnegative_arg("--serve-workers"), default=1,
-                   help="execution backend width: 1 = in-process forwards, "
-                        ">= 2 = that many persistent worker processes with "
-                        "per-process folded replicas, 0 = one per core; "
-                        "logits are bit-identical at every setting")
     p.add_argument("--response-cache",
                    type=_nonnegative_arg("--response-cache",
                                          zero_means="disabled"), default=0,
@@ -271,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 = disabled); hits skip the scheduler entirely")
     p.add_argument("--prefetch-replicas",
                    action=argparse.BooleanOptionalAction, default=True,
-                   help="ship every model version to the serving workers "
-                        "and run fixed-width warm-up forwards before the "
-                        "first request (kills the first-batch latency "
-                        "spike); --no-prefetch-replicas restores lazy "
+                   help="compile every model version and run a "
+                        "fixed-width warm-up forward before the first "
+                        "request (kills the first-batch latency spike); "
+                        "--no-prefetch-replicas restores lazy "
                         "load-on-first-request")
     p.add_argument("--compile", action=argparse.BooleanOptionalAction,
                    default=True,
@@ -282,15 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(trace -> fuse -> arena at the fixed "
                         "compute width; bit-identical to interpreted); "
                         "--no-compile restores module-by-module forwards")
-    p.add_argument("--worker-retries", type=int, default=3,
-                   help="attempts per batch across worker failures "
-                        "(crashes, stalls) before the request errors; "
-                        "retries are bit-identical by the row-invariance "
-                        "contract (default 3)")
-    p.add_argument("--worker-deadline", type=float, default=None,
-                   help="per-worker-call deadline in seconds; a call past "
-                        "it is treated as a stall and the worker is "
-                        "respawned (default: no deadline)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("client",

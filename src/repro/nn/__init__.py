@@ -21,8 +21,8 @@ from . import functional
 from . import graph
 from . import init
 from . import threading
-from .fold import (FoldedModelCache, fold_batchnorm, folded_replica,
-                   inference_mode, shared_folded_cache, state_fingerprint)
+from .fold import (FoldedModelCache, fold_batchnorm, inference_mode,
+                   shared_folded_cache)
 from .graph import CompiledModel, TraceError, compile, prepare_for_inference
 from .layers import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d, Dropout,
                      Flatten, GlobalAvgPool2d, Identity, Linear, MaxPool2d,
@@ -50,8 +50,7 @@ __all__ = [
     "functional", "init", "manual_seed",
     "threading", "intra_op_threads", "get_intra_op_threads",
     "set_intra_op_threads", "shutdown_intra_op_pool",
-    "fold", "fold_batchnorm", "folded_replica", "inference_mode",
-    "state_fingerprint",
+    "fold", "fold_batchnorm", "inference_mode",
     "FoldedModelCache", "shared_folded_cache",
     "graph", "compile", "CompiledModel", "TraceError",
     "prepare_for_inference",

@@ -157,44 +157,6 @@ def _state_fingerprint(model: Module) -> str:
     return digest.hexdigest()
 
 
-def state_fingerprint(model: Module) -> str:
-    """Public alias of the parameter/buffer value digest.
-
-    Two models with equal fingerprints have bit-identical parameters and
-    buffers, so their folded inference copies — and every forward pass
-    through them — are bit-identical too.  The serving layer leans on
-    this to prove that worker-side replicas serve the same bits as the
-    parent's folded copy.
-    """
-    return _state_fingerprint(model)
-
-
-def folded_replica(factory, state, expected_fingerprint: Optional[str] = None,
-                   ) -> Module:
-    """Materialize a folded inference replica from a shipped state dict.
-
-    The multi-process serving backend ships ``(factory, state_dict,
-    fingerprint)`` to each worker exactly once per model version; the
-    worker rebuilds the model locally (``factory()`` +
-    ``load_state_dict``) and folds it.  Passing the registration-time
-    ``expected_fingerprint`` makes the construction *verified*: if the
-    rebuilt weights hash differently — architecture drift between
-    parent and worker, a lossy serialization path — the replica is
-    rejected before it can serve a single divergent bit.
-    """
-    model = factory()
-    model.load_state_dict(state, strict=True)
-    if expected_fingerprint is not None:
-        actual = _state_fingerprint(model)
-        if actual != expected_fingerprint:
-            raise RuntimeError(
-                f"rebuilt replica fingerprint {actual[:12]} does not match "
-                f"the shipped fingerprint {expected_fingerprint[:12]} — the "
-                f"worker-side factory does not reproduce the registered "
-                f"model, so serving through it would break bit-identity")
-    return _inference_copy(model)
-
-
 class FoldedModelCache:
     """(fingerprint, width)-keyed LRU cache of inference executables.
 

@@ -6,18 +6,17 @@ report about themselves:
 - :mod:`repro.obs.metrics` — typed :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments behind per-component
   :class:`Registry` objects, with deterministic log-spaced histogram
-  buckets so snapshots merge across worker processes, and a
-  Prometheus text renderer for ``/v1/metrics.prom``;
+  buckets, and a Prometheus text renderer for ``/v1/metrics.prom``;
 - :mod:`repro.obs.trace` — 64-bit request trace ids propagated HTTP
-  front end → batcher → worker, span records collected into the bounded
+  front end → batcher, span records collected into the bounded
   process-local :data:`~repro.obs.trace.RECORDER` flight recorder,
   dumpable via ``GET /v1/debug/traces``;
-- :mod:`repro.obs.profile` — per-phase wall/CPU timers (batcher,
-  session call, conv kernels), off by default and
+- :mod:`repro.obs.profile` — per-phase wall/CPU timers (batcher
+  dispatch, conv kernels), off by default and
   zero-cost when off (module-attr ``None`` check, same idiom as
   :mod:`repro.reliability.faults`);
-- :mod:`repro.obs.backoff` — the one shared deterministic sha1-jitter
-  backoff used by every retry loop in the tree.
+- :mod:`repro.obs.backoff` — the deterministic sha1-jitter backoff
+  behind the serving client's retry loop.
 
 Dependency-free by design (stdlib only): any layer may import it
 without cycles.

@@ -1,16 +1,15 @@
 """Deterministic jittered exponential backoff (the one shared copy).
 
-Both retry loops — the multiproc batch retry
-(:class:`repro.reliability.retry.RetryPolicy`) and the HTTP client's
-connection-reset retry (:class:`repro.serve.client.ServingClient`) —
-back off through this function.  The jitter factor is hashed from
-``(token, attempt)`` instead of drawn from a global RNG, so
+The HTTP client's connection-reset retry
+(:class:`repro.serve.client.ServingClient`) backs off through this
+function.  The jitter factor is hashed from ``(token, attempt)``
+instead of drawn from a global RNG, so
 
 - a retry schedule never perturbs any seeded randomness the workload
   owns,
-- two runs of the same chaos plan back off identically, and
-- distinct tokens (workers, client paths) still
-  de-correlate, which is the whole point of jitter.
+- two runs of the same workload back off identically, and
+- distinct tokens (client paths) still de-correlate, which is the
+  whole point of jitter.
 """
 
 from __future__ import annotations

@@ -5,20 +5,15 @@ lock-guarded counter dict.  This module replaces them with three typed
 instruments behind a :class:`Registry`:
 
 - :class:`Counter` — monotonically increasing integer (requests served,
-  batches dispatched, retries burned);
+  batches dispatched, retrain rounds);
 - :class:`Gauge` — a level that moves both ways (last activation acks,
   queue depth rendered at scrape time);
 - :class:`Histogram` — observation counts over **fixed log-spaced
   bucket bounds** (powers of two, exactly representable in binary
-  floating point), so two snapshots taken in different processes are
-  deterministic and bucket-wise mergeable — the property the
-  child-process ship-back below depends on.
+  floating point), so every snapshot has the same deterministic bucket
+  layout.
 
-Snapshots are plain JSON-able dicts.  :meth:`Registry.drain` returns a
-*delta* snapshot and resets the instruments, which is how
-worker-process metrics travel home: the child drains its registry into
-the existing reply envelope (the session ``_Outcome``) and the parent :meth:`Registry.merge`-s the delta in.  Merging is
-associative, so any interleaving of replies sums to the same totals.
+Snapshots are plain JSON-able dicts.
 
 :func:`render_prometheus` turns one or more registries (or plain
 scalar dicts) into the Prometheus text exposition format served at
@@ -33,8 +28,8 @@ from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 #: Canonical histogram bounds: powers of two from ~7.6 µs to 64 s.
-#: Log-spaced and exactly representable, so every process computes the
-#: identical bucket layout and snapshots merge bucket-for-bucket.
+#: Log-spaced and exactly representable, so every histogram computes
+#: the identical bucket layout.
 DEFAULT_BUCKET_BOUNDS: Tuple[float, ...] = tuple(
     2.0 ** exponent for exponent in range(-17, 7))
 
@@ -61,10 +56,6 @@ class Counter:
         with self._lock:
             return self._value
 
-    def drain(self) -> int:
-        with self._lock:
-            value, self._value = self._value, 0
-        return value
 
 
 class Gauge:
@@ -100,8 +91,7 @@ class Histogram:
     """Observation counts over fixed, shared bucket bounds.
 
     ``bounds`` are *upper* bucket edges; one overflow bucket catches
-    everything past the last bound.  Two histograms built from the same
-    bounds merge by adding counts — no interpolation, no drift.
+    everything past the last bound.
     """
 
     __slots__ = ("name", "bounds", "_lock", "_counts", "_sum", "_count")
@@ -141,27 +131,6 @@ class Histogram:
             return {"bounds": list(self.bounds), "counts": list(self._counts),
                     "sum": self._sum, "count": self._count}
 
-    def drain(self) -> dict:
-        with self._lock:
-            snap = {"bounds": list(self.bounds), "counts": self._counts,
-                    "sum": self._sum, "count": self._count}
-            self._counts = [0] * (len(self.bounds) + 1)
-            self._sum = 0.0
-            self._count = 0
-        return snap
-
-    def merge(self, snap: Mapping) -> None:
-        if tuple(snap["bounds"]) != self.bounds:
-            raise ValueError(
-                f"histogram {self.name!r} cannot merge a snapshot with "
-                f"different bucket bounds")
-        counts = snap["counts"]
-        with self._lock:
-            for index, count in enumerate(counts):
-                self._counts[index] += int(count)
-            self._sum += float(snap["sum"])
-            self._count += int(snap["count"])
-
     def quantile(self, q: float) -> float:
         """Upper-bound estimate of the ``q``-quantile from the buckets."""
         if not 0.0 <= q <= 1.0:
@@ -186,12 +155,12 @@ Metric = Union[Counter, Gauge, Histogram]
 
 
 class Registry:
-    """Named instruments, snapshot/drain/merge-able as one unit.
+    """Named instruments, snapshotted as one unit.
 
-    Components own their registry (a server's request stats, a backend's
-    dispatch counters, a worker's kernel timings) — process-global state
-    is deliberately avoided so several servers can coexist in one test
-    process without sharing counts.
+    Components own their registry (a server's request stats, the
+    batcher's counters, the forget plane's rounds) — process-global
+    state is deliberately avoided so several servers can coexist in one
+    test process without sharing counts.
     """
 
     def __init__(self):
@@ -237,51 +206,6 @@ class Registry:
                 out["histograms"][metric.name] = metric.snapshot()
         return out
 
-    def drain(self) -> dict:
-        """Delta snapshot: counters/histograms reset, gauges just read.
-
-        Empty sections are dropped, and an all-empty drain returns ``{}``
-        — the ship-back path uses that to skip attaching anything to the
-        reply envelope when the child recorded nothing new.
-        """
-        counters: Dict[str, int] = {}
-        gauges: Dict[str, float] = {}
-        histograms: Dict[str, dict] = {}
-        for metric in self.metrics():
-            if metric.kind == "counter":
-                value = metric.drain()
-                if value:
-                    counters[metric.name] = value
-            elif metric.kind == "gauge":
-                if metric.value:
-                    gauges[metric.name] = metric.value
-            else:
-                snap = metric.drain()
-                if snap["count"]:
-                    histograms[metric.name] = snap
-        out: dict = {}
-        if counters:
-            out["counters"] = counters
-        if gauges:
-            out["gauges"] = gauges
-        if histograms:
-            out["histograms"] = histograms
-        return out
-
-    def merge(self, snap: Mapping) -> None:
-        """Fold a snapshot/drain from another process into this registry.
-
-        Counters and histogram buckets add; gauges take the incoming
-        level (last write wins — they describe the child's state, not a
-        running total).
-        """
-        for name, value in (snap.get("counters") or {}).items():
-            self.counter(name).inc(int(value))
-        for name, value in (snap.get("gauges") or {}).items():
-            self.gauge(name).set(float(value))
-        for name, sub in (snap.get("histograms") or {}).items():
-            self.histogram(name, bounds=sub["bounds"]).merge(sub)
-
 
 # -- Prometheus text exposition ----------------------------------------
 
@@ -310,7 +234,7 @@ def render_prometheus(groups: Iterable[Tuple[str, Union[Registry, Mapping]]],
     """Render ``(prefix, registry-or-scalar-dict)`` groups as exposition.
 
     A plain mapping renders its numeric values as gauges — the escape
-    hatch for point-in-time state (queue depth, inflight) that is read
+    hatch for point-in-time state (queue depth, recorder counts) that is read
     from live structures rather than kept in an instrument.
     """
     lines: List[str] = []

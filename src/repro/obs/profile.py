@@ -1,8 +1,8 @@
 """Per-phase profiling hooks: wall + CPU timers, zero-cost when off.
 
-The instrumented layers — the batcher's dispatch path, the worker
-session pipe round-trip, and the conv-kernel block layer — each guard their timer with the same module-attribute idiom as
-:mod:`repro.reliability.faults`::
+The instrumented layers — the batcher's dispatch path and the
+conv-kernel block layer — each guard their timer with the same
+module-attribute idiom as :mod:`repro.reliability.faults`::
 
     _prof = _profile.ACTIVE
     if _prof is not None:
@@ -17,7 +17,7 @@ measurable.  :func:`profiled` flips it on for a scope; the benches use
 that to produce the per-phase breakdown sections.
 
 Wall time is ``time.perf_counter``; CPU time is ``time.thread_time``
-(this thread only), so a phase that blocks on a pipe or a condition
+(this thread only), so a phase that blocks on a lock or a condition
 variable shows high wall and near-zero CPU — the signature that tells
 waiting apart from computing.
 """

@@ -3,9 +3,8 @@
 A trace id is minted at the front end — the HTTP handler — as 16
 lowercase hex characters (64 bits), accepted from the client via the
 ``X-Trace-Id`` header and echoed back on the response.  It rides the
-existing envelopes downstream: the batcher's request objects and the
-dispatch path into the worker processes — so every span a request
-leaves behind, at any layer, carries the same id.
+batcher's request objects downstream, so every span a request leaves
+behind, at any layer, carries the same id.
 
 Spans are closed intervals recorded into the process-local
 :data:`RECORDER`, a bounded ring buffer (the *flight recorder*): cheap
@@ -22,7 +21,7 @@ Invariants the smoke lanes assert:
 - **no overflow under default load** — the ring never wrapped, so the
   dump is the complete span history, not a suffix.
 
-Fork-aware: a child process (a serving worker) starts with
+Fork-aware: a child process (a SISA pool worker) starts with
 an empty recorder and its own mint sequence — spans never leak across
 the process boundary, and two processes cannot mint the same id run.
 """

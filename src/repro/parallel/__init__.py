@@ -30,35 +30,18 @@ unlink.  Handles (:class:`~repro.parallel.shm.SharedDatasetHandle`) are
 small picklable descriptors (segment names + shapes + dtypes), so the
 arrays themselves are never pickled through the task pipe.
 
-Long-lived worker sessions
---------------------------
-Batch fan-out tears its pool down per call; the serving data plane
-instead holds a few **persistent** workers with warm state.
-:class:`~repro.parallel.session.WorkerSession` runs a handler object in
-a dedicated process and executes method calls against it across the
-session's whole lifetime; :class:`~repro.parallel.shm.ArrayChannel` /
-:class:`~repro.parallel.shm.ChannelPeer` give each worker reusable,
-growable shared-memory lanes so request/response arrays never travel
-through the pipe (the shared-memory *return* path).
-
 Errors raised inside a worker are re-raised in the parent as
 :class:`~repro.parallel.pool.WorkerError` carrying the original
 formatted traceback.
 """
 
 from .pool import WorkerError, default_context, resolve_workers, run_tasks
-from .session import WorkerSession
-from .shm import (ArrayChannel, ArraySlot, ChannelPeer, SharedDataset,
-                  SharedDatasetHandle, StateChannel, StateSlot,
-                  StateVerifyError, leaked_segments, share_dataset,
-                  shm_segment_names, state_fingerprint)
+from .shm import (SharedDataset, SharedDatasetHandle, leaked_segments,
+                  share_dataset, shm_segment_names)
 from .tasks import ModelSpec, ShardTrainResult, ShardTrainTask, StageSpec
 
 __all__ = [
     "WorkerError", "default_context", "resolve_workers", "run_tasks",
-    "WorkerSession",
-    "ArrayChannel", "ArraySlot", "ChannelPeer",
-    "StateChannel", "StateSlot", "StateVerifyError", "state_fingerprint",
     "shm_segment_names", "leaked_segments",
     "SharedDataset", "SharedDatasetHandle", "share_dataset",
     "ModelSpec", "ShardTrainResult", "ShardTrainTask", "StageSpec",

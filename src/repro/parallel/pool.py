@@ -50,19 +50,12 @@ class WorkerError(RuntimeError):
 
 @dataclass
 class _Outcome:
-    """Picklable envelope shipped back from a worker.
-
-    ``obs`` piggybacks a worker-side metrics delta
-    (:meth:`repro.obs.metrics.Registry.drain`) on session replies so
-    worker counters reach the parent without an extra round-trip;
-    ``None`` when the worker has nothing to report.
-    """
+    """Picklable envelope shipped back from a worker."""
 
     ok: bool
     value: Any = None
     error_type: str = ""
     traceback: str = ""
-    obs: Any = None
 
 
 def _execute(task) -> _Outcome:

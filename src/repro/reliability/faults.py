@@ -1,15 +1,14 @@
-"""Deterministic fault injection for the parallel and serving planes.
+"""Deterministic fault injection for the parallel plane.
 
 A *site* is a named point in the code where a fault can be made to
-happen — ``"session.call:repro-serve-worker-0"`` (one worker session's
-call stream), ``"state.write"`` (a state-dict ship into shared memory),
-``"shm.create"`` (a shared-memory allocation).  A :class:`FaultPlan`
-schedules faults by ``(site, call index)``; the :class:`FaultInjector`
-counts every visit to every site and reports which visits are due a
-fault.  Call sites interpret the fault *kind* themselves (kill the worker process,
-raise ``TimeoutError``, corrupt a fingerprint, raise ``OSError``), so
-this module stays dependency-free and the injector is pure
-bookkeeping — trivially deterministic and picklable.
+happen.  One site exists: ``"shm.create"``, every shared-memory
+allocation (:func:`repro.parallel.shm._create_segment`), which raises
+``OSError(ENOSPC)`` on an ``oserror`` fault as if ``/dev/shm`` were
+full.  A :class:`FaultPlan` schedules faults by ``(site, call index)``;
+the :class:`FaultInjector` counts every visit to every site and reports
+which visits are due a fault.  The call site interprets the fault
+*kind* itself, so this module stays dependency-free and the injector is
+pure bookkeeping — trivially deterministic and picklable.
 
 Zero overhead when disabled
 ---------------------------
@@ -26,9 +25,7 @@ Determinism
 Plans are explicit ``(site, call, kind)`` triples; :meth:`FaultPlan.
 seeded` derives a reproducible schedule from an integer seed.  Site
 counters are per-injector and increment exactly once per visit, so a
-given plan fires the same faults at the same call indices on every run
-— which is what lets the chaos smoke assert post-recovery bit-identity
-against a fault-free run.
+given plan fires the same faults at the same call indices on every run.
 """
 
 from __future__ import annotations
@@ -38,25 +35,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-#: Fault kinds the injection sites understand.
-#:
-#: - ``crash``: SIGKILL the worker process *before* the request is sent
-#:   (a worker that died between calls);
-#: - ``crash_mid``: SIGKILL the worker right *after* the request is sent
-#:   (a worker that dies mid-batch, mid-ship or mid-warm-up);
-#: - ``stall``: the call blows its deadline (raises ``TimeoutError`` as
-#:   if the worker never answered; the session is poisoned exactly as a
-#:   real stall would leave it);
-#: - ``send_error``: the request pipe write fails (``BrokenPipeError``);
-#: - ``oserror``: a shared-memory allocation fails as if ``/dev/shm``
-#:   were exhausted (``OSError(ENOSPC)``);
-#: - ``corrupt_fingerprint``: a state-dict ship advertises a wrong
-#:   content fingerprint, so the reader's verify must catch it.
-FAULT_KINDS = ("crash", "crash_mid", "stall", "send_error", "oserror",
-               "corrupt_fingerprint")
+#: Fault kinds the injection sites understand: ``oserror`` makes a
+#: shared-memory allocation fail as if ``/dev/shm`` were exhausted
+#: (``OSError(ENOSPC)``).
+FAULT_KINDS = ("oserror",)
 
-#: ``Fault.call`` value meaning "every visit to this site" (used by the
-#: chaos smoke to keep killing workers until the breaker ejects them).
+#: ``Fault.call`` value meaning "every visit to this site".
 ANY_CALL = 0
 
 
@@ -117,7 +101,7 @@ class FaultPlan:
 
     @classmethod
     def seeded(cls, seed: int, sites: Sequence[str],
-               kinds: Sequence[str] = ("crash", "crash_mid", "stall"),
+               kinds: Sequence[str] = FAULT_KINDS,
                faults_per_site: int = 1, max_call: int = 8) -> "FaultPlan":
         """Derive a reproducible random schedule from ``seed``.
 
@@ -149,8 +133,7 @@ class FaultPlan:
 class FaultInjector:
     """Counts site visits and reports which visits are due a fault.
 
-    Thread-safe: serving dispatch threads and the batcher worker all
-    pass through sites concurrently.  ``fired`` keeps the exact
+    Thread-safe: any thread may pass through a site.  ``fired`` keeps the exact
     sequence of injected faults (with the call index each landed on)
     so smokes and tests can assert the schedule really ran.
     """

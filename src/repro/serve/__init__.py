@@ -3,11 +3,9 @@
 The deployment stage of the threat model: a :class:`ModelStore` of
 versioned, BatchNorm-folded models, a fixed-width micro-batching
 scheduler with a bit-identity determinism contract
-(:class:`MicroBatcher`), a pluggable execution backend — inline, or
-:class:`MultiprocBackend` dispatching batches over persistent worker
-processes holding per-process folded replicas with a shared-memory
-logits return path — an exact-response LRU (:class:`ResponseCache`,
-provably bit-identical replays), a stdlib HTTP front end with explicit
+(:class:`MicroBatcher`) that runs every forward in its scheduler thread, an
+exact-response LRU (:class:`ResponseCache`, provably bit-identical
+replays), a stdlib HTTP front end with explicit
 429 backpressure, an online STRIP screen (:class:`OnlineStrip`) and a
 closed-loop load generator.  ``repro serve`` / ``repro client`` are
 the CLI entry points; :func:`build_reveil_serving` assembles the
@@ -16,8 +14,7 @@ workload, and :func:`build_reveil_forget` adds the online ``/v1/forget``
 plane.
 """
 
-from .batcher import (BatchOutput, BatchPolicy, InlineBackend, MicroBatcher,
-                      QueueFullError)
+from .batcher import BatchOutput, BatchPolicy, MicroBatcher, QueueFullError
 from .cache import ResponseCache, input_digest
 from .client import (LoadReport, ModelVersionEntry, ServingClient,
                      ServingError, run_load)
@@ -25,7 +22,6 @@ from .forget import (DeletionFlagged, DeletionRateLimited, ForgetConfig,
                      ForgetPlane, GuardPolicy, OnlineUnlearningGuard)
 from .http import (API_PREFIX, Route, ServingHTTPServer, route_table,
                    start_http_server, stop_http_server)
-from .multiproc import MultiprocBackend, ReplicaWorker
 from .scenario import (ReVeilForgetServing, ReVeilServing,
                        build_reveil_forget, build_reveil_serving,
                        serving_store)
@@ -36,7 +32,6 @@ from .store import ModelEntry, ModelKey, ModelStore
 __all__ = [
     "ModelStore", "ModelEntry", "ModelKey",
     "BatchPolicy", "MicroBatcher", "BatchOutput", "QueueFullError",
-    "InlineBackend", "MultiprocBackend", "ReplicaWorker",
     "ResponseCache", "input_digest",
     "InferenceServer", "PredictResult",
     "OnlineStrip", "ScreenConfig",

@@ -3,7 +3,7 @@
 Concurrent single-image requests are individually tiny — the threaded
 conv kernels from :mod:`repro.nn.functional` only pay off at real batch
 widths.  :class:`MicroBatcher` closes the gap: requests queue up, a
-dedicated worker coalesces same-model groups under a
+dedicated scheduler thread coalesces same-model groups under a
 ``max_batch_size`` / ``max_delay_ms`` policy, and one forward pass
 serves the whole group.
 
@@ -17,9 +17,11 @@ width the serving graph is compiled at.  A group's rows are laid out as
 The screen rows are the online STRIP blends of the request rows (see
 :mod:`repro.serve.screening`); they sit where zero padding would
 otherwise go, so a lone request is served *and* screened by one
-forward.  The rows are zero-padded to a multiple of the width and
-submitted as width-sized chunks, so every backend only ever sees
-``max_batch_size``-row batches.
+forward.  The rows are zero-padded to a multiple of the width and run
+as width-sized chunks, so ``infer_fn`` only ever sees
+``max_batch_size``-row batches.  Chunks run in the scheduler thread,
+which resolves each request's :class:`~concurrent.futures.Future`
+before it takes the next group.
 
 Determinism contract
 --------------------
@@ -37,7 +39,7 @@ Occupancy (useful rows / computed rows, where request and screen rows
 are useful and zero rows are not) is the headline metric of
 ``benchmarks/bench_serving.py``.
 
-The worker thread is a daemon and is drained at interpreter shutdown
+The scheduler thread is a daemon and is drained at interpreter shutdown
 via ``atexit`` (mirroring the intra-op pool), so servers and long
 pytest runs exit cleanly.
 """
@@ -120,67 +122,7 @@ class _Request:
         self.trace = trace
 
 
-class InlineBackend:
-    """Default execution backend: run each batch in the scheduler thread.
-
-    The dispatch seam between the scheduler and the compute: a backend
-    exposes ``submit(key, batch) -> Future[logits]`` plus a
-    ``max_inflight`` bound on concurrently dispatched batches.  Inline
-    execution resolves the future synchronously (``max_inflight=1``), so
-    single-process serving behaves exactly as before the seam existed;
-    :class:`repro.serve.multiproc.MultiprocBackend` implements the same
-    interface over persistent worker processes to run several batches
-    at once.
-    """
-
-    #: One batch in flight: the scheduler thread *is* the compute.
-    max_inflight = 1
-
-    def __init__(self, infer_fn: Callable[[Hashable, np.ndarray], np.ndarray]):
-        self.infer_fn = infer_fn
-
-    def submit(self, key: Hashable, batch: np.ndarray,
-               traces: tuple = ()) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(np.asarray(self.infer_fn(key, batch)))
-        except BaseException as exc:    # noqa: BLE001 — relayed to callers
-            future.set_exception(exc)
-        return future
-
-    def stats(self) -> dict:
-        return {"kind": "inline", "workers": 1}
-
-    def close(self) -> None:
-        pass
-
-
-def _gather(futures: List[Future]) -> Future:
-    """One future for the row-concatenated results of ``futures`` (the
-    first failure, if any)."""
-    if len(futures) == 1:
-        return futures[0]
-    gathered: Future = Future()
-    lock = threading.Lock()
-    pending = [len(futures)]
-
-    def done(_):
-        with lock:
-            pending[0] -= 1
-            if pending[0]:
-                return
-        try:
-            gathered.set_result(np.concatenate(
-                [np.asarray(future.result()) for future in futures]))
-        except BaseException as exc:    # noqa: BLE001 — relayed to callers
-            gathered.set_exception(exc)
-
-    for future in futures:
-        future.add_done_callback(done)
-    return gathered
-
-
-#: Live batchers, closed at interpreter shutdown so worker threads drain.
+#: Live batchers, closed at interpreter shutdown so scheduler threads drain.
 _LIVE: "weakref.WeakSet[MicroBatcher]" = weakref.WeakSet()
 
 
@@ -211,37 +153,21 @@ class MicroBatcher:
         rows are forwarded after them, and ``score`` gets their logits.
         Returned arrays hold one value per request row and are sliced
         per request into :attr:`BatchOutput.extra`.
-    backend:
-        Execution backend (``submit(key, batch) -> Future`` +
-        ``max_inflight``).  Defaults to :class:`InlineBackend` over
-        ``infer_fn``; pass a
-        :class:`~repro.serve.multiproc.MultiprocBackend` to run up to
-        ``max_inflight`` fixed-width batches concurrently on worker
-        processes.
     """
 
     def __init__(self,
-                 infer_fn: Optional[Callable[[Hashable, np.ndarray],
-                                             np.ndarray]] = None,
+                 infer_fn: Callable[[Hashable, np.ndarray], np.ndarray],
                  policy: BatchPolicy = BatchPolicy(),
                  screen=None,
-                 name: str = "repro-serve-batcher",
-                 backend=None):
-        if backend is None:
-            if infer_fn is None:
-                raise ValueError("MicroBatcher needs an infer_fn or a backend")
-            backend = InlineBackend(infer_fn)
+                 name: str = "repro-serve-batcher"):
         self.infer_fn = infer_fn
-        self.backend = backend
         self.policy = policy
         self.screen = screen
         self._cond = threading.Condition()
         self._queue: "deque[_Request]" = deque()
         self._closed = False
         # Scheduler counters live in a typed registry (thread-safe on
-        # their own); ``_inflight`` stays a plain int because the
-        # dispatch loop *waits* on it under ``_cond`` — it is flow
-        # control, not just a metric.
+        # their own).
         self.registry = Registry()
         self._requests = self.registry.counter("requests")
         self._rejected = self.registry.counter("rejected")
@@ -251,7 +177,6 @@ class MicroBatcher:
         self._screen_rows = self.registry.counter("screen_rows")
         self._padded_rows = self.registry.counter("padded_rows")
         self._latency_hist = self.registry.histogram("request_latency_s")
-        self._inflight = 0
         self._per_key_requests: Dict[Hashable, int] = {}
         self._latencies: "deque[float]" = deque(maxlen=4096)
         self._thread = threading.Thread(target=self._worker, name=name,
@@ -330,18 +255,6 @@ class MicroBatcher:
                     self._cond.wait()
                 if not self._queue:
                     return          # closed and drained
-                # Bound dispatched-but-unfinished batches to what the
-                # backend can actually run: without this the scheduler
-                # would drain the (bounded) request queue into an
-                # unbounded pile of pending batches and 429 backpressure
-                # would never fire.  Draining on close still dispatches
-                # the remaining queue — completions wake us up.
-                # Re-read every pass: a supervised backend shrinks
-                # max_inflight when workers are ejected and restores it
-                # on re-promotion.
-                while self._inflight >= max(
-                        1, getattr(self.backend, "max_inflight", 1)):
-                    self._cond.wait()
                 head = self._queue[0]
                 deadline = head.submitted_at + delay
                 # Hold the head request open for companions until the
@@ -357,15 +270,12 @@ class MicroBatcher:
             self._dispatch_group(head.key, group)
 
     def _dispatch_group(self, key: Hashable, group: List[_Request]) -> None:
-        """Lay a group out at compute width and hand it to the backend.
+        """Lay a group out at compute width, run it, resolve its futures.
 
         Request rows, then the screen's rows, then zeros up to a
-        multiple of ``max_batch_size``; each width-sized chunk is one
-        backend batch.  The gathered future's done-callback finishes
-        the group: with the inline backend that happens synchronously
-        right here; with a process backend it runs in the backend's
-        collector thread while this scheduler thread coalesces the
-        next group.
+        multiple of ``max_batch_size``; ``infer_fn`` runs on each
+        width-sized chunk here, in the scheduler thread, which then
+        resolves every request's future.
         """
         dispatched_at = time.perf_counter()
         if _trace.tracing_enabled():
@@ -390,11 +300,6 @@ class MicroBatcher:
         images = np.concatenate([request.images for request in group])
         real = len(images)
         width = self.policy.max_batch_size
-        traces = tuple(request.trace for request in group
-                       if request.trace is not None)
-        futures: List[Future] = []
-        with self._cond:
-            self._inflight += 1
         try:
             screen = (self.screen.rows(key, images)
                       if self.screen is not None else images[:0])
@@ -403,36 +308,31 @@ class MicroBatcher:
                              dtype=np.float32)
             batch[:real] = images
             batch[real:rows] = screen
-            for start in range(0, len(batch), width):
-                futures.append(self.backend.submit(
-                    key, batch[start:start + width], traces=traces))
+            logits = np.concatenate([
+                np.asarray(self.infer_fn(key, batch[start:start + width]))
+                for start in range(0, len(batch), width)])
         except BaseException as exc:    # noqa: BLE001 — relayed to callers
-            # Chunks already submitted still complete; none is read.
             self._fail_group(group, exc)
             return
         finally:
             if _prof is not None:
                 _prof.stop(prof_token)
-        _gather(futures).add_done_callback(
-            lambda f: self._finish_group(key, group, images, len(screen),
-                                         len(batch), f, dispatched_at))
+        self._finish_group(key, group, images, logits, len(screen),
+                           dispatched_at)
 
     def _fail_group(self, group: List[_Request], exc: BaseException) -> None:
         self._errors.inc(len(group))
-        with self._cond:
-            self._inflight -= 1
-            self._cond.notify_all()
         for request in group:
             if not request.future.set_running_or_notify_cancel():
                 continue
             request.future.set_exception(exc)
 
     def _finish_group(self, key: Hashable, group: List[_Request],
-                      images: np.ndarray, screen_rows: int, computed: int,
-                      batch_future: Future, dispatched_at: float) -> None:
+                      images: np.ndarray, logits: np.ndarray,
+                      screen_rows: int, dispatched_at: float) -> None:
         real = len(images)
+        computed = len(logits)
         try:
-            logits = np.asarray(batch_future.result())
             extra: Dict[str, np.ndarray] = {}
             if self.screen is not None:
                 extra = dict(self.screen.score(
@@ -455,12 +355,10 @@ class MicroBatcher:
                     tags={"key": _format_key(key), "real": real,
                           "screen": screen_rows, "width": computed})
         with self._cond:
-            self._inflight -= 1
             for request in group:
                 latency = now - request.submitted_at
                 self._latencies.append(latency)
                 self._latency_hist.observe(latency)
-            self._cond.notify_all()
         start = 0
         for request in group:
             stop = start + len(request.images)
@@ -478,7 +376,6 @@ class MicroBatcher:
         with self._cond:
             latencies = np.array(self._latencies, dtype=np.float64)
             queued = len(self._queue)
-            inflight = self._inflight
             per_key = {_format_key(key): count for key, count in
                        sorted(self._per_key_requests.items())}
         real_rows = self._real_rows.value
@@ -492,7 +389,6 @@ class MicroBatcher:
             "errors": self._errors.value,
             "batches": batches,
             "queued": queued,
-            "inflight": inflight,
             "real_rows": real_rows,
             "screen_rows": screen_rows,
             "padded_rows": padded_rows,
@@ -507,24 +403,11 @@ class MicroBatcher:
         }
 
     def close(self, timeout: float = 30.0) -> None:
-        """Stop accepting requests, drain the queue, join the worker.
-
-        With an asynchronous backend, dispatched batches may still be in
-        flight when the scheduler thread exits; wait for their
-        completions too so callers (and atexit) see a fully quiesced
-        batcher before the backend itself is torn down.
-        """
-        deadline = time.perf_counter() + timeout
+        """Stop accepting requests, drain the queue, join the scheduler."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()
         self._thread.join(timeout=timeout)
-        with self._cond:
-            while self._inflight > 0:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
 
     def __enter__(self) -> "MicroBatcher":
         return self

@@ -3,7 +3,7 @@
 The fixed-compute-width determinism contract makes response caching
 *provably exact*: for a given model version, a request's logits are a
 pure function of its input bytes — bit-identical whether it is served
-solo, coalesced, by any worker process, or replayed from a cache.  So a
+solo, coalesced, or replayed from a cache.  So a
 bounded LRU keyed by ``(model key, input digest)`` can short-circuit
 repeated traffic (health probes, hot images, retry storms) without the
 usual "cached responses are approximately right" caveat: a hit returns
@@ -13,7 +13,7 @@ quick-gate cell.
 
 Keys include the *resolved* ``(name, version)`` pair, so a hot-swap
 naturally partitions the cache — post-swap traffic misses into the new
-version's replicas while pinned-version requests keep hitting their old
+version while pinned-version requests keep hitting their old
 entries.  Screening metadata rides along with the cached response (it
 is a monitoring side-channel, replayed rather than recomputed; the
 per-version flag-rate counters only advance on fresh forwards).

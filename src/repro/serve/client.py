@@ -96,8 +96,8 @@ class ServingClient:
 
         ``path`` is the endpoint name (``/predict``); the ``/v1`` prefix
         is prepended here — the one request core every endpoint method
-        rides.  A server restarting a worker (or an OS reclaiming
-        sockets under pressure) shows up client-side as a reset or
+        rides.  A server restarting (or an OS reclaiming sockets under
+        pressure) shows up client-side as a reset or
         mid-response hangup; those retry up to
         ``retry_resets`` times.  Anything still failing is normalized
         into :class:`ServingError` / ``OSError`` so callers — the load
@@ -113,9 +113,9 @@ class ServingClient:
                     http.client.RemoteDisconnected) as exc:
                 last_exc = exc
                 if attempt < self.retry_resets:
-                    # Same deterministic sha1-jitter curve as the worker
-                    # retries (repro.obs.backoff); keyed by path so
-                    # concurrent workers don't thundering-herd.
+                    # Deterministic sha1-jitter curve (repro.obs.backoff);
+                    # keyed by path so concurrent workers don't
+                    # thundering-herd.
                     time.sleep(backoff_delay(attempt + 1,
                                              base_delay_s=0.05,
                                              max_delay_s=1.0,
@@ -207,19 +207,6 @@ class ServingClient:
     def health(self) -> dict:
         """Liveness + model listing (``GET /healthz``)."""
         return self._request("GET", "/healthz")
-
-    def ready(self) -> dict:
-        """Readiness report; never raises on 503 (that IS the answer).
-
-        Returns the server's health payload with ``ready`` False when
-        the endpoint answered 503 (degraded pool).
-        """
-        try:
-            return self._request("GET", "/readyz")
-        except ServingError as exc:
-            if exc.status == 503:
-                return {"ready": False, "status": "degraded"}
-            raise
 
     def metrics(self) -> dict:
         return self._request("GET", "/metrics")

@@ -284,8 +284,10 @@ class ForgetPlane:
         a round.  Defaults to :meth:`SISAEnsemble.snapshot_model` for
         single-shard ensembles; multi-shard serving must say how the
         ensemble folds into one served module.
-    spec / input_shape:
-        Registration extras; default to the model's current entry.
+    input_shape:
+        Registration extra; defaults to the model's current entry.
+    spec:
+        Accepted and ignored, like :meth:`ModelStore.register`'s.
     """
 
     def __init__(self, ensemble, store, model: str, *,
@@ -305,10 +307,8 @@ class ForgetPlane:
                 "one served module")
         self._publisher = (publisher if publisher is not None
                            else lambda ens: ens.snapshot_model(0))
-        entry = store.entry(model)
-        self._spec = spec if spec is not None else entry.spec
         self._input_shape = (input_shape if input_shape is not None
-                             else entry.input_shape)
+                             else store.entry(model).input_shape)
 
         self.registry = Registry()
         self._requests = self.registry.counter("requests")
@@ -497,8 +497,7 @@ class ForgetPlane:
         swap_start = time.perf_counter()
         snapshot = self._publisher(self.ensemble)
         self.store.register(self.model, snapshot, version=version,
-                            activate=False, spec=self._spec,
-                            input_shape=self._input_shape)
+                            activate=False, input_shape=self._input_shape)
         self.store.activate(self.model, version)
         swap_s = time.perf_counter() - swap_start
         self._swaps.inc()

@@ -23,16 +23,13 @@ Endpoints (all JSON, each on exactly one ``/v1`` path):
   the active version; subsequent unversioned requests hit the new one.
 - ``POST /v1/compile`` — ``{"model": str, "version"?: str}`` compiles
   the version into a fused/arena program at the serving width
-  (:func:`repro.nn.compile`) and pushes the plan to every serving
-  worker; answers with the compilation report (``compiled``/``plan``).
+  (:func:`repro.nn.compile`); answers with the compilation report
+  (``compiled``/``plan``).
   ``400`` when the entry registered no input shape.
-- ``GET /v1/healthz`` — liveness + registered model names.  Always
-  ``200`` while the process answers; ``status`` reads ``"degraded"``
-  (with worker-pool detail) when every serving worker is ejected and
-  requests run through the inline fallback.
-- ``GET /v1/readyz`` — load-balancer readiness: ``200`` at full
-  capacity, ``503`` while degraded, so traffic drains elsewhere without
-  killing a process that is still (slowly) serving.
+- ``GET /v1/healthz`` — liveness + registered model names; ``200``
+  with ``status`` ``"ok"`` while the process answers.  Readiness is the
+  same answer: one process serves every request, so there is no pool
+  to drain around.
 - ``GET /v1/metrics`` — scheduler counters (occupancy, latency
   percentiles, queue depth), request outcomes, per-version screening
   flag rates.
@@ -93,7 +90,6 @@ ERROR_CODES = {
     405: "method_not_allowed",
     429: "backpressure",
     500: "internal",
-    503: "unavailable",
 }
 
 
@@ -115,7 +111,6 @@ class Route:
 #: The API surface.  Adding an endpoint = one entry + one handler method.
 ROUTES: Tuple[Route, ...] = (
     Route("GET", "healthz", "_healthz"),
-    Route("GET", "readyz", "_readyz"),
     Route("GET", "metrics", "_metrics"),
     Route("GET", "metrics.prom", "_metrics_prom"),
     Route("GET", "debug/traces", "_debug_traces"),
@@ -277,15 +272,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- handlers ------------------------------------------------------
     def _healthz(self, payload, trace) -> None:
-        # Liveness: 200 as long as the process answers, with the health
-        # detail inline — a degraded pool is alive.
         self._send_json(200, self.inference.health())
-
-    def _readyz(self, payload, trace) -> None:
-        # Readiness: 503 while degraded so load balancers route around
-        # this process until the pool re-promotes.
-        health = self.inference.health()
-        self._send_json(200 if health["ready"] else 503, health)
 
     def _metrics(self, payload, trace) -> None:
         self._send_json(200, self.inference.metrics())

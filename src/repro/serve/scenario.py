@@ -29,7 +29,6 @@ from ..data.dataset import ArrayDataset
 from ..data.registry import get_profile
 from ..eval.harness import PipelineConfig, PipelineResult, run_pipeline
 from ..parallel.tasks import ModelSpec
-from ..reliability import ReliabilityConfig
 from ..unlearning.sisa import SISAEnsemble
 from .batcher import BatchPolicy
 from .forget import ForgetConfig, ForgetPlane, GuardPolicy, OnlineUnlearningGuard
@@ -72,11 +71,8 @@ def serving_store(result: PipelineResult, name: Optional[str] = None,
     name = name or cfg.model
     store = ModelStore()
     profile = get_profile(cfg.dataset)
-    # Every stage model came out of build_model(cfg.model, ...), so a
-    # picklable ModelSpec can rebuild the architecture worker-side —
-    # multi-process serving then ships state dicts, not pickled modules.
     spec = ModelSpec(cfg.model, profile.num_classes, scale=cfg.model_scale)
-    # The registered input shape lets the serving layer prefetch *and*
+    # The registered input shape lets the serving layer compile *and*
     # warm every version at the fixed compute width before traffic.
     input_shape = (spec.in_channels, profile.spec.image_size,
                    profile.spec.image_size)
@@ -87,7 +83,7 @@ def serving_store(result: PipelineResult, name: Optional[str] = None,
     for stage, model in stages:
         if model is None:
             continue
-        store.register(name, model, version=stage, spec=spec,
+        store.register(name, model, version=stage,
                        input_shape=input_shape,
                        metadata={"stage": stage, "dataset": cfg.dataset,
                                  "attack": cfg.attack})
@@ -106,22 +102,18 @@ def build_reveil_serving(cfg: PipelineConfig,
                          policy: BatchPolicy = BatchPolicy(),
                          screen: Optional[ScreenConfig] = ScreenConfig(),
                          overlay_count: int = 32,
-                         serve_workers: int = 1,
                          response_cache: int = 0,
                          prefetch_replicas: bool = True,
-                         reliability: Optional[ReliabilityConfig] = None,
                          compile_models: bool = True,
                          ) -> ReVeilServing:
     """Train the scenario and assemble the serving stack around it.
 
     ``screen=None`` disables online screening.  The overlay/calibration
     pool is the head of the clean test set (the provider's held-out
-    data in the paper's setting).  ``serve_workers`` >= 2 serves through
-    per-process folded replicas; ``response_cache`` > 0 enables the
-    exact-response LRU; ``prefetch_replicas`` ships and warms every
-    version before the first request; ``reliability`` tunes worker
-    retry/respawn supervision; ``compile_models`` serves every version
-    through its compiled graph (all per :class:`InferenceServer`).
+    data in the paper's setting).  ``response_cache`` > 0 enables the
+    exact-response LRU; ``prefetch_replicas`` warms every version before
+    the first request; ``compile_models`` serves every version through
+    its compiled graph (all per :class:`InferenceServer`).
     """
     result = run_pipeline(cfg, stages=("camouflage", "unlearn"))
     store = serving_store(result)
@@ -131,10 +123,8 @@ def build_reveil_serving(cfg: PipelineConfig,
             overlay_count, len(result.clean_test))))
         screening = OnlineStrip(overlay_pool=overlays, config=screen)
     server = InferenceServer(store, policy=policy, screening=screening,
-                             workers=serve_workers,
                              response_cache=response_cache,
                              prefetch_replicas=prefetch_replicas,
-                             reliability=reliability,
                              compile_models=compile_models)
     return ReVeilServing(server=server, store=store, model_name=cfg.model,
                          result=result, clean_test=result.clean_test,
@@ -175,10 +165,8 @@ def build_reveil_forget(cfg: PipelineConfig,
                         policy: BatchPolicy = BatchPolicy(),
                         forget: ForgetConfig = ForgetConfig(),
                         guard_policy: Optional[GuardPolicy] = GuardPolicy(),
-                        serve_workers: int = 1,
                         response_cache: int = 0,
                         prefetch_replicas: bool = True,
-                        reliability: Optional[ReliabilityConfig] = None,
                         compile_models: bool = True,
                         ) -> ReVeilForgetServing:
     """Stand up the camouflaged provider with an online forget plane.
@@ -205,14 +193,13 @@ def build_reveil_forget(cfg: PipelineConfig,
                    profile.spec.image_size)
     store = ModelStore()
     store.register(cfg.model, ensemble.snapshot_model(0),
-                   version="camouflage", spec=spec, input_shape=input_shape,
+                   version="camouflage", input_shape=input_shape,
                    metadata={"stage": "camouflage", "dataset": cfg.dataset,
                              "attack": cfg.attack})
     store.activate(cfg.model, "camouflage")
-    server = InferenceServer(store, policy=policy, workers=serve_workers,
+    server = InferenceServer(store, policy=policy,
                              response_cache=response_cache,
                              prefetch_replicas=prefetch_replicas,
-                             reliability=reliability,
                              compile_models=compile_models)
     guard = None
     if guard_policy is not None:
@@ -220,7 +207,7 @@ def build_reveil_forget(cfg: PipelineConfig,
             guard_policy,
             camouflage_ids=result.bundle.unlearning_request_ids)
     plane = ForgetPlane(ensemble, store, cfg.model, config=forget,
-                        guard=guard, spec=spec, input_shape=input_shape)
+                        guard=guard, input_shape=input_shape)
     try:
         server.attach_forget(plane)
     except BaseException:

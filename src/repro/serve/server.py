@@ -10,7 +10,7 @@ ride in that same forward.  The stdlib HTTP front end
 drive this same object, so behaviour is identical with and without the
 network in the loop.
 
-Forward passes run without tape construction even though the worker
+Forward passes run without tape construction even though the scheduler
 thread never touches the global ``no_grad`` switch: the folded
 inference copies freeze every parameter, so the autograd layer records
 nothing.  That keeps serving re-entrant with training happening
@@ -29,8 +29,6 @@ import numpy as np
 from ..nn.tensor import Tensor
 from ..obs import trace as _trace
 from ..obs.metrics import Registry, render_prometheus
-from ..parallel.pool import resolve_workers
-from ..reliability import ReliabilityConfig
 from ..reliability import faults as _faults
 from .batcher import BatchPolicy, MicroBatcher, QueueFullError
 from .cache import ResponseCache, input_digest
@@ -138,72 +136,41 @@ class InferenceServer:
     screening:
         Optional :class:`OnlineStrip`; when present every served batch
         is entropy-scored and responses carry per-input flags.
-    workers:
-        Execution backend width: 1 (default) runs forwards inline in
-        the scheduler thread; >= 2 dispatches fixed-width batches over
-        that many persistent worker processes, each holding its own
-        folded replica per version
-        (:class:`~repro.serve.multiproc.MultiprocBackend`); 0 = one per
-        available core.  Logits are bit-identical at every setting.
     response_cache:
         Entry capacity of the exact-response LRU (0 disables caching).
         Hits short-circuit the scheduler entirely — they consume no
         queue slot and run no forward.
-    mp_context:
-        multiprocessing start method for the worker processes.
     prefetch_replicas:
         Warm every registered version *before* its first request
-        (default on): replicas ship to all worker processes at
-        construction / registration time instead of lazily, the STRIP
-        screen calibrates, and — for entries registered with an
-        ``input_shape`` — one fixed-compute-width warm-up forward runs
-        per worker (or inline), so the first real batch pays no
-        cold-start spike.  The lazy path stays as a safety net either
-        way.
-    reliability:
-        :class:`~repro.reliability.ReliabilityConfig` for the
-        multi-process backend: per-batch retry policy, worker failure
-        thresholds / respawn budgets / breaker cooldowns, and the
-        degrade-to-inline switch.  The server always passes its own
-        inline forward as the degradation fallback, so an all-workers
-        -dead backend keeps answering (slower, never down,
-        bit-identical by the fingerprint contract).
+        (default on): at construction / registration time the folded
+        copy is built (and compiled), the STRIP screen calibrates, and
+        — for entries registered with an ``input_shape`` — one
+        fixed-compute-width warm-up forward runs in this process, so
+        the first real batch pays no cold-start spike.  The lazy path
+        stays as a safety net either way.
     compile_models:
         Compile every entry that declares an ``input_shape`` into a
         fused/arena program at the serving width
         (:func:`repro.nn.compile`) during prefetch, and serve through
-        it (default on).  The compiled plan ships to worker processes
-        with the replica payload, so workers compile the same width and
-        input shape.  Logits are bit-identical either way — a trace
+        it (default on).  Logits are bit-identical either way — a trace
         failure warns once and falls back to the interpreted path.
     """
 
     def __init__(self, store: ModelStore,
                  policy: BatchPolicy = BatchPolicy(),
                  screening: Optional[OnlineStrip] = None,
-                 workers: int = 1,
                  response_cache: int = 0,
-                 mp_context: Optional[str] = None,
                  prefetch_replicas: bool = True,
-                 reliability: Optional[ReliabilityConfig] = None,
                  compile_models: bool = True):
         self.store = store
         self.policy = policy
         self.screening = screening
         self.compile_models = compile_models
         self.stats = ServerStats()
-        self.workers = resolve_workers(workers)
-        self.reliability = reliability or ReliabilityConfig()
-        self.backend = None
-        if self.workers > 1:
-            from .multiproc import MultiprocBackend
-            self.backend = MultiprocBackend(self.workers, context=mp_context,
-                                            reliability=self.reliability,
-                                            fallback_fn=self._infer)
         self.cache = (ResponseCache(response_cache)
                       if response_cache else None)
         self.batcher = MicroBatcher(
-            self._infer, policy, backend=self.backend,
+            self._infer, policy,
             screen=(_StoreScreen(screening, store)
                     if screening is not None else None))
         self.prefetch_replicas = prefetch_replicas
@@ -217,7 +184,7 @@ class InferenceServer:
             # Everything registered so far, then everything registered
             # (or hot-swapped) while this server lives.  A failed
             # prefetch fails construction loudly — but never leaks the
-            # worker processes and shm lanes built above.
+            # scheduler thread started above.
             try:
                 for entry in store.all_entries():
                     self._prefetch_entry(entry)
@@ -234,27 +201,19 @@ class InferenceServer:
     def _prefetch_entry(self, entry) -> None:
         """Make ``entry`` fully warm before any request names it.
 
-        Ships the replica to every worker process (shared-memory state
-        transport), calibrates the screening boundary, and runs one
-        forward at the fixed compute width per worker — after this, the
-        first real request for the version does no lazy work at all.
+        Builds (and compiles) the folded copy, calibrates the screening
+        boundary, and runs one forward at the fixed compute width —
+        after this, the first real request for the version does no lazy
+        work at all.
         """
         key = entry.key
-        # Compile *before* the replica ships: the plan rides the
-        # payload, so workers build the same program.
         self._ensure_compiled(entry)
-        if self.backend is not None:
-            self.backend.ensure_loaded(key, entry)
-        else:
-            self.store.folded(*key)      # build the folded copy now
+        folded = entry.folded()          # build the folded copy now
         if self.screening is not None:
-            self.screening.ensure_bound(key, self.store.folded(*key))
+            self.screening.ensure_bound(key, folded)
         if entry.input_shape is None:
             return                       # no shape, no warm-up forward
         width = self.policy.max_batch_size
-        if self.backend is not None:
-            self.backend.warm_up(key, entry.input_shape, width)
-            return
         mark = (key, (width,) + tuple(entry.input_shape))
         with self._warm_lock:
             if mark in self._warmed_inline:
@@ -262,7 +221,7 @@ class InferenceServer:
             self._warmed_inline.add(mark)
         batch = np.zeros((width,) + tuple(entry.input_shape),
                          dtype=np.float32)
-        self.store.folded(*key)(Tensor(batch))
+        folded(Tensor(batch))
 
     def _ensure_compiled(self, entry) -> None:
         """Compile ``entry`` at the serving width when the knob is on
@@ -292,8 +251,8 @@ class InferenceServer:
 
         ``trace`` is the request's 64-bit trace id (minted by the HTTP
         front end; minted here when absent); every
-        span this request produces — queue wait, coalesce, dispatch,
-        worker call — carries it.
+        span this request produces — queue wait, coalesce, dispatch —
+        carries it.
 
         Raises :class:`KeyError` for unknown models/versions,
         ``ValueError`` for malformed payloads and
@@ -344,18 +303,12 @@ class InferenceServer:
                 # these bytes at this version could not differ.  No
                 # queue slot, no forward, no backpressure exposure.
                 return hit.clone(cached=True)
-        # Lazy-path safety net (prefetch normally did all of this):
-        # compile first so a worker payload carries the plan too.
-        entry = self.store.entry(*key)
-        self._ensure_compiled(entry)
-        if self.backend is not None:
-            # Ship this version's replica to the worker processes on
-            # first use (once per version; cheap membership check after).
-            self.backend.ensure_loaded(key, entry)
+        # Lazy-path safety net (prefetch normally did this).
+        self._ensure_compiled(self.store.entry(*key))
         if self.screening is not None:
             # Calibrate the screen for this version here, in the caller's
             # thread, so the first request after a hot-swap never stalls
-            # the batcher worker (and everyone queued behind it).
+            # the batcher thread (and everyone queued behind it).
             self.screening.ensure_bound(key, self.store.folded(*key))
         future = self.batcher.submit(key, images, trace=trace)
         output = future.result(timeout=timeout)
@@ -378,10 +331,7 @@ class InferenceServer:
         """Compile ``name/version`` at the serving width (``/v1/compile``).
 
         Explicit admin trigger — works even with ``compile_models``
-        off.  When the multi-process backend is up, the resulting plan
-        is pushed to every worker so they rebuild their replicas as the
-        same fused/arena program.
-        Returns the JSON-ready compilation report.
+        off.  Returns the JSON-ready compilation report.
 
         Raises :class:`KeyError` for unknown models/versions and
         ``ValueError`` when the entry registered no ``input_shape`` (no
@@ -394,10 +344,6 @@ class InferenceServer:
                 f"cannot compile {key[0]}/{key[1]}: no input_shape was "
                 f"registered for it")
         compiled = entry.ensure_compiled(self.policy.max_batch_size)
-        plan = entry.plan()
-        if self.backend is not None and plan is not None:
-            self.backend.ensure_loaded(key, entry)
-            self.backend.compile_key(key, plan)
         report = {"model": key[0], "version": key[1],
                   "compiled": entry.compiled,
                   "plan": entry.plan_summary()}
@@ -406,42 +352,15 @@ class InferenceServer:
         return report
 
     def health(self) -> dict:
-        """Liveness + readiness report (drives ``/healthz`` and ``/readyz``).
-
-        ``status`` is ``"ok"`` at full capacity and ``"degraded"`` while
-        the multi-process pool has every worker ejected and requests are
-        served through the inline fallback.  Liveness holds either way
-        — degraded serving still answers, bit-identically — but
-        ``ready`` goes false so a load balancer can drain traffic until
-        a probe respawn re-promotes the pool.
-        """
-        degraded = bool(self.backend is not None
-                        and getattr(self.backend, "degraded", False))
-        report = {
-            "status": "degraded" if degraded else "ok",
-            "ready": not degraded,
-            "models": self.store.names(),
-        }
-        if self.backend is not None:
-            backend_stats = self.backend.stats()
-            total = backend_stats.get("workers", self.workers)
-            report["workers"] = {
-                "total": total,
-                # Default from the same source as "total": a backend
-                # that reports neither key must not make a pool look
-                # healthier (or sicker) than its own worker count.
-                "active": backend_stats.get("active_workers", total),
-                "ejections": backend_stats.get("ejections", 0),
-                "repromotions": backend_stats.get("repromotions", 0),
-            }
-        return report
+        """Liveness report (drives ``/healthz``): the process answers,
+        so ``status`` is ``"ok"``, with the registered model names."""
+        return {"status": "ok", "models": self.store.names()}
 
     def metrics(self) -> dict:
         """JSON-ready metrics for ``/metrics``."""
         payload = {
             "requests": self.stats.snapshot(),
             "batcher": self.batcher.stats(),
-            "backend": self.batcher.backend.stats(),
             "policy": {
                 "max_batch_size": self.policy.max_batch_size,
                 "max_delay_ms": self.policy.max_delay_ms,
@@ -458,16 +377,6 @@ class InferenceServer:
                     1 for entry in self.store.all_entries()
                     if entry.compiled),
             },
-        }
-        payload["reliability"] = {
-            "degraded": bool(self.backend is not None
-                             and getattr(self.backend, "degraded", False)),
-            "retry_max_attempts": self.reliability.retry.max_attempts,
-            "call_deadline_s": self.reliability.retry.deadline_s,
-            "failure_threshold": self.reliability.failure_threshold,
-            "respawn_budget": self.reliability.respawn_budget,
-            "breaker_cooldown_s": self.reliability.breaker_cooldown_s,
-            "degrade_to_inline": self.reliability.degrade_to_inline,
         }
         injector = _faults.active_injector()
         if injector is not None:
@@ -490,21 +399,14 @@ class InferenceServer:
         """Prometheus text exposition for ``/metrics.prom``.
 
         Composes every registry this server owns — request outcomes,
-        batcher, execution backend, worker ship-backs — plus the flight
-        recorder's own counters, under stable name prefixes.
+        batcher, forget plane — plus the flight recorder's own counters,
+        under stable name prefixes.
         """
         groups = [
             ("reveil_requests", self.stats.registry),
             ("reveil_batcher", self.batcher.registry),
             ("reveil_recorder", _trace.RECORDER.stats()),
         ]
-        backend_registry = getattr(self.batcher.backend, "registry", None)
-        if backend_registry is not None:
-            groups.append(("reveil_backend", backend_registry))
-        worker_registry = getattr(self.batcher.backend,
-                                  "worker_registry", None)
-        if worker_registry is not None:
-            groups.append(("reveil_worker", worker_registry))
         if self.forget_plane is not None:
             groups.append(("reveil_forget", self.forget_plane.registry))
         return render_prometheus(groups)
@@ -514,27 +416,24 @@ class InferenceServer:
 
         Versions the plane publishes register into this server's store,
         so the existing prefetch subscription warms the retrained
-        replica *before* the swap flips unversioned traffic onto it —
+        version *before* the swap flips unversioned traffic onto it —
         that is what keeps predict latency flat through a forget round.
         The server owns the plane from here on: ``close()`` drains it.
         """
         self.forget_plane = plane
 
     def close(self) -> None:
-        """Drain the scheduler, then stop the execution backend.
+        """Drain the forget plane, then the scheduler.
 
         Order matters: the forget plane publishes through the store and
-        batcher, so it drains first; the batcher drain then waits for
-        in-flight batches, which need the workers still alive.
+        batcher, so it drains first.
         """
-        self._closing = True     # store events must stop warming workers
+        self._closing = True     # store events must stop warming versions
         if self.forget_plane is not None:
             self.forget_plane.close()
         if self.prefetch_replicas:
             self.store.unsubscribe(self._on_store_event)
         self.batcher.close()
-        if self.backend is not None:
-            self.backend.close()
 
     def __enter__(self) -> "InferenceServer":
         return self

@@ -46,15 +46,10 @@ class ModelEntry:
     version: str
     model: Module
     metadata: Dict[str, str] = field(default_factory=dict)
-    #: Optional picklable zero-arg factory rebuilding the architecture
-    #: (e.g. :class:`repro.parallel.ModelSpec`).  When present, worker
-    #: processes materialize their replicas from ``factory() +
-    #: state_dict`` instead of unpickling the whole module.
-    spec: Optional[Callable[[], Module]] = None
     #: Per-input shape (e.g. ``(3, 32, 32)``), when the registrar knows
-    #: it.  Lets the serving layer run warm-up forwards at the fixed
-    #: compute width right after replicas ship, so the first real batch
-    #: pays no lazy-initialization cost.
+    #: it.  Lets the serving layer compile this version and run a
+    #: warm-up forward at the fixed compute width before traffic, so
+    #: the first real batch pays no lazy-initialization cost.
     input_shape: Optional[Tuple[int, ...]] = None
     fingerprint: str = field(init=False, repr=False)
     _folded: Optional[Module] = field(init=False, repr=False, default=None)
@@ -134,30 +129,6 @@ class ModelEntry:
             return self._compiled
         return self.folded()
 
-    def replica_payload(self) -> dict:
-        """What ships to a worker process to rebuild this version there.
-
-        With a registered ``spec``, the payload is the factory plus a
-        ``state_dict`` snapshot and the registration fingerprint — the
-        worker rebuilds and *verifies* the replica
-        (:func:`repro.nn.fold.folded_replica`).  Without one, the
-        pickled module itself travels (same bits, fatter payload).
-        Either way the shipment happens once per version.  A compiled
-        plan, when present, rides along so workers compile the same
-        width and input shape.
-        """
-        if self.spec is not None:
-            payload = {"kind": "state", "factory": self.spec,
-                       "state": self.model.state_dict(),
-                       "fingerprint": self.fingerprint}
-        else:
-            payload = {"kind": "model", "model": self.model,
-                       "fingerprint": self.fingerprint}
-        plan = self.plan()
-        if plan is not None:
-            payload["plan"] = plan
-        return payload
-
 
 class ModelStore:
     """Thread-safe registry of named, versioned models.
@@ -180,9 +151,9 @@ class ModelStore:
     def subscribe(self, listener: Callable[[str, ModelEntry], None]) -> None:
         """Call ``listener(event, entry)`` after every ``"register"`` /
         ``"activate"``.  Listeners run outside the store lock, in the
-        registering thread; the serving layer uses this to prefetch and
-        warm worker replicas the moment a version exists, instead of on
-        its first request.  Listener exceptions propagate to the caller
+        registering thread; the serving layer uses this to compile and
+        warm each version the moment it exists, instead of on its first
+        request.  Listener exceptions propagate to the caller
         (a failed prefetch should fail the registration loudly)."""
         with self._lock:
             self._listeners.append(listener)
@@ -209,12 +180,11 @@ class ModelStore:
                  input_shape: Optional[Tuple[int, ...]] = None) -> str:
         """Register ``model`` as ``name/version``; returns the version.
 
-        ``spec`` (optional) is a picklable zero-arg architecture factory
-        letting multi-process serving ship this version to workers as a
-        state dict instead of a pickled module.  ``input_shape``
-        (optional) is the per-input array shape; providing it lets the
-        serving layer warm this version up (replica ship + fixed-width
-        forward) before the first request arrives.
+        ``input_shape`` (optional) is the per-input array shape;
+        providing it lets the serving layer compile this version and run
+        a fixed-width warm-up forward before the first request arrives.
+        ``spec`` is accepted and ignored; the repo benchmark still
+        passes it.
         """
         if not name:
             raise ValueError("model name must be non-empty")
@@ -225,7 +195,6 @@ class ModelStore:
             if version in versions:
                 raise ValueError(f"{name}/{version} is already registered")
             entry = ModelEntry(name, version, model, dict(metadata or {}),
-                               spec=spec,
                                input_shape=(tuple(input_shape)
                                             if input_shape else None))
             versions[version] = entry

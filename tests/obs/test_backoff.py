@@ -1,9 +1,7 @@
-"""The one shared deterministic-jitter backoff curve.
+"""The deterministic-jitter backoff curve.
 
-These tests pin the semantics every retry loop in the tree depends on
-(multiproc batch retry, serving-client retry):
-reproducible across runs, decorrelated across tokens, and exactly the
-curve :class:`repro.reliability.RetryPolicy` exposes.
+These tests pin the semantics the serving client's retry loop depends
+on: reproducible across runs and decorrelated across tokens.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.backoff import backoff_delay, jitter_unit
-from repro.reliability import RetryPolicy
 
 
 class TestJitterUnit:
@@ -53,14 +50,3 @@ class TestBackoffDelay:
         second = [backoff_delay(a, base_delay_s=0.02, token="worker-3")
                   for a in range(1, 8)]
         assert first == second
-
-
-class TestRetryPolicyUsesSharedCurve:
-    def test_policy_backoff_equals_shared_helper(self):
-        policy = RetryPolicy(max_attempts=5, base_delay_s=0.03,
-                             max_delay_s=0.7, jitter=0.2)
-        for attempt in range(1, 6):
-            for token in ("", "worker-0", "transfer:m/v1"):
-                assert policy.backoff(attempt, token=token) == backoff_delay(
-                    attempt, base_delay_s=0.03, max_delay_s=0.7,
-                    jitter=0.2, token=token)

@@ -1,4 +1,4 @@
-"""Typed metrics: instrument semantics, registry merge, exposition."""
+"""Typed metrics: instrument semantics, registries, exposition."""
 
 from __future__ import annotations
 
@@ -18,13 +18,6 @@ class TestCounter:
         assert counter.value == 5
         with pytest.raises(ValueError):
             counter.inc(-1)
-
-    def test_drain_resets(self):
-        counter = Counter("requests")
-        counter.inc(7)
-        assert counter.drain() == 7
-        assert counter.value == 0
-        assert counter.drain() == 0
 
 
 class TestGauge:
@@ -53,30 +46,13 @@ class TestHistogram:
             Histogram("bad", bounds=())
 
     def test_default_bounds_are_exact_powers_of_two(self):
-        # Exactly representable bounds are what make cross-process
-        # snapshots merge bucket-for-bucket with no float drift.
+        # Exactly representable bounds give every histogram the same
+        # bucket layout with no float drift.
         assert DEFAULT_BUCKET_BOUNDS[0] == 2.0 ** -17
         assert DEFAULT_BUCKET_BOUNDS[-1] == 2.0 ** 6
         for left, right in zip(DEFAULT_BUCKET_BOUNDS,
                                DEFAULT_BUCKET_BOUNDS[1:]):
             assert right == left * 2.0
-
-    def test_merge_adds_counts_bucketwise(self):
-        a = Histogram("lat", bounds=(1.0, 2.0))
-        b = Histogram("lat", bounds=(1.0, 2.0))
-        a.observe(0.5)
-        b.observe(0.5)
-        b.observe(10.0)
-        a.merge(b.snapshot())
-        snap = a.snapshot()
-        assert snap["counts"] == [2, 0, 1]
-        assert snap["count"] == 3
-
-    def test_merge_rejects_different_bounds(self):
-        a = Histogram("lat", bounds=(1.0, 2.0))
-        b = Histogram("lat", bounds=(1.0, 4.0))
-        with pytest.raises(ValueError):
-            a.merge(b.snapshot())
 
     def test_quantile_upper_bound_estimate(self):
         hist = Histogram("lat", bounds=(0.001, 0.01, 0.1))
@@ -106,40 +82,6 @@ class TestRegistry:
         assert snap["counters"] == {"hits": 3}
         assert snap["gauges"] == {"depth": 2.5}
         assert snap["histograms"]["lat"]["count"] == 1
-
-    def test_drain_returns_delta_and_resets(self):
-        registry = Registry()
-        registry.counter("hits").inc(3)
-        registry.histogram("lat", bounds=(1.0,)).observe(0.5)
-        delta = registry.drain()
-        assert delta["counters"] == {"hits": 3}
-        assert delta["histograms"]["lat"]["count"] == 1
-        # Everything reset: the next drain ships nothing.
-        assert registry.drain() == {}
-
-    def test_merge_is_associative_over_interleavings(self):
-        def child_delta(hits, latency):
-            child = Registry()
-            child.counter("hits").inc(hits)
-            child.histogram("lat", bounds=(1.0, 2.0)).observe(latency)
-            return child.drain()
-
-        deltas = [child_delta(1, 0.5), child_delta(2, 1.5),
-                  child_delta(4, 9.0)]
-        forward, backward = Registry(), Registry()
-        for delta in deltas:
-            forward.merge(delta)
-        for delta in reversed(deltas):
-            backward.merge(delta)
-        assert forward.snapshot() == backward.snapshot()
-        assert forward.counter("hits").value == 7
-        assert forward.histogram("lat", bounds=(1.0, 2.0)).count == 3
-
-    def test_merge_sets_gauges_last_write_wins(self):
-        registry = Registry()
-        registry.merge({"gauges": {"depth": 5.0}})
-        registry.merge({"gauges": {"depth": 2.0}})
-        assert registry.gauge("depth").value == 2.0
 
 
 class TestPrometheusRendering:

@@ -1,11 +1,15 @@
-"""Unit tests for the deterministic fault-injection + supervision layer."""
+"""Unit tests for the deterministic fault-injection layer."""
 
+import errno
+
+import numpy as np
 import pytest
 
-from repro.reliability import (ANY_CALL, Fault, FaultInjector, FaultPlan,
-                               ReliabilityConfig, RetryPolicy,
-                               WorkerSupervisor, active_injector, injected,
-                               install, uninstall)
+from repro.data.dataset import ArrayDataset
+from repro.parallel import SharedDataset, leaked_segments, shm_segment_names
+from repro.reliability import (ANY_CALL, FAULT_KINDS, Fault, FaultInjector,
+                               FaultPlan, active_injector, injected, install,
+                               uninstall)
 from repro.reliability import faults as faults_mod
 
 
@@ -21,35 +25,36 @@ def test_fault_validates_kind_and_call():
     with pytest.raises(ValueError, match="unknown fault kind"):
         Fault("site", 1, "meteor")
     with pytest.raises(ValueError, match="call must be >= 0"):
-        Fault("site", -1, "crash")
+        Fault("site", -1, "oserror")
 
 
 def test_plan_lookup_by_site_and_call():
-    plan = FaultPlan([Fault("a", 2, "crash"), Fault("b", 1, "stall")])
-    assert plan.lookup("a", 2).kind == "crash"
+    plan = FaultPlan([Fault("a", 2, "oserror"), Fault("b", 1, "oserror")])
+    assert plan.lookup("a", 2) == Fault("a", 2, "oserror")
     assert plan.lookup("a", 1) is None
-    assert plan.lookup("b", 1).kind == "stall"
+    assert plan.lookup("b", 1) == Fault("b", 1, "oserror")
     assert plan.lookup("missing", 1) is None
     assert len(plan) == 2
 
 
 def test_plan_any_call_fires_every_visit():
-    plan = FaultPlan([Fault("a", ANY_CALL, "crash")])
+    plan = FaultPlan([Fault("a", ANY_CALL, "oserror")])
     for call in (1, 2, 17):
-        assert plan.lookup("a", call).kind == "crash"
+        assert plan.lookup("a", call).kind == "oserror"
 
 
 def test_plan_any_call_shadows_specific_call():
-    plan = FaultPlan([Fault("a", ANY_CALL, "crash"), Fault("a", 3, "stall")])
-    assert plan.lookup("a", 3).kind == "crash"
+    plan = FaultPlan([Fault("a", ANY_CALL, "oserror"),
+                      Fault("a", 3, "oserror")])
+    assert plan.lookup("a", 3).call == ANY_CALL
 
 
 def test_plan_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate fault"):
-        FaultPlan([Fault("a", 1, "crash"), Fault("a", 1, "stall")])
+        FaultPlan([Fault("a", 1, "oserror"), Fault("a", 1, "oserror")])
     with pytest.raises(ValueError, match="duplicate every-call fault"):
-        FaultPlan([Fault("a", ANY_CALL, "crash"),
-                   Fault("a", ANY_CALL, "stall")])
+        FaultPlan([Fault("a", ANY_CALL, "oserror"),
+                   Fault("a", ANY_CALL, "oserror")])
 
 
 def test_seeded_plan_is_reproducible_and_seed_sensitive():
@@ -63,33 +68,33 @@ def test_seeded_plan_is_reproducible_and_seed_sensitive():
     for fault in plan_a.faults():
         assert fault.site in sites
         assert 1 <= fault.call <= 8
-        assert fault.kind in ("crash", "crash_mid", "stall")
+        assert fault.kind in FAULT_KINDS
 
 
 # -- FaultInjector --------------------------------------------------------
 
 def test_injector_counts_visits_and_fires_on_schedule():
-    injector = FaultInjector(FaultPlan([Fault("a", 3, "crash")]))
+    injector = FaultInjector(FaultPlan([Fault("a", 3, "oserror")]))
     assert injector.check("a") is None
     assert injector.check("a") is None
     fault = injector.check("a")
-    assert fault is not None and fault.kind == "crash"
+    assert fault is not None and fault.kind == "oserror"
     assert injector.check("a") is None       # one-shot: call 4 is clean
     stats = injector.stats()
     assert stats == {
         "planned": 1,
         "fired": 1,
-        "events": [{"site": "a", "call": 3, "kind": "crash"}],
+        "events": [{"site": "a", "call": 3, "kind": "oserror"}],
         "site_counts": {"a": 4},
     }
 
 
 def test_injector_sites_count_independently():
-    plan = FaultPlan([Fault("a", 1, "crash"), Fault("b", 2, "stall")])
+    plan = FaultPlan([Fault("a", 1, "oserror"), Fault("b", 2, "oserror")])
     injector = FaultInjector(plan)
     assert injector.check("b") is None
-    assert injector.check("a").kind == "crash"
-    assert injector.check("b").kind == "stall"
+    assert injector.check("a") == Fault("a", 1, "oserror")
+    assert injector.check("b") == Fault("b", 2, "oserror")
     assert injector.stats()["fired"] == 2
 
 
@@ -100,94 +105,23 @@ def test_install_uninstall_and_context_manager():
     assert active_injector() is injector
     uninstall()
     assert active_injector() is None
-    with injected(FaultPlan([Fault("a", 1, "stall")])) as scoped:
+    with injected(FaultPlan([Fault("a", 1, "oserror")])) as scoped:
         assert active_injector() is scoped
-        assert scoped.check("a").kind == "stall"
+        assert scoped.check("a").kind == "oserror"
     assert active_injector() is None
 
 
-# -- RetryPolicy ----------------------------------------------------------
+# -- the shm.create site --------------------------------------------------
 
-def test_retry_policy_backoff_is_deterministic_and_bounded():
-    policy = RetryPolicy(max_attempts=5, base_delay_s=0.01,
-                         max_delay_s=0.04, jitter=0.25)
-    delays = [policy.backoff(attempt, token="w0") for attempt in (1, 2, 3, 4)]
-    assert delays == [policy.backoff(a, token="w0") for a in (1, 2, 3, 4)]
-    for attempt, delay in enumerate(delays, start=1):
-        ideal = min(0.04, 0.01 * 2 ** (attempt - 1))
-        assert ideal * 0.75 <= delay <= ideal * 1.25
-    # Distinct tokens de-correlate the jitter.
-    assert policy.backoff(1, token="w0") != policy.backoff(1, token="w1")
-
-
-def test_retry_policy_no_jitter_is_pure_exponential():
-    policy = RetryPolicy(base_delay_s=0.01, max_delay_s=1.0, jitter=0.0)
-    assert [policy.backoff(a) for a in (1, 2, 3)] == [0.01, 0.02, 0.04]
-
-
-def test_retry_policy_validation():
-    with pytest.raises(ValueError, match="max_attempts"):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError, match="jitter"):
-        RetryPolicy(jitter=1.5)
-    with pytest.raises(ValueError, match="1-based"):
-        RetryPolicy().backoff(0)
-
-
-# -- WorkerSupervisor -----------------------------------------------------
-
-def test_supervisor_consecutive_failures_trip_the_breaker():
-    sup = WorkerSupervisor(failure_threshold=3, respawn_budget=10)
-    for _ in range(2):
-        sup.record_failure()
-    assert not sup.should_eject()
-    sup.record_success()                     # run broken: counter resets
-    for _ in range(3):
-        sup.record_failure()
-    assert sup.should_eject()
-    sup.eject(now=100.0)
-    assert sup.ejected and sup.state == "open"
-    assert not sup.probe_due(now=100.5)
-    assert sup.probe_due(now=101.0)
-
-
-def test_supervisor_respawn_budget_is_per_incident():
-    sup = WorkerSupervisor(failure_threshold=10, respawn_budget=2)
-    sup.record_failure()
-    sup.record_respawn()
-    sup.record_respawn()
-    assert not sup.should_eject()
-    sup.record_respawn()
-    assert sup.should_eject()                # 3 respawns > budget of 2
-    # A served batch ends the incident and refills the budget.
-    sup.record_success()
-    assert sup.respawns == 0 and not sup.should_eject()
-
-
-def test_supervisor_probe_cycle():
-    sup = WorkerSupervisor(failure_threshold=1, cooldown_s=1.0)
-    sup.record_failure()
-    sup.eject(now=0.0)
-    assert sup.probe_due(now=1.0)
-    sup.begin_probe()
-    assert sup.state == "half-open" and sup.ejected
-    assert not sup.probe_due(now=2.0)        # only "open" slots are due
-    sup.probe_failed(now=2.0)
-    assert sup.state == "open" and not sup.probe_due(now=2.5)
-    assert sup.probe_due(now=3.0)
-    sup.begin_probe()
-    sup.close_breaker()
-    assert sup.state == "closed" and not sup.ejected
-    assert sup.consecutive_failures == 0 and sup.respawns == 0
-    snapshot = sup.snapshot()
-    assert snapshot["state"] == "closed" and snapshot["ejections"] == 1
-
-
-def test_reliability_config_builds_matching_supervisors():
-    config = ReliabilityConfig(failure_threshold=5, respawn_budget=7,
-                               breaker_cooldown_s=2.5)
-    sup = config.supervisor()
-    assert sup.failure_threshold == 5
-    assert sup.respawn_budget == 7
-    assert sup.cooldown_s == 2.5
-    assert config.retry.max_attempts == 3    # default policy rides along
+def test_shm_create_fault_fails_publish_and_frees_its_segments():
+    # The second allocation (labels) fails after the images segment
+    # exists, so publish must unlink that one before re-raising.
+    dataset = ArrayDataset(np.zeros((4, 1, 2, 2), np.float32),
+                           np.arange(4))
+    before = shm_segment_names()
+    with injected(FaultPlan([Fault("shm.create", 2, "oserror")])) as injector:
+        with pytest.raises(OSError) as info:
+            SharedDataset.publish(dataset)
+    assert info.value.errno == errno.ENOSPC
+    assert injector.stats()["site_counts"] == {"shm.create": 2}
+    assert leaked_segments(before) == []

@@ -1,4 +1,4 @@
-"""ServingClient transport hardening: timeouts, reset retries, readiness."""
+"""ServingClient transport hardening: timeouts and reset retries."""
 
 from __future__ import annotations
 
@@ -7,11 +7,7 @@ import http.client
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.models import build_model
-from repro.serve import (BatchPolicy, InferenceServer, ModelStore,
-                         ServingClient, ServingError, start_http_server,
-                         stop_http_server)
+from repro.serve import ServingClient, ServingError
 
 
 class TestResetRetry:
@@ -78,24 +74,3 @@ class TestResetRetry:
         with pytest.raises(ServingError, match="unknown model"):
             client.predict("ghost", np.zeros((3, 12, 12), np.float32))
         assert len(attempts) == 1
-
-
-class TestReadyz:
-    def test_ready_server_reports_200(self):
-        nn.manual_seed(0)
-        model = build_model("small_cnn", num_classes=4, scale="tiny")
-        model.eval()
-        store = ModelStore()
-        store.register("m", model, version="v1")
-        server = InferenceServer(store, policy=BatchPolicy(max_batch_size=8,
-                                                           max_delay_ms=1.0))
-        httpd = start_http_server(server)
-        try:
-            client = ServingClient(httpd.url)
-            ready = client.ready()
-            assert ready["ready"] is True and ready["status"] == "ok"
-            health = client.health()
-            assert health["status"] == "ok"
-        finally:
-            stop_http_server(httpd)
-            server.close()

@@ -1,11 +1,9 @@
-"""Compiled serving: plans through the store, the wire, and the workers.
+"""Compiled serving: plans through the store and the wire.
 
-The API-redesign satellite contract: ``/v1/models`` advertises
-compilation state per version, ``POST /v1/compile`` triggers it with
-the standard error envelope, and the compiled hot path stays invisible
-— every served logit bit-identical to the interpreted fixed-width
-forward, whether the batch runs in-process or on a worker replica
-rebuilt from a shipped plan.
+``/v1/models`` advertises compilation state per version, ``POST
+/v1/compile`` triggers it with the standard error envelope, and the
+compiled hot path stays invisible — every served logit bit-identical to
+the interpreted fixed-width forward.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from repro import nn
 from repro.models import build_model
 from repro.nn.fold import _inference_copy
 from repro.nn.tensor import Tensor
-from repro.parallel import ModelSpec
 from repro.serve import (BatchPolicy, InferenceServer, ModelStore,
                          ServingClient, ServingError, start_http_server,
                          stop_http_server)
@@ -134,33 +131,5 @@ class TestCompiledHotPath:
             assert report["compiled"] and store.entry("m", "v1").compiled
             recompiled = server.predict("m", np.stack([image]))
             assert np.array_equal(result.logits, recompiled.logits)
-        finally:
-            server.close()
-
-
-@pytest.mark.parallel
-class TestPlanShipping:
-    def test_workers_rebuild_replicas_from_the_shipped_plan(self, image):
-        store = ModelStore()
-        model = _tiny_model(3)
-        store.register("m", model, version="v1",
-                       spec=ModelSpec("small_cnn", 4, scale="tiny"),
-                       input_shape=SHAPE)
-        server = InferenceServer(store, policy=POLICY, workers=2)
-        try:
-            assert store.entry("m", "v1").compiled   # compiled at prefetch
-            served = server.predict("m", np.stack([image])).logits[0]
-            report = server.compile_model("m")
-            assert report["compiled"]
-            stats = server.backend.stats()
-            assert stats["compile_ships"] >= 1
-            after = server.predict("m", np.stack([image])).logits[0]
-            batch = np.zeros((POLICY.max_batch_size,) + SHAPE, np.float32)
-            batch[0] = image
-            interpreted = _inference_copy(model)
-            with nn.no_grad():
-                direct = interpreted(Tensor(batch)).data[0]
-            assert np.array_equal(served, direct.astype(served.dtype))
-            assert np.array_equal(after, served)
         finally:
             server.close()

@@ -1,6 +1,5 @@
-"""The observability plane end-to-end: /metrics schema stability across
-serving modes, the Prometheus exposition, trace-id propagation over
-HTTP, and the health() worker-stats fallback."""
+"""The observability plane end-to-end: /metrics schema stability, the
+Prometheus exposition, and trace-id propagation over HTTP."""
 
 from __future__ import annotations
 
@@ -14,18 +13,16 @@ import pytest
 from repro import nn
 from repro.models import build_model
 from repro.obs import trace as _trace
-from repro.parallel import ModelSpec
 from repro.serve import (BatchPolicy, InferenceServer, ModelStore,
                          start_http_server, stop_http_server)
 
-SPEC = ModelSpec("small_cnn", 4, scale="tiny")
 POLICY = BatchPolicy(max_batch_size=8, max_delay_ms=1.0)
 
 #: The schema contract: keys the JSON /metrics payload must keep,
 #: whatever backs the numbers.  Additions are fine; removals break
 #: dashboards.
-GOLDEN_TOP_KEYS = {"requests", "batcher", "backend", "policy", "models",
-                   "prefetch", "reliability", "obs"}
+GOLDEN_TOP_KEYS = {"requests", "batcher", "policy", "models", "prefetch",
+                   "obs"}
 GOLDEN_REQUEST_KEYS = {"total", "served", "rejected", "invalid", "failed"}
 
 
@@ -34,7 +31,7 @@ def make_store(seed: int = 5) -> ModelStore:
     model = build_model("small_cnn", num_classes=4, scale="tiny")
     model.eval()
     store = ModelStore()
-    store.register("m", model, version="v1", spec=SPEC)
+    store.register("m", model, version="v1")
     return store
 
 
@@ -166,64 +163,3 @@ class TestTracePropagation:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 404
         assert excinfo.value.headers[_trace.TRACE_HEADER] == trace
-
-
-class _StubBackend:
-    """A backend that publishes partial stats dicts."""
-
-    degraded = False
-
-    def __init__(self, stats):
-        self._stats = dict(stats)
-
-    def stats(self):
-        return dict(self._stats)
-
-
-class TestHealthWorkerFallback:
-    def test_active_defaults_from_reported_worker_count(self):
-        # A backend that reports "workers" but not "active_workers" must
-        # not look healthier (or sicker) than its own worker count —
-        # the fallback draws from the same stats dict, not the server's
-        # configured width.
-        server = InferenceServer(make_store(), policy=POLICY)
-        try:
-            server.backend = _StubBackend({"workers": 3})
-            report = server.health()
-            assert report["workers"]["total"] == 3
-            assert report["workers"]["active"] == 3
-        finally:
-            server.backend = None
-            server.close()
-
-    def test_bare_stats_fall_back_to_configured_width(self):
-        server = InferenceServer(make_store(), policy=POLICY)
-        try:
-            server.backend = _StubBackend({})
-            report = server.health()
-            assert report["workers"]["total"] == server.workers
-            assert report["workers"]["active"] == server.workers
-        finally:
-            server.backend = None
-            server.close()
-
-
-@pytest.mark.parallel
-def test_metrics_golden_keys_multiproc():
-    """The /metrics schema holds when a worker pool backs the numbers."""
-    server = InferenceServer(make_store(), policy=POLICY, workers=2)
-    try:
-        rng = np.random.default_rng(3)
-        images = rng.random((4, 3, 12, 12)).astype(np.float32)
-        server.predict("m", images)
-        metrics = server.metrics()
-        _assert_metrics_schema(metrics)
-        assert metrics["backend"]["workers"] == 2
-        assert "active_workers" in metrics["backend"]
-        health = server.health()
-        assert health["workers"]["total"] == 2
-        assert health["workers"]["active"] == 2
-        # Worker-side registries shipped home render in the exposition.
-        assert "reveil_backend" in server.prometheus()
-    finally:
-        server.close()

@@ -27,20 +27,19 @@ class TestParser:
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.serve_workers == 1
         assert args.response_cache == 0
         assert args.port == 0
 
-    def test_serve_worker_and_cache_knobs(self):
-        args = build_parser().parse_args(
-            ["serve", "--serve-workers", "4", "--response-cache", "128"])
-        assert args.serve_workers == 4
+    def test_serve_cache_knob(self):
+        args = build_parser().parse_args(["serve", "--response-cache", "128"])
         assert args.response_cache == 128
 
-    def test_rejects_negative_serve_workers(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--serve-workers", "-2"])
-        assert "--serve-workers must be >= 0" in capsys.readouterr().err
+    def test_serve_has_no_process_tier_flags(self, capsys):
+        for flag in ("--serve-workers", "--worker-retries",
+                     "--worker-deadline"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", flag, "2"])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_rejects_negative_response_cache(self, capsys):
         with pytest.raises(SystemExit):
