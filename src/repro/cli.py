@@ -18,6 +18,7 @@ equivalent of ``examples/quickstart.py``.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from typing import List, Optional
@@ -121,6 +122,8 @@ def cmd_sweep_sigma(args) -> int:
 def cmd_serve(args) -> int:
     from .serve import (BatchPolicy, ScreenConfig, build_reveil_serving,
                         start_http_server, stop_http_server)
+    # ``kill`` and most supervisors send SIGTERM: shut down as Ctrl-C does.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     cfg = _config_from(args)
     policy = BatchPolicy(max_batch_size=args.max_batch_size,
                          max_delay_ms=args.max_delay_ms,
@@ -136,20 +139,20 @@ def cmd_serve(args) -> int:
                                    compile_models=args.compile)
     print(f"trained in {time.time() - start:.0f}s")
     httpd = start_http_server(serving.server, host=args.host, port=args.port)
-    name = serving.model_name
-    active = serving.store.active_version(name)
-    cache = (f"response cache {args.response_cache} entries"
-             if args.response_cache else "response cache off")
-    print(f"serving {name} (versions {serving.store.versions(name)}, "
-          f"active '{active}') at {httpd.url} [{cache}]")
-    print(f"  predict: POST {httpd.url}/v1/predict "
-          f'{{"model": "{name}", "inputs": [...]}}')
-    print(f"  forget: POST {httpd.url}/v1/forget "
-          f'{{"user": "...", "sample_ids": [...]}}  (needs a forget plane)')
-    print(f"  hot-swap: POST {httpd.url}/v1/activate "
-          f'{{"model": "{name}", "version": "unlearned"}}')
-    print(f"  metrics: GET {httpd.url}/v1/metrics   (Ctrl-C to stop)")
     try:
+        name = serving.model_name
+        active = serving.store.active_version(name)
+        cache = (f"response cache {args.response_cache} entries"
+                 if args.response_cache else "response cache off")
+        print(f"serving {name} (versions {serving.store.versions(name)}, "
+              f"active '{active}') at {httpd.url} [{cache}]")
+        print(f"  predict: POST {httpd.url}/v1/predict "
+              f'{{"model": "{name}", "inputs": [...]}}')
+        print(f"  forget: POST {httpd.url}/v1/forget "
+              f'{{"user": "...", "sample_ids": [...]}}  (needs a forget plane)')
+        print(f"  hot-swap: POST {httpd.url}/v1/activate "
+              f'{{"model": "{name}", "version": "unlearned"}}')
+        print(f"  metrics: GET {httpd.url}/v1/metrics   (Ctrl-C to stop)")
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

@@ -5,7 +5,8 @@ so the reproduction ships its own reverse-mode autograd engine, layer
 library, optimizers and schedulers.  The public surface mirrors the
 familiar ``torch``/``torch.nn`` split:
 
-- :mod:`repro.nn.tensor` — :class:`Tensor` with autograd, ``no_grad``.
+- :mod:`repro.nn.tensor` — :class:`Tensor` with autograd, ``no_grad``, and
+  the op table every op is defined in (``OPS``, dispatched by ``apply``).
 - :mod:`repro.nn.functional` — conv2d / pooling / losses.
 - :mod:`repro.nn.layers` — ``Conv2d``, ``BatchNorm2d``, ``Linear``, ...
 - :mod:`repro.nn.optim` — ``Adam`` (paper recipe), ``SGD``.

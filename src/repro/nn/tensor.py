@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation on numpy arrays.
+"""Reverse-mode automatic differentiation on numpy arrays, over one op table.
 
 This module is the foundation of the from-scratch deep-learning substrate
 used by the ReVeil reproduction (the paper used PyTorch; this environment
@@ -8,15 +8,20 @@ has none, so we build the equivalent).  A :class:`Tensor` wraps a
 scalar output walks the tape in reverse topological order and accumulates
 gradients into every tensor created with ``requires_grad=True``.
 
-Only the operator set required by the reproduction is implemented, but each
-op supports full numpy broadcasting where it makes sense.  Heavier
-structured ops (convolution, pooling, fused losses) live in
-:mod:`repro.nn.functional`.
+Every primitive op is defined once, as an :class:`Op` in :data:`OPS`: one
+forward kernel that can write into a caller's ``out=`` buffer, and one
+backward rule.  :func:`apply` is the single dispatch point.  It runs the
+kernel, builds the tape node and, when this thread is tracing for
+:mod:`repro.nn.graph`, records the call.  The compiled graph replays the
+same kernels into its arena.  The elementwise, shape and reduction ops
+live here; convolution, pooling, padding, batch norm and the fused loss
+register theirs in :mod:`repro.nn.functional`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple, Union
+import threading
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -93,6 +98,76 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# The op table
+# ---------------------------------------------------------------------------
+
+#: Every registered op by name.
+OPS: Dict[str, "Op"] = {}
+
+#: Per-thread trace hook: :mod:`repro.nn.graph` sets ``TRACE.tracer`` on
+#: the compiling thread, and :func:`apply` reports every op it runs there.
+TRACE = threading.local()
+
+
+class Op:
+    """One tensor op, defined once for autograd, tracing and compiled replay.
+
+    ``forward(*arrays, out=None, **scratch, **params)`` is the kernel.  It
+    returns ``(result, saved)``, where ``saved`` is whatever ``backward``
+    needs beyond the inputs and the result.  With ``out`` set the result
+    is written there (the compiled graph passes an arena view); with
+    ``out=None`` the kernel allocates it.  ``scratch(*arrays, **params)``
+    names the working buffers, as ``{name: (shape, dtype)}``, that the
+    kernel allocates itself unless they are passed by name.
+
+    ``backward(g, inputs, result, saved, **params)`` returns one gradient
+    (or ``None``) per input tensor.
+
+    A ``view`` op returns a view of its input and takes no ``out``.  An
+    ``inplace`` op is one aligned elementwise write, so its ``out`` may
+    alias a same-shaped input.
+    """
+
+    def __init__(self, name: str, forward: Callable, backward: Callable, *,
+                 view: bool = False, inplace: bool = False,
+                 scratch: Optional[Callable] = None):
+        self.name = name
+        self.forward = forward
+        self.backward = backward
+        self.view = view
+        self.inplace = inplace
+        self.scratch = scratch or (lambda *arrays, **params: {})
+        OPS[name] = self
+
+
+def apply(op: Op, *inputs: "Tensor", **params) -> "Tensor":
+    """Run ``op`` on ``inputs``: the single dispatch point of every op.
+
+    Builds the tape node and, while :mod:`repro.nn.graph` traces on this
+    thread, reports the call to its tracer.
+    """
+    data, saved = op.forward(*[t.data for t in inputs], **params)
+    out = Tensor._make(data, inputs,
+                       lambda g: op.backward(g, inputs, data, saved, **params))
+    tracer = getattr(TRACE, "tracer", None)
+    if tracer is not None:
+        tracer.record(op, inputs, params, out)
+    return out
+
+
+def _to(out: Optional[np.ndarray], value: np.ndarray) -> np.ndarray:
+    """``value``, copied into ``out`` when one is given.
+
+    For kernels whose last step cannot take ``out=`` without changing
+    the bits it computes.
+    """
+    if out is None:
+        return value
+    np.copyto(out, value)
+    return out
 
 
 class Tensor:
@@ -253,20 +328,12 @@ class Tensor:
     # Elementwise arithmetic (broadcasting)
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = ensure_tensor(other)
-        a, b = self, other
-        data = a.data + b.data
-
-        def backward(g):
-            return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
-
-        return Tensor._make(data, (a, b), backward)
+        return apply(ADD, self, ensure_tensor(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        a = self
-        return Tensor._make(-a.data, (a,), lambda g: (-g,))
+        return apply(NEG, self)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-ensure_tensor(other))
@@ -275,30 +342,12 @@ class Tensor:
         return ensure_tensor(other) + (-self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = ensure_tensor(other)
-        a, b = self, other
-        data = a.data * b.data
-
-        def backward(g):
-            ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-            gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
-            return (ga, gb)
-
-        return Tensor._make(data, (a, b), backward)
+        return apply(MUL, self, ensure_tensor(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = ensure_tensor(other)
-        a, b = self, other
-        data = a.data / b.data
-
-        def backward(g):
-            ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-            gb = _unbroadcast(-g * a.data / (b.data ** 2), b.shape) if b.requires_grad else None
-            return (ga, gb)
-
-        return Tensor._make(data, (a, b), backward)
+        return apply(DIV, self, ensure_tensor(other))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return ensure_tensor(other) / self
@@ -306,13 +355,7 @@ class Tensor:
     def __pow__(self, exponent: Scalar) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        a = self
-        data = a.data ** exponent
-
-        def backward(g):
-            return (g * exponent * a.data ** (exponent - 1),)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(POW, self, exponent=exponent)
 
     # ------------------------------------------------------------------
     # Linear algebra
@@ -322,21 +365,7 @@ class Tensor:
 
         Row-invariant (see :func:`matmul_rows`) in every grad mode.
         """
-        other = ensure_tensor(other)
-        a, b = self, other
-        data = matmul_rows(a.data, b.data)
-
-        def backward(g):
-            ga = gb = None
-            if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                ga = _unbroadcast(ga, a.shape)
-            if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                gb = _unbroadcast(gb, b.shape)
-            return (ga, gb)
-
-        return Tensor._make(data, (a, b), backward)
+        return apply(MATMUL, self, ensure_tensor(other))
 
     __matmul__ = matmul
 
@@ -346,41 +375,17 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        old_shape = a.shape
-        data = a.data.reshape(shape)
-
-        def backward(g):
-            return (g.reshape(old_shape),)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(RESHAPE, self, shape=shape)
 
     def transpose(self, *axes) -> "Tensor":
-        a = self
         if not axes:
-            axes_t = tuple(reversed(range(a.ndim)))
+            axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes_t = tuple(axes[0])
-        else:
-            axes_t = tuple(axes)
-        inverse = np.argsort(axes_t)
-        data = a.data.transpose(axes_t)
-
-        def backward(g):
-            return (g.transpose(inverse),)
-
-        return Tensor._make(data, (a,), backward)
+            axes = tuple(axes[0])
+        return apply(TRANSPOSE, self, axes=axes)
 
     def __getitem__(self, index) -> "Tensor":
-        a = self
-        data = a.data[index]
-
-        def backward(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, index, g)
-            return (full,)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(GETITEM, self, index=index)
 
     def flatten(self, start_dim: int = 1) -> "Tensor":
         """Flatten dims from ``start_dim`` onward (mirrors torch.flatten)."""
@@ -391,18 +396,7 @@ class Tensor:
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        data = a.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            if axis is None:
-                return (np.broadcast_to(g, a.shape).astype(a.dtype),)
-            g_expanded = g
-            if not keepdims:
-                g_expanded = np.expand_dims(g, axis=axis)
-            return (np.broadcast_to(g_expanded, a.shape).astype(a.dtype),)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(SUM, self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
@@ -421,94 +415,32 @@ class Tensor:
         return sq.mean(axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        data = a.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            expanded = data
-            g_expanded = g
-            if axis is not None and not keepdims:
-                expanded = np.expand_dims(data, axis=axis)
-                g_expanded = np.expand_dims(g, axis=axis)
-            mask = (a.data == expanded)
-            # Distribute gradient evenly over ties.
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            return ((mask * g_expanded / counts).astype(a.dtype),)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(MAX, self, axis=axis, keepdims=keepdims)
 
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        a = self
-        data = np.exp(a.data)
-
-        def backward(g):
-            return (g * data,)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(EXP, self)
 
     def log(self) -> "Tensor":
-        a = self
-        data = np.log(a.data)
-
-        def backward(g):
-            return (g / a.data,)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(LOG, self)
 
     def sqrt(self) -> "Tensor":
-        a = self
-        data = np.sqrt(a.data)
-
-        def backward(g):
-            return (g * 0.5 / data,)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(SQRT, self)
 
     def relu(self) -> "Tensor":
-        a = self
-        mask = a.data > 0
-        data = a.data * mask
-
-        def backward(g):
-            return (g * mask,)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(RELU, self)
 
     def sigmoid(self) -> "Tensor":
-        a = self
-        # Numerically stable logistic.
-        data = np.where(a.data >= 0,
-                        1.0 / (1.0 + np.exp(-np.clip(a.data, -60, 60))),
-                        np.exp(np.clip(a.data, -60, 60)) / (1.0 + np.exp(np.clip(a.data, -60, 60))))
-        data = data.astype(a.dtype)
-
-        def backward(g):
-            return (g * data * (1.0 - data),)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(SIGMOID, self)
 
     def tanh(self) -> "Tensor":
-        a = self
-        data = np.tanh(a.data)
-
-        def backward(g):
-            return (g * (1.0 - data ** 2),)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(TANH, self)
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient is passed through inside the interval."""
-        a = self
-        data = np.clip(a.data, low, high)
-        mask = (a.data >= low) & (a.data <= high)
-
-        def backward(g):
-            return (g * mask,)
-
-        return Tensor._make(data, (a,), backward)
+        return apply(CLIP, self, low=low, high=high)
 
 
 def ensure_tensor(value: ArrayLike) -> Tensor:
@@ -520,29 +452,144 @@ def ensure_tensor(value: ArrayLike) -> Tensor:
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient support."""
-    tensors = [ensure_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        pieces = np.split(g, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in pieces)
-
-    return Tensor._make(data, tuple(tensors), backward)
+    return apply(STACK, *[ensure_tensor(t) for t in tensors], axis=axis)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along an existing axis with gradient support."""
-    tensors = [ensure_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    return apply(CONCAT, *[ensure_tensor(t) for t in tensors], axis=axis)
 
-    def backward(g):
-        slicer = [slice(None)] * g.ndim
-        outs = []
-        for i in range(len(tensors)):
-            slicer[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            outs.append(g[tuple(slicer)])
-        return tuple(outs)
 
-    return Tensor._make(data, tuple(tensors), backward)
+# ---------------------------------------------------------------------------
+# Elementwise, shape and reduction ops
+# ---------------------------------------------------------------------------
+
+def _ufunc(ufunc) -> Callable:
+    """The forward kernel of an op that is one numpy ufunc call."""
+    return lambda *arrays, out=None: (ufunc(*arrays, out=out), None)
+
+
+def _mul_grad(g, ins, y, saved):
+    a, b = ins
+    ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
+    gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+    return (ga, gb)
+
+
+def _div_grad(g, ins, y, saved):
+    a, b = ins
+    ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+    gb = (_unbroadcast(-g * a.data / (b.data ** 2), b.shape)
+          if b.requires_grad else None)
+    return (ga, gb)
+
+
+def _matmul_grad(g, ins, y, saved):
+    a, b = ins
+    ga = gb = None
+    if a.requires_grad:
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+    if b.requires_grad:
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+    return (ga, gb)
+
+
+def _getitem_grad(g, ins, y, saved, *, index):
+    full = np.zeros_like(ins[0].data)
+    np.add.at(full, index, g)
+    return (full,)
+
+
+def _sum_grad(g, ins, y, saved, *, axis, keepdims):
+    a = ins[0]
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis=axis)
+    return (np.broadcast_to(g, a.shape).astype(a.dtype),)
+
+
+def _max_grad(g, ins, y, saved, *, axis, keepdims):
+    a = ins[0]
+    if axis is not None and not keepdims:
+        y = np.expand_dims(y, axis=axis)
+        g = np.expand_dims(g, axis=axis)
+    mask = (a.data == y)
+    # Distribute gradient evenly over ties.
+    counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+    return ((mask * g / counts).astype(a.dtype),)
+
+
+def _relu(a, *, out=None, mask=None):
+    mask = np.greater(a, 0, out=mask)
+    return np.multiply(a, mask, out=out), mask
+
+
+def _sigmoid(a, *, out=None):
+    # Numerically stable logistic.
+    y = np.where(a >= 0,
+                 1.0 / (1.0 + np.exp(-np.clip(a, -60, 60))),
+                 np.exp(np.clip(a, -60, 60)) / (1.0 + np.exp(np.clip(a, -60, 60))))
+    return _to(out, y.astype(a.dtype, copy=False)), None
+
+
+def _clip_grad(g, ins, y, saved, *, low, high):
+    a = ins[0].data
+    return (g * ((a >= low) & (a <= high)),)
+
+
+def _concat_grad(g, ins, y, saved, *, axis):
+    offsets = np.cumsum([0] + [t.shape[axis] for t in ins])
+    slicer = [slice(None)] * g.ndim
+    outs = []
+    for start, stop in zip(offsets[:-1], offsets[1:]):
+        slicer[axis] = slice(int(start), int(stop))
+        outs.append(g[tuple(slicer)])
+    return tuple(outs)
+
+
+ADD = Op("add", _ufunc(np.add), lambda g, ins, y, saved: (
+    _unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape)),
+    inplace=True)
+NEG = Op("neg", _ufunc(np.negative), lambda g, ins, y, saved: (-g,),
+         inplace=True)
+MUL = Op("mul", _ufunc(np.multiply), _mul_grad, inplace=True)
+DIV = Op("div", _ufunc(np.divide), _div_grad, inplace=True)
+POW = Op("pow",
+         lambda a, *, exponent, out=None: (_to(out, a ** exponent), None),
+         lambda g, ins, y, saved, *, exponent: (
+             g * exponent * ins[0].data ** (exponent - 1),))
+EXP = Op("exp", _ufunc(np.exp), lambda g, ins, y, saved: (g * y,),
+         inplace=True)
+LOG = Op("log", _ufunc(np.log), lambda g, ins, y, saved: (g / ins[0].data,),
+         inplace=True)
+SQRT = Op("sqrt", _ufunc(np.sqrt), lambda g, ins, y, saved: (g * 0.5 / y,),
+          inplace=True)
+TANH = Op("tanh", _ufunc(np.tanh),
+          lambda g, ins, y, saved: (g * (1.0 - y ** 2),), inplace=True)
+RELU = Op("relu", _relu, lambda g, ins, y, mask: (g * mask,), inplace=True,
+          scratch=lambda a: {"mask": (a.shape, np.dtype(bool))})
+SIGMOID = Op("sigmoid", _sigmoid,
+             lambda g, ins, y, saved: (g * y * (1.0 - y),))
+CLIP = Op("clip", lambda a, *, low, high, out=None: (
+    np.clip(a, low, high, out=out), None), _clip_grad, inplace=True)
+MATMUL = Op("matmul",
+            lambda a, b, *, out=None: (matmul_rows(a, b, out=out), None),
+            _matmul_grad)
+SUM = Op("sum", lambda a, *, axis, keepdims, out=None: (
+    np.sum(a, axis=axis, keepdims=keepdims, out=out), None), _sum_grad)
+MAX = Op("max", lambda a, *, axis, keepdims, out=None: (
+    np.max(a, axis=axis, keepdims=keepdims, out=out), None), _max_grad)
+RESHAPE = Op("reshape", lambda a, *, shape: (a.reshape(shape), None),
+             lambda g, ins, y, saved, *, shape: (g.reshape(ins[0].shape),),
+             view=True)
+TRANSPOSE = Op("transpose", lambda a, *, axes: (a.transpose(axes), None),
+               lambda g, ins, y, saved, *, axes: (
+                   g.transpose(np.argsort(axes)),),
+               view=True)
+GETITEM = Op("getitem", lambda a, *, index: (a[index], None), _getitem_grad,
+             view=True)
+STACK = Op("stack", lambda *arrays, axis, out=None: (
+    np.stack(arrays, axis=axis, out=out), None),
+    lambda g, ins, y, saved, *, axis: tuple(
+        np.squeeze(p, axis=axis) for p in np.split(g, len(ins), axis=axis)))
+CONCAT = Op("concat", lambda *arrays, axis, out=None: (
+    np.concatenate(arrays, axis=axis, out=out), None), _concat_grad)

@@ -165,17 +165,14 @@ class ServingClient:
     def _error_from(status: int, data: dict) -> ServingError:
         """Build a :class:`ServingError` from an error response body.
 
-        Understands both the ``/v1`` envelope (``error`` is a dict with
-        code/message/trace_id) and legacy flat ``{"error": "<str>"}``
-        bodies from older servers.
+        Every server error is the ``{"error": {code, message, trace_id}}``
+        envelope; a body without it maps to a bare "request failed".
         """
-        err = data.get("error", "request failed")
-        if isinstance(err, dict):
-            return ServingError(status,
-                                str(err.get("message", "request failed")),
-                                code=err.get("code"),
-                                trace_id=err.get("trace_id"))
-        return ServingError(status, str(err))
+        err = data.get("error")
+        if not isinstance(err, dict):
+            return ServingError(status, "request failed")
+        return ServingError(status, str(err.get("message", "request failed")),
+                            code=err.get("code"), trace_id=err.get("trace_id"))
 
     # -- endpoints -----------------------------------------------------
     def predict(self, model: str, images: np.ndarray,

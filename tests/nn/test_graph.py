@@ -1,11 +1,11 @@
 """repro.nn.graph: trace → fuse → arena, bit-identity contract.
 
 The compiled path is only allowed to exist because it is invisible:
-for every registered architecture, at every serving width, thread
-count, and fusion setting, the flat arena program must reproduce the
-interpreted folded forward byte for byte — and when a model cannot be
-traced, :func:`repro.nn.compile` must degrade to the interpreted path
-with a single warning instead of failing.
+for every registered architecture, at every serving width and thread
+count, and for every op in the op table, the flat arena program must
+reproduce the interpreted forward byte for byte — and when a model
+cannot be traced, :func:`repro.nn.compile` must degrade to the
+interpreted path with a single warning instead of failing.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import pytest
 
 from repro import nn
 from repro.models import available_models, build_model
+from repro.nn import functional as F
 from repro.nn.fold import FoldedModelCache, _inference_copy
-from repro.nn.graph import _FALLBACK_WARNED, prepare_for_inference
+from repro.nn.graph import _FALLBACK_WARNED, _trace, prepare_for_inference
 from repro.nn.graph import compile as nn_compile
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import OPS, Tensor
 from repro.nn.threading import intra_op_threads
 from tests.nn import reference_kernels
 
@@ -49,7 +50,7 @@ class _Untraceable(Module):
 
 
 class TestBitIdentity:
-    """Property sweep: architectures × widths × threads × fusion."""
+    """Property sweep: architectures × widths × threads."""
 
     @pytest.mark.parametrize("name", available_models())
     @pytest.mark.parametrize("width", [1, 8, 32])
@@ -59,16 +60,15 @@ class TestBitIdentity:
         batch = _batch(width)
         with nn.no_grad():
             reference = interpreted(Tensor(batch)).data
-        for fused in (True, False):
-            compiled = nn_compile(model, width, input_shape=SHAPE, fused=fused)
-            assert compiled.compiled, compiled.fallback_reason
-            for threads in (1, 0):      # serial and one-per-core
-                with intra_op_threads(threads):
-                    out = compiled(batch).data
-                assert out.dtype == reference.dtype
-                assert out.tobytes() == reference.tobytes(), (
-                    f"{name} width={width} fused={fused} "
-                    f"threads={threads} diverged from interpreted")
+        compiled = nn_compile(model, width, input_shape=SHAPE)
+        assert compiled.compiled, compiled.fallback_reason
+        for threads in (1, 0):      # serial and one-per-core
+            with intra_op_threads(threads):
+                out = compiled(batch).data
+            assert out.dtype == reference.dtype
+            assert out.tobytes() == reference.tobytes(), (
+                f"{name} width={width} threads={threads} "
+                f"diverged from interpreted")
 
     @pytest.mark.parametrize("width", [1, 8])
     def test_signed_zero_pool_windows_match_interpreted(self, width):
@@ -90,12 +90,11 @@ class TestBitIdentity:
         assert reference.tobytes() == oracle.tobytes()
         zeros = reference[reference == 0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
-        for fused in (True, False):
-            compiled = nn_compile(model, width, input_shape=SHAPE, fused=fused)
-            assert compiled.compiled, compiled.fallback_reason
-            out = compiled(batch).data
-            assert out.tobytes() == reference.tobytes(), (
-                f"width={width} fused={fused} diverged from interpreted")
+        compiled = nn_compile(model, width, input_shape=SHAPE)
+        assert compiled.compiled, compiled.fallback_reason
+        out = compiled(batch).data
+        assert out.tobytes() == reference.tobytes(), (
+            f"width={width} diverged from interpreted")
 
     def test_off_width_batches_delegate_to_interpreted(self):
         model = _model()
@@ -104,6 +103,78 @@ class TestBitIdentity:
         with nn.no_grad():
             reference = compiled.model(Tensor(batch)).data
         assert compiled(batch).data.tobytes() == reference.tobytes()
+
+
+def _const(seed, *shape):
+    return Tensor(np.random.default_rng(seed).standard_normal(shape)
+                  .astype(np.float32))
+
+
+#: One small forward per op in the table, on a ``(width, *SHAPE)`` input.
+OP_CASES = {
+    "add": lambda x: x + 1.5,
+    "neg": lambda x: -x,
+    "mul": lambda x: x * x,
+    "div": lambda x: x / 3.0,
+    "pow": lambda x: x ** 3,
+    "exp": lambda x: x.exp(),
+    "log": lambda x: (x * x + 0.5).log(),     # compile draws normal batches
+    "sqrt": lambda x: (x * x).sqrt(),
+    "tanh": lambda x: x.tanh(),
+    "relu": lambda x: (x - 0.5).relu(),
+    "sigmoid": lambda x: x.sigmoid(),
+    "clip": lambda x: x.clip(0.2, 0.7),
+    "matmul": lambda x: x.reshape(len(x), -1) @ _const(1, 432, 5),
+    "sum": lambda x: x.sum(axis=(2, 3)),
+    "max": lambda x: x.max(axis=1),
+    "reshape": lambda x: x.reshape(len(x), -1),
+    "transpose": lambda x: x.transpose(0, 2, 3, 1),
+    "getitem": lambda x: x[:, 1:, ::2],
+    "stack": lambda x: nn.stack([x, x * 2.0], axis=1),
+    "concat": lambda x: nn.concat([x, x.relu()], axis=1),
+    "conv2d": lambda x: F.conv2d(x, _const(2, 6, 1, 3, 3), _const(3, 6),
+                                 stride=2, padding=1, groups=3),
+    "max_pool2d": lambda x: F.max_pool2d(x, 2),
+    "avg_pool2d": lambda x: F.avg_pool2d(x, 3),
+    "pad2d": lambda x: F.pad2d(x, (1, 2)),
+    "batch_norm": lambda x: F.batch_norm(
+        x, _const(4, 3), _const(5, 3), np.full(3, 0.25, np.float32),
+        np.full(3, 2.0, np.float32), training=False),
+    "cross_entropy": lambda x: F.cross_entropy(
+        x.reshape(len(x), -1), np.arange(len(x)) % 7),
+}
+
+
+class _Call(Module):
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def forward(self, x):
+        return self.fn(x)
+
+
+class TestOpTable:
+    """Every op in the table compiles and replays bit for bit."""
+
+    @pytest.mark.parametrize("width", [1, 8])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_op_replays_bitwise(self, name, width):
+        module = _Call(OP_CASES[name])
+        module.eval()
+        batch = _batch(width)
+        nodes, _ = _trace(module, Tensor(batch))
+        assert name in {node.op.name for node in nodes[1:]}
+        with nn.no_grad():
+            reference = module(Tensor(batch)).data
+        compiled = nn_compile(module, width, input_shape=SHAPE)
+        assert compiled.compiled, compiled.fallback_reason
+        # Poison the arena: a kernel must not rely on what it held before.
+        compiled._program.arena.fill(0xFF)
+        out = compiled(batch).data
+        assert out.dtype == reference.dtype and out.shape == reference.shape
+        assert out.tobytes() == reference.tobytes(), (
+            f"{name} width={width} diverged from interpreted")
 
 
 class TestFallback:
@@ -157,7 +228,6 @@ class TestCacheKeys:
         # The plain folded copy lives under its own width=None slot.
         folded = prepare_for_inference(model)
         assert folded is not w4 and folded is not w8
-        assert prepare_for_inference(model, compile=False) is folded
 
     def test_folded_cache_width_keying_is_explicit(self):
         cache = FoldedModelCache()

@@ -74,3 +74,19 @@ class TestResetRetry:
         with pytest.raises(ServingError, match="unknown model"):
             client.predict("ghost", np.zeros((3, 12, 12), np.float32))
         assert len(attempts) == 1
+
+
+class TestErrorBodies:
+    def test_envelope_fields_are_carried(self):
+        err = ServingClient._error_from(404, {"error": {
+            "code": "not_found", "message": "unknown model",
+            "trace_id": "dead" * 4}})
+        assert str(err) == "HTTP 404: unknown model"
+        assert (err.status, err.code, err.trace_id) == (
+            404, "not_found", "dead" * 4)
+
+    @pytest.mark.parametrize("body", [{"error": "flat message"}, {}])
+    def test_body_without_the_envelope_is_request_failed(self, body):
+        err = ServingClient._error_from(502, body)
+        assert str(err) == "HTTP 502: request failed"
+        assert (err.status, err.code, err.trace_id) == (502, None, None)

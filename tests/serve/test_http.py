@@ -113,12 +113,14 @@ class TestErrorMapping:
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
+            excinfo.value.close()   # the error holds the response socket
             assert excinfo.value.code == 400
 
     def test_unknown_paths_404(self, stack):
         _, _, httpd, _ = stack
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{httpd.url}/nope")
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
     def test_backpressure_maps_to_429(self, stack, image, monkeypatch):
@@ -146,6 +148,7 @@ class TestErrorMapping:
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
+        excinfo.value.close()
         assert excinfo.value.code == 429
         assert excinfo.value.headers["Retry-After"] == "1"
 

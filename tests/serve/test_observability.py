@@ -161,5 +161,6 @@ class TestTracePropagation:
                      _trace.TRACE_HEADER: trace})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
+        excinfo.value.close()       # the error holds the response socket
         assert excinfo.value.code == 404
         assert excinfo.value.headers[_trace.TRACE_HEADER] == trace

@@ -45,7 +45,8 @@ def _fetch(url, data=None, method=None, headers=None):
         with urllib.request.urlopen(request) as response:
             return response.status, response.read(), dict(response.headers)
     except urllib.error.HTTPError as exc:
-        return exc.code, exc.read(), dict(exc.headers)
+        with exc:                   # the error holds the response socket
+            return exc.code, exc.read(), dict(exc.headers)
 
 
 class TestRouteTable:

@@ -1,5 +1,12 @@
 """CLI subcommands."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -97,3 +104,36 @@ class TestServeParsers:
                      "--dataset", "unit", "--requests", "1"])
         assert code == 1
         assert "cannot reach" in capsys.readouterr().err
+
+
+class TestServeShutdown:
+    def test_sigterm_runs_the_shutdown_path(self):
+        """``kill`` stops ``repro serve`` the way Ctrl-C does."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--dataset", "unit",
+             "--model-scale", "tiny", "--epochs", "1", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env)
+        try:
+            lines = []
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                line = proc.stdout.readline()
+                if not line:
+                    break
+                lines.append(line)
+                if line.startswith("serving "):
+                    break
+            assert lines and lines[-1].startswith("serving "), "".join(lines)
+            proc.send_signal(signal.SIGTERM)
+            rest, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, "".join(lines) + rest
+        assert "shutting down" in rest
