@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import fft as sfft
 
 from .base import Trigger
 
@@ -45,6 +44,10 @@ class FTrojanTrigger(Trigger):
                 raise ValueError(f"frequency bin ({u},{v}) outside {image_size}px DCT")
 
     def apply(self, images: np.ndarray) -> np.ndarray:
+        # Imported here so that loading the trigger registry (the CLI,
+        # training, serving) does not pull in scipy.
+        from scipy import fft as sfft
+
         images = self._validate(images)
         _, _, h, w = images.shape
         if h != self.image_size or w != self.image_size:

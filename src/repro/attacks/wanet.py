@@ -17,7 +17,6 @@ image size automatically.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .base import Trigger
 
@@ -29,6 +28,10 @@ class WaNetTrigger(Trigger):
 
     def __init__(self, image_size: int, k: int = 8, s: float = 0.75,
                  grid_rescale: float = 1.0, seed: int = 0):
+        # scipy is imported by the methods that need it, so that loading
+        # the trigger registry (the CLI, training, serving) does not.
+        from scipy import ndimage
+
         if image_size < 4:
             raise ValueError("image_size must be >= 4")
         if s <= 0:
@@ -70,6 +73,8 @@ class WaNetTrigger(Trigger):
         self._sample_cols = (grid_x + 1) / 2 * image_size - 0.5
 
     def apply(self, images: np.ndarray) -> np.ndarray:
+        from scipy import ndimage
+
         images = self._validate(images)
         n, c, h, w = images.shape
         if h != self.image_size or w != self.image_size:

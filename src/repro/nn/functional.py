@@ -5,11 +5,18 @@ batch norm and the fused softmax cross-entropy loss used throughout the
 reproduction.  Each is one entry of the op table in
 :mod:`repro.nn.tensor`: a forward kernel that can write into ``out=``
 (and into named scratch buffers: conv's padded input and im2col
-columns) plus a backward rule.  The public functions here validate their
-arguments and dispatch through :func:`repro.nn.tensor.apply`, so the
-interpreted forward, the training tape and the compiled graph's replay
-all run the same kernel.  They accept and return
-:class:`repro.nn.tensor.Tensor`.
+columns, max-pool's window masks) plus a backward rule.  The public
+functions here validate their arguments and dispatch through
+:func:`repro.nn.tensor.apply`, so the interpreted forward, the training
+tape and the compiled graph's replay all run the same kernel.  They
+accept and return :class:`repro.nn.tensor.Tensor`.
+
+The conv input gradient runs one GEMM per row-block back to im2col
+columns, then scatters them onto the padded image (col2im) with one
+strided ``+=`` per kernel tap, taps in ``(ki, kj)`` order, so every
+pixel sums its contributions in a fixed order starting from ``+0.0``.
+``tests/nn/test_kernel_oracle.py`` holds it to the bits of a sparse
+scatter-GEMM col2im, whose CSR rows add the same values in that order.
 
 Max-pool works on strided window views of its input (no transposed copy)
 and keeps one boolean mask per window element for the backward.
@@ -26,10 +33,9 @@ every ``intra_op_threads`` setting.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from ..obs import profile as _profile
 from .tensor import Op, Tensor, _to, apply, ensure_tensor
@@ -44,61 +50,19 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     return (int(value[0]), int(value[1]))
 
 
-def _im2col_indices(channels: int, height: int, width: int,
-                    kh: int, kw: int, stride_h: int, stride_w: int,
-                    pad_h: int, pad_w: int):
-    """Index arrays mapping a padded image to its im2col matrix.
-
-    Returns ``(k, i, j, out_h, out_w)`` such that
-    ``x_padded[:, k, i, j]`` has shape ``(N, C*kh*kw, out_h*out_w)``.
-    """
-    out_h = (height + 2 * pad_h - kh) // stride_h + 1
-    out_w = (width + 2 * pad_w - kw) // stride_w + 1
+def _conv_out_hw(x: np.ndarray, weight: np.ndarray, stride,
+                 padding) -> Tuple[int, int]:
+    """``(out_h, out_w)`` of a conv; raises when the output would be empty."""
+    (sh, sw), (ph, pw) = stride, padding
+    h, w = x.shape[2:]
+    kh, kw = weight.shape[2:]
+    out_h = (h + 2 * ph - kh) // sh + 1
+    out_w = (w + 2 * pw - kw) // sw + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
-            f"convolution output would be empty: input {height}x{width}, "
-            f"kernel {kh}x{kw}, stride ({stride_h},{stride_w}), pad ({pad_h},{pad_w})")
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, channels)
-    i1 = stride_h * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * channels)
-    j1 = stride_w * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
-    return k, i, j, out_h, out_w
-
-
-# Caches keyed by the full conv geometry.  A training run reuses a handful
-# of geometries thousands of times, so both caches stay tiny but hot.
-_INDEX_CACHE: Dict[tuple, tuple] = {}
-_SCATTER_CACHE: Dict[tuple, sparse.csr_matrix] = {}
-
-
-def _cached_indices(key: tuple) -> tuple:
-    if key not in _INDEX_CACHE:
-        _INDEX_CACHE[key] = _im2col_indices(*key)
-    return _INDEX_CACHE[key]
-
-
-def _cached_scatter(key: tuple, k_idx, i_idx, j_idx,
-                    padded_hw: Tuple[int, int], channels: int) -> sparse.csr_matrix:
-    """Sparse matrix mapping im2col columns back to padded-image pixels.
-
-    ``col2im`` (the input-gradient scatter-add) becomes a single sparse
-    GEMM, which is an order of magnitude faster than ``np.add.at``.
-    """
-    if key not in _SCATTER_CACHE:
-        hp, wp = padded_hw
-        flat = (k_idx * hp * wp + i_idx * wp + j_idx).ravel()
-        n_cols = flat.size
-        scatter = sparse.csr_matrix(
-            (np.ones(n_cols, dtype=np.float32),
-             (flat, np.arange(n_cols, dtype=np.int64))),
-            shape=(channels * hp * wp, n_cols))
-        _SCATTER_CACHE[key] = scatter
-    return _SCATTER_CACHE[key]
+            f"convolution output would be empty: input {h}x{w}, "
+            f"kernel {kh}x{kw}, stride ({sh},{sw}), pad ({ph},{pw})")
+    return out_h, out_w
 
 
 def _conv_gemm(w_g: np.ndarray, cols_g: np.ndarray,
@@ -124,16 +88,6 @@ def _conv_gemm(w_g: np.ndarray, cols_g: np.ndarray,
     return out
 
 
-def _conv_geometry(x: np.ndarray, weight: np.ndarray, stride, padding):
-    """``(geometry key, out_h, out_w)`` of a conv; the key indexes the caches."""
-    (sh, sw), (ph, pw) = stride, padding
-    _, c, h, w = x.shape
-    kh, kw = weight.shape[2:]
-    key = (c, h, w, kh, kw, sh, sw, ph, pw)
-    out_h, out_w = _cached_indices(key)[3:]
-    return key, out_h, out_w
-
-
 def _conv2d(x, weight, bias=None, *, stride, padding, groups,
             out=None, padded=None, cols=None):
     """Conv forward kernel: pad, im2col, :func:`_conv_gemm`, bias.
@@ -141,7 +95,7 @@ def _conv2d(x, weight, bias=None, *, stride, padding, groups,
     Saves the im2col columns, shaped ``(N, C, kh, kw, out_h, out_w)``,
     for the backward.
     """
-    _, out_h, out_w = _conv_geometry(x, weight, stride, padding)
+    out_h, out_w = _conv_out_hw(x, weight, stride, padding)
     (sh, sw), (ph, pw) = stride, padding
     n, c = x.shape[:2]
     o, _, kh, kw = weight.shape
@@ -165,7 +119,7 @@ def _conv2d(x, weight, bias=None, *, stride, padding, groups,
 
 
 def _conv2d_scratch(x, weight, bias=None, *, stride, padding, groups):
-    _, out_h, out_w = _conv_geometry(x, weight, stride, padding)
+    out_h, out_w = _conv_out_hw(x, weight, stride, padding)
     (ph, pw), (n, c, h, w) = padding, x.shape
     kh, kw = weight.shape[2:]
     specs = {"cols": ((n, c, kh, kw, out_h, out_w), x.dtype)}
@@ -177,10 +131,8 @@ def _conv2d_scratch(x, weight, bias=None, *, stride, padding, groups):
 def _conv2d_grad(g, ins, y, cols, *, stride, padding, groups):
     x, weight = ins[0], ins[1]
     bias = ins[2] if len(ins) > 2 else None
-    geom_key, out_h, out_w = _conv_geometry(x.data, weight.data, stride,
-                                            padding)
-    k_idx, i_idx, j_idx = _cached_indices(geom_key)[:3]
-    ph, pw = padding
+    out_h, out_w = _conv_out_hw(x.data, weight.data, stride, padding)
+    (sh, sw), (ph, pw) = stride, padding
     n, c, h, w = x.shape
     o, _, kh, kw = weight.shape
     hp, wp = h + 2 * ph, w + 2 * pw
@@ -216,17 +168,29 @@ def _conv2d_grad(g, ins, y, cols, *, stride, padding, groups):
             gw = gw + partial
         gw = gw.reshape(weight.shape).astype(weight.dtype, copy=False)
     if x.requires_grad:
-        scatter = _cached_scatter(geom_key, k_idx, i_idx, j_idx, (hp, wp), c)
-        gx_padded = np.empty((n, c, hp, wp), dtype=np.result_type(w_g, g))
+        gx = np.empty((n, c, h, w), dtype=np.result_type(w_g, g))
+        # The adds' inner loop runs over out_w pixels in NCHW and over a
+        # block's N*C values channels-last; accumulate in the longer one.
+        channels_last = kh * kw > 1 and out_w <= c
 
         def _gx_block(sl: slice, _b: int) -> None:
-            nb = sl.stop - sl.start
+            # col2im: add each kernel tap's columns onto its strided window
+            # of a zeroed padded gradient, taps in (ki, kj) order.  Both
+            # buffers are indexed (row, col, sample, channel).
             gcols = np.matmul(w_g.transpose(0, 2, 1)[None], g_r[sl])
-            gcols = gcols.reshape(nb, c * kh * kw * loc)
-            gx_padded[sl] = (scatter @ gcols.T).T.reshape(nb, c, hp, wp)
+            taps = (gcols.reshape(-1, c, kh, kw, out_h, out_w)
+                    .transpose(2, 3, 4, 5, 0, 1))
+            nb = len(gcols)
+            acc = (np.zeros((hp, wp, nb, c), gx.dtype) if channels_last else
+                   np.zeros((nb, c, hp, wp), gx.dtype).transpose(2, 3, 0, 1))
+            for ki in range(kh):
+                for kj in range(kw):
+                    acc[ki:ki + sh * out_h:sh,
+                        kj:kj + sw * out_w:sw] += taps[ki, kj]
+            gx[sl] = acc[ph:ph + h, pw:pw + w].transpose(2, 3, 0, 1)
 
         map_blocks(_gx_block, bwd_blocks)
-        gx = gx_padded[:, :, ph:ph + h, pw:pw + w].astype(x.dtype, copy=False)
+        gx = gx.astype(x.dtype, copy=False)
     if bias is not None and bias.requires_grad:
         gb = g.sum(axis=(0, 2, 3)).astype(bias.dtype, copy=False)
     if _prof is not None:
@@ -264,7 +228,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
 
 def _max_pool_select(x: np.ndarray, kh: int, kw: int,
-                     out: Optional[np.ndarray] = None
+                     out: Optional[np.ndarray] = None,
+                     masks: Optional[np.ndarray] = None,
+                     seen: Optional[np.ndarray] = None,
+                     sel: Optional[np.ndarray] = None
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Max over each non-overlapping ``kh x kw`` window, without copies.
 
@@ -274,8 +241,9 @@ def _max_pool_select(x: np.ndarray, kh: int, kw: int,
     window element ``k``, using argmax's rule (the first maximum wins; a
     window holding a NaN selects its first NaN).  ``out`` is assembled
     from the selected element's own bits, so a window mixing ``-0.0``
-    and ``+0.0`` yields whichever zero comes first.  ``out`` may be a
-    preallocated ``(n, c, oh, ow)`` buffer.
+    and ``+0.0`` yields whichever zero comes first.  ``out`` and the
+    working buffers ``masks``, ``seen`` and ``sel`` (see
+    :func:`_max_pool_scratch`) may be preallocated.
     """
     n, c, h, w = x.shape
     oh, ow = h // kh, w // kw
@@ -287,9 +255,12 @@ def _max_pool_select(x: np.ndarray, kh: int, kw: int,
     np.copyto(out, views[0])
     for v in views[1:]:
         np.maximum(out, v, out=out)
-    masks = np.empty((len(views), n, c, oh, ow), dtype=bool)
+    if masks is None:
+        masks = np.empty((len(views), n, c, oh, ow), dtype=bool)
     np.equal(views[0], out, out=masks[0])
-    seen = masks[0].copy()
+    if seen is None:
+        seen = np.empty(out.shape, dtype=bool)
+    np.copyto(seen, masks[0])
     for v, mask in zip(views[1:], masks[1:]):
         np.equal(v, out, out=mask)
         np.greater(mask, seen, out=mask)        # mask & ~seen
@@ -304,7 +275,8 @@ def _max_pool_select(x: np.ndarray, kh: int, kw: int,
             np.greater(unseen, hit, out=unseen)
     bits = np.dtype(f"u{x.dtype.itemsize}")
     out_bits = out.view(bits)
-    sel = np.empty(out.shape, dtype=bits)
+    if sel is None:
+        sel = np.empty(out.shape, dtype=bits)
     for k, (v, mask) in enumerate(zip(views, masks)):
         np.negative(mask.view(np.uint8), dtype=bits, out=sel)   # 0 or ~0
         if k == 0:
@@ -313,6 +285,18 @@ def _max_pool_select(x: np.ndarray, kh: int, kw: int,
             np.bitwise_and(v.view(bits), sel, out=sel)
             np.bitwise_or(out_bits, sel, out=out_bits)
     return out, masks
+
+
+def _max_pool_scratch(x, *, kernel):
+    """The working buffers of :func:`_max_pool_select`.  Compiled, the
+    masks live in the arena; interpreted, the kernel allocates them and
+    saves them for the backward."""
+    kh, kw = kernel
+    n, c, h, w = x.shape
+    shape = (n, c, h // kh, w // kw)
+    return {"masks": ((kh * kw,) + shape, np.dtype(bool)),
+            "seen": (shape, np.dtype(bool)),
+            "sel": (shape, np.dtype(f"u{x.dtype.itemsize}"))}
 
 
 def _max_pool2d_grad(g, ins, y, masks, *, kernel):
@@ -611,9 +595,9 @@ def entropy_of_probs(probs: np.ndarray, eps: float = 1e-12, base2: bool = True) 
 
 CONV2D = Op("conv2d", _conv2d, _conv2d_grad, scratch=_conv2d_scratch)
 MAX_POOL2D = Op("max_pool2d",
-                lambda x, *, kernel, out=None: _max_pool_select(x, *kernel,
-                                                                out=out),
-                _max_pool2d_grad)
+                lambda x, *, kernel, out=None, **scratch: _max_pool_select(
+                    x, *kernel, out=out, **scratch),
+                _max_pool2d_grad, scratch=_max_pool_scratch)
 AVG_POOL2D = Op("avg_pool2d", _avg_pool2d, _avg_pool2d_grad)
 PAD2D = Op("pad2d", _pad2d, _pad2d_grad)
 BATCH_NORM = Op("batch_norm", _batch_norm, _batch_norm_grad)

@@ -523,12 +523,20 @@ def _relu(a, *, out=None, mask=None):
     return np.multiply(a, mask, out=out), mask
 
 
-def _sigmoid(a, *, out=None):
-    # Numerically stable logistic.
-    y = np.where(a >= 0,
-                 1.0 / (1.0 + np.exp(-np.clip(a, -60, 60))),
-                 np.exp(np.clip(a, -60, 60)) / (1.0 + np.exp(np.clip(a, -60, 60))))
-    return _to(out, y.astype(a.dtype, copy=False)), None
+def _sigmoid(a, *, out=None, clipped=None, exp=None, nonneg=None):
+    """Stable logistic of ``c = clip(a, -60, 60)``: ``1 / (1 + exp(-c))``
+    where ``a >= 0``, else ``exp(c) / (1 + exp(c))``; each step is one
+    ufunc into a named buffer, so a compiled replay runs in its arena."""
+    c = np.clip(a, -60, 60, out=clipped)
+    e = np.exp(c, out=exp)
+    out = np.add(1.0, e, out=out)
+    np.divide(e, out, out=out)                       # a < 0 branch
+    np.negative(c, out=c)
+    np.exp(c, out=e)
+    np.add(1.0, e, out=e)
+    np.divide(1.0, e, out=e)                         # a >= 0 branch
+    np.copyto(out, e, where=np.greater_equal(a, 0, out=nonneg))
+    return out, None
 
 
 def _clip_grad(g, ins, y, saved, *, low, high):
@@ -568,7 +576,10 @@ TANH = Op("tanh", _ufunc(np.tanh),
 RELU = Op("relu", _relu, lambda g, ins, y, mask: (g * mask,), inplace=True,
           scratch=lambda a: {"mask": (a.shape, np.dtype(bool))})
 SIGMOID = Op("sigmoid", _sigmoid,
-             lambda g, ins, y, saved: (g * y * (1.0 - y),))
+             lambda g, ins, y, saved: (g * y * (1.0 - y),),
+             scratch=lambda a: {"clipped": (a.shape, a.dtype),
+                                "exp": (a.shape, a.dtype),
+                                "nonneg": (a.shape, np.dtype(bool))})
 CLIP = Op("clip", lambda a, *, low, high, out=None: (
     np.clip(a, low, high, out=out), None), _clip_grad, inplace=True)
 MATMUL = Op("matmul",

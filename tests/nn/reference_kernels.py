@@ -1,19 +1,24 @@
-"""Reference max-pool and batch-norm kernels: the plain formulations.
+"""Reference kernels: the plain formulations the production ones replaced.
 
 These are the argmax / take_along_axis max-pool and the mean + var batch
-norm that :mod:`repro.nn.functional` used before its copy-free kernels.
-They are kept verbatim as oracles: the production kernels must match
-them byte for byte (outputs, gradients and running statistics).
+norm that :mod:`repro.nn.functional` used before its copy-free kernels,
+the sparse-GEMM col2im its conv input gradient used before the strided
+adds, and the one-expression sigmoid :mod:`repro.nn.tensor` used before
+its kernel wrote into named buffers.  They are kept verbatim as oracles: the production kernels
+must match them byte for byte (outputs, gradients and running
+statistics).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.nn.functional import IntPair, _pair
 from repro.nn.tensor import Tensor
+from repro.nn.threading import batch_blocks, map_blocks
 
 
 def max_pool2d(x: Tensor, kernel_size: IntPair = 2, stride: Optional[IntPair] = None) -> Tensor:
@@ -97,3 +102,69 @@ def batch_norm(x: Tensor, weight: Optional[Tensor], bias: Optional[Tensor],
         return (gx, gw, gb)
 
     return Tensor._make(out.astype(x.dtype, copy=False), parents, backward)
+
+
+def _im2col_indices(channels: int, height: int, width: int,
+                    kh: int, kw: int, stride_h: int, stride_w: int,
+                    pad_h: int, pad_w: int):
+    """Index arrays mapping a padded image to its im2col matrix.
+
+    Returns ``(k, i, j, out_h, out_w)`` such that
+    ``x_padded[:, k, i, j]`` has shape ``(N, C*kh*kw, out_h*out_w)``.
+    """
+    out_h = (height + 2 * pad_h - kh) // stride_h + 1
+    out_w = (width + 2 * pad_w - kw) // stride_w + 1
+    i0 = np.repeat(np.arange(kh), kw)
+    i0 = np.tile(i0, channels)
+    i1 = stride_h * np.repeat(np.arange(out_h), out_w)
+    j0 = np.tile(np.arange(kw), kh * channels)
+    j1 = stride_w * np.tile(np.arange(out_w), out_h)
+    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
+    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
+    return k, i, j, out_h, out_w
+
+
+def _scatter_matrix(k_idx, i_idx, j_idx, padded_hw: Tuple[int, int],
+                    channels: int) -> sparse.csr_matrix:
+    """Sparse matrix mapping im2col columns back to padded-image pixels."""
+    hp, wp = padded_hw
+    flat = (k_idx * hp * wp + i_idx * wp + j_idx).ravel()
+    n_cols = flat.size
+    return sparse.csr_matrix(
+        (np.ones(n_cols, dtype=np.float32),
+         (flat, np.arange(n_cols, dtype=np.int64))),
+        shape=(channels * hp * wp, n_cols))
+
+
+def conv2d_input_grad(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
+                      stride: Tuple[int, int], padding: Tuple[int, int],
+                      groups: int) -> np.ndarray:
+    """The conv input gradient: per row-block GEMM, then a sparse col2im."""
+    (sh, sw), (ph, pw) = stride, padding
+    n, c, h, w = x.shape
+    o, _, kh, kw = weight.shape
+    k_idx, i_idx, j_idx, out_h, out_w = _im2col_indices(
+        c, h, w, kh, kw, sh, sw, ph, pw)
+    hp, wp = h + 2 * ph, w + 2 * pw
+    loc, kdim = out_h * out_w, c // groups * kh * kw
+    w_g = weight.reshape(groups, o // groups, kdim)
+    g_r = g.reshape(n, groups, o // groups, loc)
+    scatter = _scatter_matrix(k_idx, i_idx, j_idx, (hp, wp), c)
+    gx_padded = np.empty((n, c, hp, wp), dtype=np.result_type(w_g, g))
+
+    def _gx_block(sl: slice, _b: int) -> None:
+        nb = sl.stop - sl.start
+        gcols = np.matmul(w_g.transpose(0, 2, 1)[None], g_r[sl])
+        gcols = gcols.reshape(nb, c * kh * kw * loc)
+        gx_padded[sl] = (scatter @ gcols.T).T.reshape(nb, c, hp, wp)
+
+    map_blocks(_gx_block, batch_blocks(n))
+    return gx_padded[:, :, ph:ph + h, pw:pw + w].astype(x.dtype, copy=False)
+
+
+def sigmoid(a: np.ndarray) -> np.ndarray:
+    y = np.where(a >= 0,
+                 1.0 / (1.0 + np.exp(-np.clip(a, -60, 60))),
+                 np.exp(np.clip(a, -60, 60)) / (1.0 + np.exp(np.clip(a, -60, 60))))
+    return y.astype(a.dtype, copy=False)

@@ -10,6 +10,7 @@ interpreted path with a single warning instead of failing.
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -175,6 +176,30 @@ class TestOpTable:
         assert out.dtype == reference.dtype and out.shape == reference.shape
         assert out.tobytes() == reference.tobytes(), (
             f"{name} width={width} diverged from interpreted")
+
+
+class TestArenaAllocation:
+    """A compiled replay keeps its buffers, scratch included, in the arena."""
+
+    #: What is left is numpy's own iterator buffers and the replay's small
+    #: Python objects, ~36 KB on every zoo model; per-batch max-pool masks
+    #: or sigmoid temporaries outside the arena add 160 KB (small_cnn) to
+    #: 1.8 MB (efficientnet_b0) at width 32.
+    BOUND = 64 * 1024
+
+    @pytest.mark.parametrize("name", ["small_cnn", "efficientnet_b0"])
+    def test_replay_peak_above_arena_is_bounded(self, name):
+        compiled = nn_compile(_model(name), 32, input_shape=SHAPE)
+        assert compiled.compiled, compiled.fallback_reason
+        batch = _batch(32)
+        compiled(batch)
+        tracemalloc.start()
+        try:
+            compiled(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUND, f"{name}: {peak} bytes outside the arena"
 
 
 class TestFallback:

@@ -1,17 +1,20 @@
-"""Copy-free max-pool and batch norm vs their plain reference kernels.
+"""Copy-free max-pool, batch norm and col2im vs their reference kernels.
 
 The production kernels in :mod:`repro.nn.functional` are rewrites for
-speed; they must not move a single bit.  A hypothesis sweep compares
-them with the verbatim references in ``reference_kernels.py``: outputs,
-input and parameter gradients, and running statistics, byte for byte.
-The value palettes are tiny on purpose so that ties, windows mixing
-``-0.0`` with ``+0.0``, and NaN windows come up constantly.  A final
-test trains a model with each kernel pair and compares the weights.
+speed or for fewer dependencies; they must not move a single bit.  A
+hypothesis sweep compares them with the verbatim references in
+``reference_kernels.py``: outputs, input and parameter gradients,
+running statistics, and the conv input gradient against the sparse-GEMM
+col2im, byte for byte.  The value palettes are tiny on purpose so that
+ties, windows mixing ``-0.0`` with ``+0.0``, and NaN windows come up
+constantly.  A final test trains a model with each kernel pair and
+compares the weights.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,7 +23,8 @@ from repro import nn
 from repro.data import load_dataset
 from repro.models import small_cnn
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import SIGMOID, Tensor
+from repro.nn.threading import MIN_BLOCK_BATCH
 from repro.train import TrainConfig, train_model
 from tests.nn import reference_kernels as ref
 
@@ -141,6 +145,97 @@ def test_batch_norm_matches_reference_bitwise(case):
     names = ["out", "running_mean", "running_var", "gx", "gw", "gb"]
     for name, a, b in zip(names, got, expected):
         assert _same_bits(a, b), f"{name} differs from the reference kernel"
+
+
+@_settings
+@given(st.sampled_from(DTYPES), st.data())
+def test_sigmoid_matches_reference_bitwise(dtype, data):
+    """Interpreted and into poisoned buffers, across the clip bounds."""
+    values = st.one_of(
+        st.sampled_from([-0.0, 0.0, np.nan, np.inf, -np.inf, 60.0, -60.0,
+                         60.5, -61.0, 100.0, -100.0]),
+        st.floats(-70.0, 70.0, allow_nan=False, width=32))
+    a = data.draw(arrays(dtype, data.draw(st.integers(1, 40)),
+                         elements=values))
+    expected = ref.sigmoid(a)
+    assert _same_bits(Tensor(a, dtype=dtype).sigmoid().data, expected)
+    buffers = {name: np.full(a.shape, fill, dtype=kind) for name, fill, kind
+               in [("out", np.nan, dtype), ("clipped", 7.0, dtype),
+                   ("exp", -3.0, dtype), ("nonneg", True, bool)]}
+    out, _ = SIGMOID.forward(a, **buffers)
+    assert out is buffers["out"] and _same_bits(out, expected)
+
+
+def _conv_arrays(seed, n, c, o, groups, k, h, w, dtype, stride, pad, nan):
+    """Input, weight and an upstream gradient full of signed zeros."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    weight = rng.standard_normal((o, c // groups, k, k)).astype(dtype)
+    weight[rng.random(weight.shape) < 0.2] = -0.0
+    out_hw = ((h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1)
+    shape = (n, o) + out_hw
+    palette = np.array([-0.0, 0.0, 1.0, -1.5] + ([np.nan] if nan else []),
+                       dtype=dtype)
+    g = np.where(rng.random(shape) < 0.5, rng.choice(palette, shape),
+                 rng.standard_normal(shape)).astype(dtype)
+    return x, weight, g
+
+
+@st.composite
+def _conv_case(draw):
+    kind = draw(st.sampled_from(["dense", "grouped", "depthwise"]))
+    if kind == "dense":
+        groups, c, o = 1, draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    elif kind == "grouped":
+        groups = 2
+        c, o = 2 * draw(st.integers(1, 2)), 2 * draw(st.integers(1, 2))
+    else:
+        c = draw(st.integers(1, 4))
+        groups, o = c, c
+    k = draw(st.sampled_from([1, 3, 5]))
+    stride, pad = draw(st.sampled_from([1, 2])), draw(st.integers(0, 2))
+    low = max(1, k - 2 * pad)
+    h, w = draw(st.integers(low, low + 4)), draw(st.integers(low, low + 4))
+    n = draw(st.integers(1, 40))
+    dtype = draw(st.sampled_from(DTYPES))
+    seed, nan = draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+    return (seed, n, c, o, groups, k, h, w, dtype, stride, pad, nan)
+
+
+def _check_conv_input_grad(case):
+    seed, n, c, o, groups, k, h, w, dtype, stride, pad, nan = case
+    x, weight, g = _conv_arrays(*case)
+    t = Tensor(x, requires_grad=True, dtype=dtype)
+    out = F.conv2d(t, Tensor(weight, dtype=dtype), stride=stride,
+                   padding=pad, groups=groups)
+    out.backward(g)
+    expected = ref.conv2d_input_grad(g, x, weight, (stride, stride),
+                                     (pad, pad), groups)
+    assert _same_bits(t.grad, expected)
+
+
+@_settings
+@given(_conv_case())
+def test_conv_input_grad_matches_sparse_col2im(case):
+    _check_conv_input_grad(case)
+
+
+@pytest.mark.parametrize("n", [1, MIN_BLOCK_BATCH - 1, MIN_BLOCK_BATCH, 40])
+@pytest.mark.parametrize("geometry", [
+    # (c, o, groups, k, h, w, stride, pad)
+    (3, 4, 1, 3, 6, 7, 2, 1),       # dense, stride 2
+    (4, 4, 2, 5, 5, 5, 1, 2),       # grouped, kernel 5
+    (4, 4, 4, 3, 8, 8, 2, 1),       # depthwise, stride 2
+    (2, 3, 1, 1, 4, 4, 1, 0),       # pointwise
+])
+def test_conv_input_grad_matches_sparse_col2im_both_block_sides(n, geometry):
+    """Each geometry on either side of the row-block threshold, with NaN.
+
+    The depthwise case accumulates channels-last, the others in NCHW.
+    """
+    c, o, groups, k, h, w, stride, pad = geometry
+    _check_conv_input_grad((n, n, c, o, groups, k, h, w, np.float32,
+                            stride, pad, True))
 
 
 def _trained_state_bytes() -> bytes:

@@ -12,11 +12,17 @@ None/True/False), E722 (bare except), F401 (unused imports, module
 scope; ``__all__`` and ``__init__.py`` re-exports count as uses),
 F811 (redefined function/class), F841 (unused local variable).
 
-One repo-specific rule always runs (with or without ruff): REV001
-rejects raw dict-based counters (``self.counters = {...}`` and
-friends) in ``src/repro`` outside ``repro.obs`` — metrics belong in
-the typed registry (:mod:`repro.obs.metrics`), which is what makes
-them mergeable across processes and exportable to Prometheus.
+Two repo-specific rules always run (with or without ruff), both over
+``src/repro``:
+
+- REV001 rejects raw dict-based counters (``self.counters = {...}``
+  and friends) outside ``repro.obs`` — metrics belong in the typed
+  registry (:mod:`repro.obs.metrics`), which is what makes them
+  mergeable across processes and exportable to Prometheus.
+- REV002 rejects a module-level ``import scipy…`` / ``from scipy …``.
+  Only the WaNet and FTrojan triggers use scipy, inside the functions
+  that call it; a module-level import would make every ``repro``
+  process, pool worker and server load ~140 scipy modules at start-up.
 
 Exit code 0 when clean, 1 when violations are found.
 """
@@ -256,27 +262,76 @@ def check_raw_counters(root: Path = None) -> int:
                         (path, node.lineno, "REV001",
                          f"raw dict counter {name!r} — use a typed "
                          f"repro.obs.metrics.Registry instead"))
+    return _report(violations, "counter lint")
+
+
+def _import_time_nodes(tree: ast.Module) -> Iterator[ast.AST]:
+    """Every node that runs when the module is imported: the module body,
+    recursing into ``if``/``try``/class bodies but not into functions."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_scipy(module: str) -> bool:
+    return module == "scipy" or module.startswith("scipy.")
+
+
+def check_module_scipy_imports(root: Path = None) -> int:
+    """REV002: module-level scipy imports under ``src/repro``.
+
+    Function-level imports are allowed: that is how the WaNet and
+    FTrojan triggers load scipy only when they run.
+    """
+    root = root or (REPO / "src" / "repro")
+    violations: List[Violation] = []
+    for path in sorted(root.rglob("*.py")):
+        try:
+            tree = ast.parse(path.read_text(), filename=str(path))
+        except SyntaxError:
+            continue                     # E999 is the other checks' job
+        for node in _import_time_nodes(tree):
+            if isinstance(node, ast.Import):
+                hit = any(_is_scipy(alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = not node.level and _is_scipy(node.module or "")
+            else:
+                continue
+            if hit:
+                violations.append(
+                    (path, node.lineno, "REV002",
+                     "module-level scipy import — import it inside the "
+                     "function that uses it"))
+    return _report(violations, "scipy import lint")
+
+
+def _report(violations: List[Violation], label: str) -> int:
     for path, lineno, code, message in violations:
         rel = path.relative_to(REPO) if path.is_relative_to(REPO) else path
         print(f"{rel}:{lineno}: {code} {message}")
     if violations:
-        print(f"counter lint: {len(violations)} violation(s)")
+        print(f"{label}: {len(violations)} violation(s)")
     return 1 if violations else 0
 
 
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     paths = args or list(DEFAULT_PATHS)
-    # The repo-specific counter rule runs regardless of which general
-    # linter backs the run — ruff has no knowledge of it.
-    counter_status = check_raw_counters()
+    # The repo-specific rules run regardless of which general linter
+    # backs the run — ruff has no knowledge of them.
+    repo_status = check_raw_counters() | check_module_scipy_imports()
     if shutil.which("ruff"):
         print("running ruff")
         return subprocess.call(["ruff", "check", *paths], cwd=REPO) \
-            or counter_status
+            or repo_status
     print("ruff not installed; running built-in fallback linter "
           "(subset of the ruff rules in pyproject.toml)")
-    return fallback_lint(paths) or counter_status
+    return fallback_lint(paths) or repo_status
 
 
 if __name__ == "__main__":
