@@ -1,13 +1,11 @@
 """Perf-scaling benchmark for the parallel execution + kernel layers.
 
-Times four perf surfaces and verifies their determinism contracts:
+Times three perf surfaces and verifies their determinism contracts:
 
 - SISA fit (4 shards) and a deletion-request ``unlearn`` round-trip at
   ``workers ∈ {1, 2, 4}`` (process pool) — bit-identical state dicts;
 - a 3-seed ``run_replicated`` multirun at the same worker counts —
   bit-identical BA/ASR aggregates;
-- conv-bound single-model training at ``intra_op_threads ∈ {1, 2, 4}``
-  (thread pool inside the conv2d kernels) — bit-identical state dicts;
 - ``predict_logits`` with and without eval-time BatchNorm folding —
   logits equal within atol 1e-5.
 
@@ -24,10 +22,10 @@ Run directly (not collected by pytest)::
 CI baselines); a full run refreshes everything.  Existing sections of
 the JSON that a run does not produce are preserved.
 
-Speedup tracks the machine: on an N-core box the 4-shard fit and the
-4-thread conv cells approach min(4, N)×; on a single core pools only
-add overhead (the JSON records ``cpu_count`` / ``available_cpus`` and
-whatever the hardware gives, honestly).
+Speedup tracks the machine: on an N-core box the 4-shard fit
+approaches min(4, N)×; on a single core pools only add overhead (the
+JSON records ``cpu_count`` / ``available_cpus`` and whatever the
+hardware gives, honestly).
 """
 
 from __future__ import annotations
@@ -50,13 +48,11 @@ from repro.eval.harness import PipelineConfig  # noqa: E402
 from repro.eval.multirun import run_replicated  # noqa: E402
 from repro.models.registry import build_model  # noqa: E402
 from repro.nn.fold import count_foldable, fold_batchnorm  # noqa: E402
-from repro.nn.threading import available_cpu_count  # noqa: E402
-from repro.parallel import ModelSpec  # noqa: E402
+from repro.parallel import ModelSpec, available_cpu_count  # noqa: E402
 from repro.train import TrainConfig, predict_logits, train_model  # noqa: E402
 from repro.unlearning.sisa import SISAConfig, SISAEnsemble  # noqa: E402
 
 WORKER_COUNTS = (1, 2, 4)
-THREAD_COUNTS = (1, 2, 4)
 OUT_PATH = Path(__file__).parent / "BENCH_perf_scaling.json"
 
 
@@ -78,16 +74,15 @@ def _ensemble_digest(ensemble: SISAEnsemble) -> str:
     return digest.hexdigest()
 
 
-def time_conv_threads(dataset_name: str, epochs: int, threads: int) -> dict:
-    """Conv-bound single-model training at one intra-op thread count."""
+def time_conv_train(dataset_name: str, epochs: int) -> dict:
+    """Conv-bound single-model training; returns timing + state digest."""
     train, _, profile = load_dataset(dataset_name, seed=0)
     nn.manual_seed(21)
     model = build_model("small_cnn", profile.num_classes, scale="bench")
     config = TrainConfig(epochs=epochs, lr=3e-3, seed=13)
-    with nn.intra_op_threads(threads):
-        start = time.perf_counter()
-        train_model(model, train, config)
-        seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    train_model(model, train, config)
+    seconds = time.perf_counter() - start
     return {
         "seconds": seconds,
         "samples_per_sec": len(train) * epochs / seconds,
@@ -189,7 +184,7 @@ def training_phase_breakdown(dataset_name: str = "unit",
                              epochs: int = 1) -> dict:
     """Per-phase wall/CPU split of one training epoch, hooks enabled.
 
-    The conv-kernel block layer is instrumented with the zero-cost
+    The conv kernels are instrumented with the zero-cost
     profiling idiom (:mod:`repro.obs.profile`); enabling it for one
     short run shows where a training step's time actually goes —
     ``conv.forward`` vs ``conv.backward`` wall/CPU seconds and call
@@ -215,9 +210,8 @@ def run_quick_gate() -> dict:
     # One untimed run first: the first process after the box idles runs
     # its BLAS GEMMs several times slower for a while, and a cold cell
     # reads 6-8x the warm one on unchanged code.
-    time_conv_threads("unit", epochs=2, threads=1)
-    cells["conv_train_seconds"] = time_conv_threads(
-        "unit", epochs=2, threads=1)["seconds"]
+    time_conv_train("unit", epochs=2)
+    cells["conv_train_seconds"] = time_conv_train("unit", epochs=2)["seconds"]
     folding = time_folded_inference("unit", epochs=1, repeats=3)
     cells["folded_predict_seconds"] = folding["folded_seconds"]
     cells["folding_max_abs_delta"] = folding["max_abs_delta"]
@@ -249,12 +243,11 @@ def _merge_write(path: Path, updates: dict) -> None:
 def run_full(report: dict) -> bool:
     """Full-scale sections; returns False on a determinism violation."""
     dataset = "cifar10-bench"
-    sisa_epochs, multirun_epochs, conv_epochs = 12, 6, 4
+    sisa_epochs, multirun_epochs = 12, 6
 
     report.update({"dataset": dataset,
                    "worker_counts": list(WORKER_COUNTS),
-                   "thread_counts": list(THREAD_COUNTS),
-                   "sisa": {}, "multirun": {}, "threads": {}})
+                   "sisa": {}, "multirun": {}})
 
     print(f"SISA 4-shard fit + unlearn on {dataset} "
           f"({sisa_epochs} epochs), workers in {WORKER_COUNTS}")
@@ -295,26 +288,6 @@ def run_full(report: dict) -> bool:
     print(f"  aggregates bit-identical across worker counts: {mr_identical}")
     if not mr_identical:
         print("  ERROR: parallel multirun diverged from serial", file=sys.stderr)
-        return False
-
-    print(f"conv-bound training on {dataset} ({conv_epochs} epochs), "
-          f"intra-op threads in {THREAD_COUNTS}")
-    for threads in THREAD_COUNTS:
-        row = time_conv_threads(dataset, conv_epochs, threads)
-        report["threads"][str(threads)] = row
-        print(f"  threads={threads}: {row['seconds']:.2f}s "
-              f"({row['samples_per_sec']:.0f} samples/s)")
-    base_thr = report["threads"]["1"]
-    thr_identical = all(row["digest"] == base_thr["digest"]
-                        for row in report["threads"].values())
-    for threads in THREAD_COUNTS:
-        row = report["threads"][str(threads)]
-        row["speedup"] = base_thr["seconds"] / row["seconds"]
-    report["threads_bit_identical"] = thr_identical
-    print(f"  bit-identical across thread counts: {thr_identical}")
-    if not thr_identical:
-        print("  ERROR: threaded conv training diverged from serial",
-              file=sys.stderr)
         return False
 
     print(f"BatchNorm-folded inference on {dataset}")

@@ -1,12 +1,10 @@
-"""Serving-layer benchmark: throughput/latency vs policy, threads, cache.
+"""Serving-layer benchmark: throughput/latency vs policy, cache, compile.
 
 Stands up the real stack — ModelStore, fixed-width micro-batcher,
 stdlib HTTP front end — around a bench-scale model and drives it with
 the closed-loop load generator across several axes:
 
 - **policies**: coalescing (max_batch_size, max_delay_ms) sweep;
-- **threads**: intra-op thread counts at the widest policy (``cpu_count``
-  is recorded alongside so the cells are interpretable);
 - **cache**: the exact-response LRU under repeated traffic, on vs off,
   plus a cached-vs-fresh max-delta that the determinism contract pins
   to exactly 0.0;
@@ -47,8 +45,8 @@ from repro import nn  # noqa: E402
 from repro.data.registry import load_dataset  # noqa: E402
 from repro.models.registry import build_model  # noqa: E402
 from repro.nn.tensor import Tensor  # noqa: E402
-from repro.nn.threading import available_cpu_count  # noqa: E402
 from repro.obs import profiled, set_tracing  # noqa: E402
+from repro.parallel import available_cpu_count  # noqa: E402
 from repro.serve import (BatchPolicy, InferenceServer, ModelStore,  # noqa: E402
                          ServingClient, run_load, start_http_server,
                          stop_http_server)
@@ -57,7 +55,6 @@ OUT_PATH = Path(__file__).parent / "BENCH_perf_scaling.json"
 
 #: (max_batch_size, max_delay_ms) policies swept by the full run.
 POLICIES = ((1, 0.0), (8, 2.0), (32, 4.0))
-THREAD_COUNTS = (1, 2)
 
 
 def _build_server(policy: BatchPolicy, dataset: str = "cifar10-bench",
@@ -111,17 +108,15 @@ def _run_cell(server: InferenceServer, test, requests: int, concurrency: int,
     return cell
 
 
-def time_policy(max_batch: int, delay_ms: float, threads: int,
+def time_policy(max_batch: int, delay_ms: float,
                 requests: int = 192, concurrency: int = 16,
                 dataset: str = "cifar10-bench") -> dict:
-    """One (policy, intra-op threads) cell over HTTP."""
+    """One coalescing-policy cell over HTTP."""
     policy = BatchPolicy(max_batch_size=max_batch, max_delay_ms=delay_ms)
     server, test = _build_server(policy, dataset=dataset)
     try:
-        with nn.intra_op_threads(threads):
-            cell = _run_cell(server, test, requests, concurrency)
-        cell.update(max_batch_size=max_batch, max_delay_ms=delay_ms,
-                    intra_op_threads=threads)
+        cell = _run_cell(server, test, requests, concurrency)
+        cell.update(max_batch_size=max_batch, max_delay_ms=delay_ms)
         return cell
     finally:
         server.close()
@@ -351,7 +346,7 @@ def phase_breakdown(requests: int = 64, concurrency: int = 8) -> dict:
     Enables the zero-cost profiling hooks (:func:`repro.obs.profiled`)
     for the duration of a short load: the snapshot splits the serving
     path into its instrumented phases — ``serve.dispatch`` (pad +
-    forward) and ``conv.forward`` (the kernel block layer).
+    forward) and ``conv.forward`` (the conv GEMM).
     """
     policy = BatchPolicy(max_batch_size=8, max_delay_ms=2.0)
     server, test = _build_server(policy, dataset="unit",
@@ -426,24 +421,17 @@ def _merge_write(path: Path, serving_updates: dict) -> None:
 
 
 def run_full() -> dict:
-    section = {"dataset": "cifar10-bench", "policies": {}, "threads": {},
-               "cache": {}}
+    section = {"dataset": "cifar10-bench", "policies": {}, "cache": {}}
     print(f"serving policy sweep on cifar10-bench "
           f"(policies {POLICIES}, 192 requests, concurrency 16)")
     for max_batch, delay_ms in POLICIES:
-        cell = time_policy(max_batch, delay_ms, threads=1)
+        cell = time_policy(max_batch, delay_ms)
         section["policies"][f"b{max_batch}"] = cell
         print(f"  batch<={max_batch} delay={delay_ms:g}ms: "
               f"{cell['throughput_rps']:.1f} req/s, "
               f"p50 {cell['p50_ms']:.1f}ms, p95 {cell['p95_ms']:.1f}ms, "
               f"occupancy {cell['occupancy']:.2f}, "
               f"width {cell['mean_batch_width']:.1f}")
-    print(f"intra-op thread sweep at batch<=32 (threads {THREAD_COUNTS})")
-    for threads in THREAD_COUNTS:
-        cell = time_policy(32, 4.0, threads=threads)
-        section["threads"][str(threads)] = cell
-        print(f"  threads={threads}: {cell['throughput_rps']:.1f} req/s, "
-              f"p50 {cell['p50_ms']:.1f}ms")
     print("response-cache sweep (8 distinct images round-robined)")
     for capacity in (0, 256):
         cell = time_cache(capacity)

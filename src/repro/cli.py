@@ -57,12 +57,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default=1,
                         help="process-pool size for SISA shard training "
                              "(1 = serial, 0 = one per CPU core)")
-    parser.add_argument("--intra-op-threads",
-                        type=_nonnegative_arg("--intra-op-threads"), default=1,
-                        help="conv-kernel thread-pool size (1 = serial, 0 = "
-                             "one per CPU core); when --workers > 1 each "
-                             "worker process defaults to 1 thread so "
-                             "processes x threads stays at core count")
 
 
 def _config_from(args, cr: Optional[float] = None,
@@ -73,7 +67,7 @@ def _config_from(args, cr: Optional[float] = None,
         camouflage_ratio=cr if cr is not None else args.cr,
         noise_std=sigma if sigma is not None else args.sigma,
         epochs=args.epochs, lr=args.lr, seed=args.seed,
-        workers=args.workers, intra_op_threads=args.intra_op_threads)
+        workers=args.workers)
 
 
 def cmd_pipeline(args) -> int:

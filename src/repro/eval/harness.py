@@ -49,7 +49,6 @@ class PipelineConfig:
     sisa_slices: int = 1
     seed: int = 0
     workers: int = 1                        # SISA shard pool: 1=serial, 0=auto
-    intra_op_threads: int = 1               # conv-kernel threads: 1=serial, 0=auto
 
 
 @dataclass
@@ -114,19 +113,10 @@ def run_pipeline(cfg: PipelineConfig,
     but leaves the deletion to the caller — the entry point for the
     online unlearning plane, where ``result.provider`` keeps serving
     while ``/v1/forget`` requests retrain it incrementally.
-
-    ``cfg.intra_op_threads`` scopes the conv-kernel thread pool over the
-    whole run (plain trainings and measurement); the SISA stage re-derives
-    its own setting so shard *processes* never multiply it.
     """
     unknown = set(stages) - {"poison", "camouflage", "unlearn", "provider"}
     if unknown:
         raise ValueError(f"unknown stages: {sorted(unknown)}")
-    with nn.intra_op_threads(cfg.intra_op_threads):
-        return _run_pipeline_inner(cfg, stages)
-
-
-def _run_pipeline_inner(cfg: PipelineConfig, stages: tuple) -> PipelineResult:
     profile = get_profile(cfg.dataset)
     train, test, _ = load_dataset(cfg.dataset, seed=cfg.seed)
     target = profile.target_label
@@ -151,8 +141,7 @@ def _run_pipeline_inner(cfg: PipelineConfig, stages: tuple) -> PipelineResult:
             sisa_cfg = SISAConfig(num_shards=cfg.sisa_shards,
                                   num_slices=cfg.sisa_slices,
                                   train=tcfg, seed=cfg.seed + 2,
-                                  workers=cfg.workers,
-                                  intra_op_threads=cfg.intra_op_threads)
+                                  workers=cfg.workers)
             factory = ModelSpec(cfg.model, profile.num_classes,
                                 scale=cfg.model_scale)
             provider = SISAEnsemble(factory, sisa_cfg).fit(bundle.train_mixture)
@@ -193,6 +182,5 @@ def train_plain_model(cfg: PipelineConfig, dataset: ArrayDataset,
     """
     nn.manual_seed(cfg.seed + seed_offset)
     model = build_model(cfg.model, num_classes, scale=cfg.model_scale)
-    with nn.intra_op_threads(cfg.intra_op_threads):
-        train_model(model, dataset, _train_config(cfg))
+    train_model(model, dataset, _train_config(cfg))
     return model

@@ -99,16 +99,10 @@ def run_replicated(config: PipelineConfig, num_runs: int = 5,
     effective = resolve_workers(workers)
     # A single replicate runs inline (no pool), so its pipeline may keep
     # its own shard parallelism; only a real fan-out must force it to 1.
-    # Intra-op threads follow the same composition rule as the SISA
-    # dispatcher: pooled replicates default (auto=0) to 1 conv thread so
-    # processes × threads stays at core count; explicit >1 is honored.
     pooled = effective > 1 and num_runs > 1
-    threads = config.intra_op_threads
     tasks = [ReplicateTask(
         config=replace(config, seed=seed,
-                       workers=1 if pooled else config.workers,
-                       intra_op_threads=(1 if threads == 0 else threads)
-                       if pooled else threads),
+                       workers=1 if pooled else config.workers),
         stages=stages, label=f"replicate-seed-{seed}") for seed in seeds]
     per_stage_ba: Dict[str, List[float]] = {}
     per_stage_asr: Dict[str, List[float]] = {}

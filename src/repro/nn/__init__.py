@@ -11,7 +11,6 @@ familiar ``torch``/``torch.nn`` split:
 - :mod:`repro.nn.layers` — ``Conv2d``, ``BatchNorm2d``, ``Linear``, ...
 - :mod:`repro.nn.optim` — ``Adam`` (paper recipe), ``SGD``.
 - :mod:`repro.nn.scheduler` — ``CosineAnnealingLR`` (paper recipe).
-- :mod:`repro.nn.threading` — intra-op thread pool for the conv kernels.
 - :mod:`repro.nn.fold` — eval-time BatchNorm folding (inference fast path).
 - :mod:`repro.nn.graph` — compiled inference graphs (``compile`` /
   ``prepare_for_inference``): trace → fuse → arena.
@@ -21,7 +20,6 @@ from . import fold
 from . import functional
 from . import graph
 from . import init
-from . import threading
 from .fold import (FoldedModelCache, fold_batchnorm, inference_mode,
                    shared_folded_cache)
 from .graph import CompiledModel, TraceError, compile, prepare_for_inference
@@ -34,8 +32,6 @@ from .scheduler import ConstantLR, CosineAnnealingLR, LRScheduler, StepLR
 from .serialization import (load_state, restore, save_state, snapshot,
                             state_nbytes)
 from .tensor import Tensor, concat, ensure_tensor, is_grad_enabled, no_grad, stack
-from .threading import (get_intra_op_threads, intra_op_threads,
-                        set_intra_op_threads, shutdown_intra_op_pool)
 
 manual_seed = init.manual_seed
 
@@ -49,8 +45,6 @@ __all__ = [
     "LRScheduler", "CosineAnnealingLR", "StepLR", "ConstantLR",
     "snapshot", "restore", "save_state", "load_state", "state_nbytes",
     "functional", "init", "manual_seed",
-    "threading", "intra_op_threads", "get_intra_op_threads",
-    "set_intra_op_threads", "shutdown_intra_op_pool",
     "fold", "fold_batchnorm", "inference_mode",
     "FoldedModelCache", "shared_folded_cache",
     "graph", "compile", "CompiledModel", "TraceError",

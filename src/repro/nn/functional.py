@@ -24,22 +24,20 @@ Max-pool and batch norm produce the same bits as the plain argmax /
 ``mean``+``var`` formulations, down to which of ``-0.0`` and ``+0.0`` a
 tied window returns.
 
-The conv2d matmuls (forward, input gradient, weight gradient) run as
-row-blocks over the batch dimension dispatched through
-:mod:`repro.nn.threading`; the block decomposition is shape-only and
-reductions happen in block-index order, so results are bit-identical at
-every ``intra_op_threads`` setting.
+The conv forward is one per-sample batched GEMM.  The conv backward
+walks the batch in shape-only row-blocks (:func:`_batch_blocks`) and
+sums the weight-gradient partials in block-index order;
+``tests/nn/test_kernel_oracle.py`` holds that order to a reference.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..obs import profile as _profile
 from .tensor import Op, Tensor, _to, apply, ensure_tensor
-from .threading import batch_blocks, map_blocks
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -65,24 +63,47 @@ def _conv_out_hw(x: np.ndarray, weight: np.ndarray, stride,
     return out_h, out_w
 
 
+#: Batches below this size run the conv backward as one block.
+MIN_BLOCK_BATCH = 16
+
+#: Row-block count of the conv backward for larger batches.
+NUM_BLOCKS = 8
+
+
+def _batch_blocks(n: int) -> List[slice]:
+    """Contiguous row-block slices of a conv backward over ``n`` samples.
+
+    Shape-only: one block below :data:`MIN_BLOCK_BATCH`, otherwise
+    :data:`NUM_BLOCKS` near-equal blocks (remainder spread over the
+    leading blocks, matching ``np.array_split``).  The blocks stay for
+    two measured reasons.  Cache locality: a whole-batch col2im was
+    slower per training epoch.  Reduction order: the weight gradient is
+    the sum of per-block GEMMs in block-index order, and every recorded
+    training digest depends on that order (one whole-batch GEMM was
+    slower too, and moved the digests).
+    """
+    if n < MIN_BLOCK_BATCH:
+        return [slice(0, n)]
+    base, extra = divmod(n, NUM_BLOCKS)
+    out = []
+    start = 0
+    for b in range(NUM_BLOCKS):
+        stop = start + base + (1 if b < extra else 0)
+        out.append(slice(start, stop))
+        start = stop
+    return out
+
+
 def _conv_gemm(w_g: np.ndarray, cols_g: np.ndarray,
                out: np.ndarray) -> np.ndarray:
     """Forward conv GEMM ``(1, G, O/G, K) @ (N, G, K, L) -> out``.
 
-    ``out`` has shape ``(N, G, O/G, L)``.  The batch is split into the
-    shape-only :func:`~repro.nn.threading.batch_blocks` row-blocks; each
-    block writes its own disjoint ``out=`` rows, so the blocks run
-    concurrently on the intra-op pool without any reduction, and every
-    sample's GEMM is the same at any thread count.
+    ``out`` has shape ``(N, G, O/G, L)``.  Each sample is its own GEMM,
+    so a sample's bits do not depend on the batch around it.
     """
     _prof = _profile.ACTIVE
     token = _prof.start("conv.forward") if _prof is not None else None
-    blocks = batch_blocks(len(out))
-    if len(blocks) == 1:
-        np.matmul(w_g[None], cols_g, out=out)
-    else:
-        map_blocks(lambda sl, _b: np.matmul(w_g[None], cols_g[sl],
-                                            out=out[sl]), blocks)
+    np.matmul(w_g[None], cols_g, out=out)
     if _prof is not None:
         _prof.stop(token)
     return out
@@ -144,13 +165,13 @@ def _conv2d_grad(g, ins, y, cols, *, stride, padding, groups):
     _prof = _profile.ACTIVE
     prof_token = _prof.start("conv.backward") if _prof is not None else None
     g_r = g.reshape(n, groups, o // groups, loc)
-    bwd_blocks = batch_blocks(n)
+    bwd_blocks = _batch_blocks(n)
     gx = gw = gb = None
     if weight.requires_grad:
         if groups == 1:
             # Per-block GEMM (O, B*L) @ (B*L, K); partials summed in
             # block-index order so the reduction is deterministic.
-            def _gw_block(sl: slice, _b: int) -> np.ndarray:
+            def _gw_block(sl: slice) -> np.ndarray:
                 nb = sl.stop - sl.start
                 g2 = (g[sl].reshape(nb, o, loc)
                       .transpose(1, 0, 2).reshape(o, nb * loc))
@@ -158,22 +179,20 @@ def _conv2d_grad(g, ins, y, cols, *, stride, padding, groups):
                       .reshape(kdim, nb * loc))
                 return g2 @ c2.T
         else:
-            def _gw_block(sl: slice, _b: int) -> np.ndarray:
+            def _gw_block(sl: slice) -> np.ndarray:
                 return np.matmul(
                     g_r[sl], cols_g[sl].transpose(0, 1, 3, 2)).sum(axis=0)
 
-        partials = map_blocks(_gw_block, bwd_blocks)
-        gw = partials[0]
-        for partial in partials[1:]:
-            gw = gw + partial
+        gw = _gw_block(bwd_blocks[0])
+        for sl in bwd_blocks[1:]:
+            gw = gw + _gw_block(sl)
         gw = gw.reshape(weight.shape).astype(weight.dtype, copy=False)
     if x.requires_grad:
         gx = np.empty((n, c, h, w), dtype=np.result_type(w_g, g))
         # The adds' inner loop runs over out_w pixels in NCHW and over a
         # block's N*C values channels-last; accumulate in the longer one.
         channels_last = kh * kw > 1 and out_w <= c
-
-        def _gx_block(sl: slice, _b: int) -> None:
+        for sl in bwd_blocks:
             # col2im: add each kernel tap's columns onto its strided window
             # of a zeroed padded gradient, taps in (ki, kj) order.  Both
             # buffers are indexed (row, col, sample, channel).
@@ -188,8 +207,6 @@ def _conv2d_grad(g, ins, y, cols, *, stride, padding, groups):
                     acc[ki:ki + sh * out_h:sh,
                         kj:kj + sw * out_w:sw] += taps[ki, kj]
             gx[sl] = acc[ph:ph + h, pw:pw + w].transpose(2, 3, 0, 1)
-
-        map_blocks(_gx_block, bwd_blocks)
         gx = gx.astype(x.dtype, copy=False)
     if bias is not None and bias.requires_grad:
         gb = g.sum(axis=(0, 2, 3)).astype(bias.dtype, copy=False)

@@ -1,7 +1,7 @@
 """Per-phase profiling hooks: wall + CPU timers, zero-cost when off.
 
 The instrumented layers — the batcher's dispatch path and the
-conv-kernel block layer — each guard their timer with the same
+conv kernels — each guard their timer with the same
 module-attribute idiom as :mod:`repro.reliability.faults`::
 
     _prof = _profile.ACTIVE

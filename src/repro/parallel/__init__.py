@@ -35,13 +35,15 @@ Errors raised inside a worker are re-raised in the parent as
 formatted traceback.
 """
 
-from .pool import WorkerError, default_context, resolve_workers, run_tasks
+from .pool import (WorkerError, available_cpu_count, default_context,
+                   resolve_workers, run_tasks)
 from .shm import (SharedDataset, SharedDatasetHandle, leaked_segments,
                   share_dataset, shm_segment_names)
 from .tasks import ModelSpec, ShardTrainResult, ShardTrainTask, StageSpec
 
 __all__ = [
-    "WorkerError", "default_context", "resolve_workers", "run_tasks",
+    "WorkerError", "available_cpu_count", "default_context",
+    "resolve_workers", "run_tasks",
     "shm_segment_names", "leaked_segments",
     "SharedDataset", "SharedDatasetHandle", "share_dataset",
     "ModelSpec", "ShardTrainResult", "ShardTrainTask", "StageSpec",

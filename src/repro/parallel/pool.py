@@ -28,8 +28,6 @@ from typing import Any, Iterable, List, Optional
 
 import numpy as np
 
-from ..nn.threading import available_cpu_count
-
 
 class WorkerError(RuntimeError):
     """A task raised inside a worker process.
@@ -103,6 +101,19 @@ def set_blas_threads(count: int) -> Optional[int]:
     previous = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(ctypes.c_int(count))
     return previous
+
+
+def available_cpu_count() -> int:
+    """CPUs this process may actually use.
+
+    ``os.sched_getaffinity`` respects container/cgroup CPU masks;
+    ``os.cpu_count`` (the fallback on platforms without affinity)
+    reports the whole machine.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def resolve_workers(workers: Optional[int]) -> int:

@@ -84,16 +84,8 @@ class ShardTrainTask:
     start_state: Optional[Dict[str, np.ndarray]] = None
     data: Optional[DatasetRef] = None
     label: str = ""
-    #: Conv-kernel threads while this task trains (resolved by the
-    #: dispatcher: pooled tasks default to 1 so processes × threads
-    #: stays at the machine's core count).
-    intra_op_threads: int = 1
 
     def run(self) -> ShardTrainResult:
-        with nn.intra_op_threads(self.intra_op_threads):
-            return self._run()
-
-    def _run(self) -> ShardTrainResult:
         if self.data is None:
             raise RuntimeError(f"task {self.label!r} has no dataset attached")
         attachment = None

@@ -40,8 +40,7 @@ are useful and zero rows are not) is the headline metric of
 ``benchmarks/bench_serving.py``.
 
 The scheduler thread is a daemon and is drained at interpreter shutdown
-via ``atexit`` (mirroring the intra-op pool), so servers and long
-pytest runs exit cleanly.
+via ``atexit``, so servers and long pytest runs exit cleanly.
 """
 
 from __future__ import annotations

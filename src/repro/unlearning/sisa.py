@@ -46,7 +46,6 @@ import numpy as np
 from .. import nn
 from ..data.dataset import ArrayDataset
 from ..nn.serialization import restore, snapshot
-from ..nn.threading import resolve_intra_op_threads
 from ..parallel.pool import ensure_picklable, resolve_workers, run_tasks
 from ..parallel.shm import share_dataset
 from ..parallel.tasks import ShardTrainResult, ShardTrainTask, StageSpec
@@ -77,7 +76,6 @@ class SISAConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
     workers: int = 1                   # 1 = serial, 0 = auto, N = pool size
-    intra_op_threads: int = 1          # conv-kernel threads: 1 = serial, 0 = auto
 
     def __post_init__(self) -> None:
         if self.num_shards < 1 or self.num_slices < 1:
@@ -86,8 +84,6 @@ class SISAConfig:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = auto)")
-        if self.intra_op_threads < 0:
-            raise ValueError("intra_op_threads must be >= 0 (0 = auto)")
 
 
 @dataclass
@@ -178,21 +174,9 @@ class SISAEnsemble(UnlearningMethod):
         publishes ``dataset`` once in shared memory and fans the tasks
         out.  Both paths are bit-identical because every task seeds
         itself.
-
-        Intra-op threading composes with the pool: when tasks run in
-        worker processes each defaults to 1 conv thread
-        (``intra_op_threads=0`` resolves to one-per-core only on the
-        serial path) so an N-process fan-out does not oversubscribe the
-        CPUs N× over.  An explicit ``intra_op_threads > 1`` is honored
-        as given on both paths.
         """
         workers = resolve_workers(self.config.workers)
         pooled = workers > 1 and len(tasks) > 1
-        intra = self.config.intra_op_threads
-        task_threads = (1 if intra == 0 else intra) if pooled \
-            else resolve_intra_op_threads(intra)
-        for task in tasks:
-            task.intra_op_threads = task_threads
         if pooled:
             ensure_picklable(
                 self.model_factory, "model_factory",

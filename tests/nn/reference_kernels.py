@@ -7,18 +7,22 @@ adds, and the one-expression sigmoid :mod:`repro.nn.tensor` used before
 its kernel wrote into named buffers.  They are kept verbatim as oracles: the production kernels
 must match them byte for byte (outputs, gradients and running
 statistics).
+
+The conv weight gradient is written out independently instead: a
+fancy-index im2col, explicit GEMMs per row-block (per sample and group
+for grouped convs), and the block partials summed in block-index order.
+Every recorded training digest depends on that order.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.nn.functional import IntPair, _pair
 from repro.nn.tensor import Tensor
-from repro.nn.threading import batch_blocks, map_blocks
 
 
 def max_pool2d(x: Tensor, kernel_size: IntPair = 2, stride: Optional[IntPair] = None) -> Tensor:
@@ -104,6 +108,15 @@ def batch_norm(x: Tensor, weight: Optional[Tensor], bias: Optional[Tensor],
     return Tensor._make(out.astype(x.dtype, copy=False), parents, backward)
 
 
+def row_blocks(n: int) -> List[slice]:
+    """The conv backward's row-blocks: one below 16 samples, else 8
+    near-equal contiguous blocks in ``np.array_split`` order."""
+    if n < 16:
+        return [slice(0, n)]
+    return [slice(int(b[0]), int(b[-1]) + 1)
+            for b in np.array_split(np.arange(n), 8)]
+
+
 def _im2col_indices(channels: int, height: int, width: int,
                     kh: int, kw: int, stride_h: int, stride_w: int,
                     pad_h: int, pad_w: int):
@@ -153,14 +166,56 @@ def conv2d_input_grad(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
     scatter = _scatter_matrix(k_idx, i_idx, j_idx, (hp, wp), c)
     gx_padded = np.empty((n, c, hp, wp), dtype=np.result_type(w_g, g))
 
-    def _gx_block(sl: slice, _b: int) -> None:
+    for sl in row_blocks(n):
         nb = sl.stop - sl.start
         gcols = np.matmul(w_g.transpose(0, 2, 1)[None], g_r[sl])
         gcols = gcols.reshape(nb, c * kh * kw * loc)
         gx_padded[sl] = (scatter @ gcols.T).T.reshape(nb, c, hp, wp)
-
-    map_blocks(_gx_block, batch_blocks(n))
     return gx_padded[:, :, ph:ph + h, pw:pw + w].astype(x.dtype, copy=False)
+
+
+def conv2d_weight_grad(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
+                       stride: Tuple[int, int], padding: Tuple[int, int],
+                       groups: int) -> np.ndarray:
+    """The conv weight gradient: per-block GEMMs summed in block order.
+
+    Dense convs run one ``(O, B*L) @ (B*L, K)`` GEMM per block, the
+    block's samples side by side.  Grouped convs run one
+    ``(O/G, L) @ (L, K)`` GEMM per sample and group and add the samples
+    in order onto ``+0.0``.  The block partials are then summed in
+    block-index order.
+    """
+    (sh, sw), (ph, pw) = stride, padding
+    n, c, h, w = x.shape
+    o, _, kh, kw = weight.shape
+    k_idx, i_idx, j_idx, out_h, out_w = _im2col_indices(
+        c, h, w, kh, kw, sh, sw, ph, pw)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.ascontiguousarray(xp[:, k_idx, i_idx, j_idx])  # (N, C*kh*kw, L)
+    loc, kdim, og = out_h * out_w, c // groups * kh * kw, o // groups
+    g_flat = g.reshape(n, o, loc)
+    partials = []
+    for sl in row_blocks(n):
+        samples = range(sl.start, sl.stop)
+        if groups == 1:
+            # Same operand layouts as the production reshapes (a view
+            # when L == 1): BLAS picks its kernel, and so its bits, by
+            # layout.
+            g2 = g_flat[sl].transpose(1, 0, 2).reshape(o, -1)
+            c2 = cols[sl].transpose(1, 0, 2).reshape(kdim, -1)
+            partials.append(g2 @ c2.T)
+            continue
+        partial = np.zeros((groups, og, kdim), np.result_type(g, cols))
+        for i in samples:
+            partial = partial + np.stack([
+                g_flat[i, gi * og:(gi + 1) * og]
+                @ cols[i, gi * kdim:(gi + 1) * kdim].T
+                for gi in range(groups)])
+        partials.append(partial)
+    gw = partials[0]
+    for partial in partials[1:]:
+        gw = gw + partial
+    return gw.reshape(weight.shape).astype(weight.dtype, copy=False)
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """repro.nn.graph: trace → fuse → arena, bit-identity contract.
 
 The compiled path is only allowed to exist because it is invisible:
-for every registered architecture, at every serving width and thread
-count, and for every op in the op table, the flat arena program must
+for every registered architecture, at every serving width, and for
+every op in the op table, the flat arena program must
 reproduce the interpreted forward byte for byte — and when a model
 cannot be traced, :func:`repro.nn.compile` must degrade to the
 interpreted path with a single warning instead of failing.
@@ -24,7 +24,6 @@ from repro.nn.graph import _FALLBACK_WARNED, _trace, prepare_for_inference
 from repro.nn.graph import compile as nn_compile
 from repro.nn.module import Module
 from repro.nn.tensor import OPS, Tensor
-from repro.nn.threading import intra_op_threads
 from tests.nn import reference_kernels
 
 #: Per-sample shape of the unit profile every tiny model accepts.
@@ -51,7 +50,7 @@ class _Untraceable(Module):
 
 
 class TestBitIdentity:
-    """Property sweep: architectures × widths × threads."""
+    """Property sweep: architectures × widths."""
 
     @pytest.mark.parametrize("name", available_models())
     @pytest.mark.parametrize("width", [1, 8, 32])
@@ -63,13 +62,10 @@ class TestBitIdentity:
             reference = interpreted(Tensor(batch)).data
         compiled = nn_compile(model, width, input_shape=SHAPE)
         assert compiled.compiled, compiled.fallback_reason
-        for threads in (1, 0):      # serial and one-per-core
-            with intra_op_threads(threads):
-                out = compiled(batch).data
-            assert out.dtype == reference.dtype
-            assert out.tobytes() == reference.tobytes(), (
-                f"{name} width={width} threads={threads} "
-                f"diverged from interpreted")
+        out = compiled(batch).data
+        assert out.dtype == reference.dtype
+        assert out.tobytes() == reference.tobytes(), (
+            f"{name} width={width} diverged from interpreted")
 
     @pytest.mark.parametrize("width", [1, 8])
     def test_signed_zero_pool_windows_match_interpreted(self, width):

@@ -1,11 +1,12 @@
-"""Copy-free max-pool, batch norm and col2im vs their reference kernels.
+"""Copy-free max-pool, batch norm and conv backward vs reference kernels.
 
 The production kernels in :mod:`repro.nn.functional` are rewrites for
 speed or for fewer dependencies; they must not move a single bit.  A
-hypothesis sweep compares them with the verbatim references in
+hypothesis sweep compares them with the references in
 ``reference_kernels.py``: outputs, input and parameter gradients,
-running statistics, and the conv input gradient against the sparse-GEMM
-col2im, byte for byte.  The value palettes are tiny on purpose so that
+running statistics, the conv input gradient against the sparse-GEMM
+col2im, and the conv weight gradient against per-block GEMMs summed in
+block-index order, byte for byte.  The value palettes are tiny on purpose so that
 ties, windows mixing ``-0.0`` with ``+0.0``, and NaN windows come up
 constantly.  A final test trains a model with each kernel pair and
 compares the weights.
@@ -23,8 +24,8 @@ from repro import nn
 from repro.data import load_dataset
 from repro.models import small_cnn
 from repro.nn import functional as F
+from repro.nn.functional import MIN_BLOCK_BATCH
 from repro.nn.tensor import SIGMOID, Tensor
-from repro.nn.threading import MIN_BLOCK_BATCH
 from repro.train import TrainConfig, train_model
 from tests.nn import reference_kernels as ref
 
@@ -236,6 +237,71 @@ def test_conv_input_grad_matches_sparse_col2im_both_block_sides(n, geometry):
     c, o, groups, k, h, w, stride, pad = geometry
     _check_conv_input_grad((n, n, c, o, groups, k, h, w, np.float32,
                             stride, pad, True))
+
+
+def test_batch_blocks_cover_the_batch_in_order():
+    for n in (1, 2, 15, 16, 17, 64, 100, 257):
+        blocks = F._batch_blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        for left, right in zip(blocks, blocks[1:]):
+            assert left.stop == right.start
+        assert blocks == ref.row_blocks(n)
+
+
+def test_small_batches_stay_single_block():
+    assert F._batch_blocks(MIN_BLOCK_BATCH - 1) == [slice(0, MIN_BLOCK_BATCH - 1)]
+    assert len(F._batch_blocks(64)) > 1
+
+
+def _check_conv_weight_grad(case):
+    seed, n, c, o, groups, k, h, w, dtype, stride, pad, nan = case
+    x, weight, g = _conv_arrays(*case)
+    wt = Tensor(weight, requires_grad=True, dtype=dtype)
+    out = F.conv2d(Tensor(x, dtype=dtype), wt, stride=stride,
+                   padding=pad, groups=groups)
+    out.backward(g)
+    expected = ref.conv2d_weight_grad(g, x, weight, (stride, stride),
+                                      (pad, pad), groups)
+    assert _same_bits(wt.grad, expected)
+
+
+@_settings
+@given(_conv_case())
+def test_conv_weight_grad_matches_blocked_reference(case):
+    _check_conv_weight_grad(case)
+
+
+@pytest.mark.parametrize("n", [1, MIN_BLOCK_BATCH - 1, MIN_BLOCK_BATCH, 40])
+@pytest.mark.parametrize("geometry", [
+    # (c, o, groups, k, h, w, stride, pad)
+    (3, 4, 1, 3, 6, 7, 2, 1),       # dense, stride 2
+    (4, 4, 2, 5, 5, 5, 1, 2),       # grouped, kernel 5
+    (4, 4, 4, 3, 8, 8, 2, 1),       # depthwise, stride 2
+    (2, 3, 1, 1, 4, 4, 1, 0),       # pointwise
+])
+def test_conv_weight_grad_matches_blocked_reference_both_block_sides(
+        n, geometry):
+    """Without NaN, which would hide the summation order."""
+    c, o, groups, k, h, w, stride, pad = geometry
+    _check_conv_weight_grad((n, n, c, o, groups, k, h, w, np.float32,
+                             stride, pad, False))
+
+
+@pytest.mark.parametrize("n,c,h,w,o,k,s,p,g", [
+    # (n, c, h, w, out_ch, kernel, stride, padding, groups): odd shapes,
+    # strides and grouped/depthwise configurations on blocked batches.
+    (20, 3, 12, 12, 8, 3, 1, 1, 1),
+    (33, 5, 13, 11, 10, 3, 2, 1, 5),
+    (16, 4, 9, 9, 8, 5, 2, 2, 2),
+    (17, 6, 7, 10, 6, 3, 1, 0, 6),     # depthwise
+    (64, 3, 8, 8, 4, 1, 1, 0, 1),      # 1x1
+    (4, 3, 12, 12, 8, 3, 1, 1, 1),     # below MIN_BLOCK_BATCH
+])
+def test_conv_backward_matches_reference_odd_shapes(n, c, h, w, o, k, s, p, g):
+    """Both gradients at uneven block splits, without NaN."""
+    case = (n * 1000 + c, n, c, o, g, k, h, w, np.float32, s, p, False)
+    _check_conv_weight_grad(case)
+    _check_conv_input_grad(case)
 
 
 def _trained_state_bytes() -> bytes:

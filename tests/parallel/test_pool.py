@@ -71,7 +71,7 @@ class TestResolveWorkers:
     def test_zero_is_auto(self):
         # Auto sizes to the *available* CPUs (affinity mask), not the
         # whole machine — restricted CI containers must not oversubscribe.
-        from repro.nn.threading import available_cpu_count
+        from repro.parallel import available_cpu_count
         assert resolve_workers(0) == available_cpu_count()
 
     def test_auto_respects_affinity_mask(self):

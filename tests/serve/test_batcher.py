@@ -181,6 +181,16 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             batcher.submit("k", images[0])
 
+    def test_atexit_registry_tracks_live_instances(self):
+        from repro.serve.batcher import _LIVE, _close_live_batchers
+
+        batcher = MicroBatcher(lambda key, batch: np.zeros((len(batch), 2)),
+                               BatchPolicy(max_batch_size=4))
+        assert batcher in _LIVE
+        batcher.close()
+        # Closing again via the atexit path is a no-op.
+        _close_live_batchers()
+
     def test_infer_errors_propagate_to_all_group_members(self, images):
         def broken(key, batch):
             raise RuntimeError("kernel exploded")

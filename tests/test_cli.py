@@ -1,5 +1,6 @@
 """CLI subcommands."""
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.eval.harness import PipelineConfig
+from repro.unlearning.sisa import SISAConfig
 
 
 class TestParser:
@@ -47,6 +50,14 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve", flag, "2"])
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_pipeline_has_no_intra_op_thread_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["pipeline", "--intra-op-threads", "2"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+        for config in (PipelineConfig, SISAConfig):
+            assert "intra_op_threads" not in {
+                f.name for f in dataclasses.fields(config)}
 
     def test_rejects_negative_response_cache(self, capsys):
         with pytest.raises(SystemExit):
