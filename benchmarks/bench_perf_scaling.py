@@ -7,7 +7,12 @@ Times three perf surfaces and verifies their determinism contracts:
 - a 3-seed ``run_replicated`` multirun at the same worker counts —
   bit-identical BA/ASR aggregates;
 - ``predict_logits`` with and without eval-time BatchNorm folding —
-  logits equal within atol 1e-5.
+  logits equal within atol 1e-5;
+- training memory (:mod:`repro.benchmarks.train_memory`): bench
+  ``small_cnn`` epochs in fresh processes (traced peak, ``VmHWM``,
+  minor faults and seconds per epoch), and the quick gate's
+  ``train_tape_ratio``, the traced peak of two training steps over one
+  forward tape (<= 1.3 while only one graph is alive).
 
 Writes ``benchmarks/BENCH_perf_scaling.json`` with wall-clock seconds,
 speedups over the serial cell and training throughput (samples/sec),
@@ -43,6 +48,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import nn  # noqa: E402
+from repro.benchmarks.train_memory import (measure_fresh, state_digest,  # noqa: E402
+                                           tape_ratio)
 from repro.data.registry import load_dataset  # noqa: E402
 from repro.eval.harness import PipelineConfig  # noqa: E402
 from repro.eval.multirun import run_replicated  # noqa: E402
@@ -54,14 +61,6 @@ from repro.unlearning.sisa import SISAConfig, SISAEnsemble  # noqa: E402
 
 WORKER_COUNTS = (1, 2, 4)
 OUT_PATH = Path(__file__).parent / "BENCH_perf_scaling.json"
-
-
-def _state_digest(state: dict) -> str:
-    digest = hashlib.sha256()
-    for name, value in sorted(state.items()):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(value).tobytes())
-    return digest.hexdigest()
 
 
 def _ensemble_digest(ensemble: SISAEnsemble) -> str:
@@ -86,7 +85,7 @@ def time_conv_train(dataset_name: str, epochs: int) -> dict:
     return {
         "seconds": seconds,
         "samples_per_sec": len(train) * epochs / seconds,
-        "digest": _state_digest(model.state_dict()),
+        "digest": state_digest(model.state_dict()),
     }
 
 
@@ -201,6 +200,24 @@ def training_phase_breakdown(dataset_name: str = "unit",
     return profiler.snapshot()
 
 
+def training_memory(dataset_name: str, epochs: int = 3) -> dict:
+    """Bench ``small_cnn`` training memory, each run in a fresh process.
+
+    One untraced run of ``epochs`` gives the peak RSS (``VmHWM``) and
+    the per-epoch minor faults and seconds; a traced one-epoch run gives
+    the tracemalloc peak (tracing slows it, so it is timed apart).
+    """
+    run = measure_fresh(dataset_name, "bench", epochs)
+    traced = measure_fresh(dataset_name, "bench", 1, trace=True)
+    return {"dataset": dataset_name, "model": "small_cnn", "scale": "bench",
+            "epochs": epochs, "cpu_count": os.cpu_count(),
+            "traced_peak_mb": traced["traced_peak_mb"],
+            "vm_hwm_mb": run["vm_hwm_mb"],
+            "epoch_minor_faults": run["epoch_minor_faults"],
+            "epoch_seconds": run["epoch_seconds"],
+            "digest": run["digest"]}
+
+
 def run_quick_gate() -> dict:
     """Smoke-scale perf cells; baselines for benchmarks/check_regression.py."""
     cells = {}
@@ -212,6 +229,7 @@ def run_quick_gate() -> dict:
     # reads 6-8x the warm one on unchanged code.
     time_conv_train("unit", epochs=2)
     cells["conv_train_seconds"] = time_conv_train("unit", epochs=2)["seconds"]
+    cells["train_tape_ratio"] = tape_ratio()["ratio"]
     folding = time_folded_inference("unit", epochs=1, repeats=3)
     cells["folded_predict_seconds"] = folding["folded_seconds"]
     cells["folding_max_abs_delta"] = folding["max_abs_delta"]
@@ -305,6 +323,12 @@ def run_full(report: dict) -> bool:
             print("  ERROR: folded logits diverged beyond atol=1e-5",
                   file=sys.stderr)
             return False
+
+    print(f"training memory: bench small_cnn on {dataset}, fresh processes")
+    memory = report["training_memory"] = training_memory(dataset)
+    print(f"  traced peak {memory['traced_peak_mb']:.1f} MB, VmHWM "
+          f"{memory['vm_hwm_mb']:.1f} MB, minor faults per epoch "
+          f"{memory['epoch_minor_faults']}")
 
     print("per-phase training breakdown (profiling hooks on)")
     report["phases"] = training_phase_breakdown()

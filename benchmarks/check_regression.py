@@ -6,7 +6,9 @@ seconds total) and fails if any timing cell is slower than the baseline
 recorded in ``benchmarks/BENCH_perf_scaling.json`` by more than the
 tolerance factor.  Correctness is gated absolutely regardless of
 timing: the folded-inference delta must stay within atol=1e-5, a
-pooled SISA fit + unlearn must hash identically to the serial one, the
+pooled SISA fit + unlearn must hash identically to the serial one, two
+training steps must peak within ``TAPE_RATIO_LIMIT`` of one forward
+tape (backward releases each step's graph), the
 serving load must drop zero responses, and solo- vs
 coalesced-served logits must be bit-identical (delta exactly 0.0).
 
@@ -120,6 +122,9 @@ from bench_serving import run_quick_gate as run_serving_quick_gate  # noqa: E402
 TIMING_CELLS = ("sisa_fit_unlearn_seconds", "conv_train_seconds",
                 "folded_predict_seconds", "sisa_pooled_seconds")
 ATOL_CELL = "folding_max_abs_delta"
+#: Traced peak of two training steps over one forward tape: ~1 with one
+#: graph alive at a time, ~2 when a step's graph outlives its backward.
+TAPE_RATIO_LIMIT = 1.3
 SERVING_TIMING_CELLS = ("serving_p50_seconds",
                         "serving_cache_hit_p50_seconds",
                         "serving_first_batch_seconds",
@@ -259,6 +264,12 @@ def main(argv=None) -> int:
     identical = measured.get("sisa_pooled_bit_identical", 0.0) == 1.0
     gate.add("sisa_pooled_bit_identical", "yes" if identical else "NO",
              "—", "exact", not identical, correctness=True)
+    # A ratio of allocation sizes, not of times: machine speed and load
+    # do not move it, so it is gated absolutely, like the above.
+    tape = measured["train_tape_ratio"]
+    gate.add("train_tape_ratio", f"{tape:.3f}", "—",
+             f"<= {TAPE_RATIO_LIMIT:g}", tape > TAPE_RATIO_LIMIT,
+             correctness=True)
 
     print(f"rerunning serving quick-gate cells [{mode}]")
     serving = run_serving_quick_gate()

@@ -8,6 +8,14 @@ has none, so we build the equivalent).  A :class:`Tensor` wraps a
 scalar output walks the tape in reverse topological order and accumulates
 gradients into every tensor created with ``requires_grad=True``.
 
+The tape runs once, like PyTorch's ``retain_graph=False`` default: as
+backward passes a node it drops the node's backward closure (its saved
+buffers, such as a conv's im2col columns) and its parents, so each buffer
+is freed as soon as nothing upstream needs it, and a training step never
+holds more than one graph.  A second backward through a released graph
+raises ``RuntimeError``.  Leaf gradients and ``retain_grad``
+intermediates keep their values.
+
 Every primitive op is defined once, as an :class:`Op` in :data:`OPS`: one
 forward kernel that can write into a caller's ``out=`` buffer, and one
 backward rule.  :func:`apply` is the single dispatch point.  It runs the
@@ -143,6 +151,14 @@ class Op:
         OPS[name] = self
 
 
+def _released(g: np.ndarray) -> None:
+    """The backward rule of a tape node that a backward already ran through."""
+    raise RuntimeError(
+        "backward() through a released graph: an earlier backward() ran "
+        "through this graph and freed its saved buffers; build the graph "
+        "again with a fresh forward pass")
+
+
 def apply(op: Op, *inputs: "Tensor", **params) -> "Tensor":
     """Run ``op`` on ``inputs``: the single dispatch point of every op.
 
@@ -265,7 +281,12 @@ class Tensor:
         return out
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
+        """Run reverse-mode autodiff from this tensor; runs once, releases the tape.
+
+        Each node's backward closure and parent links are dropped as soon
+        as its rule has run, so the graph's saved buffers are freed while
+        backward proceeds.  Calling backward again through any released
+        node raises ``RuntimeError``.
 
         Parameters
         ----------
@@ -299,16 +320,24 @@ class Tensor:
                 if id(parent) not in visited and parent.requires_grad:
                     stack.append((parent, False))
 
+        # Pop nodes as they are processed: once a node is released and off
+        # the list, only outside references keep it (and its data) alive.
+        # ``grads`` is keyed by id, which is safe because every pending key
+        # belongs to a node still on the list.
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
-            if g is None:
+            if node._backward is None:
+                if g is not None:
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
-            is_leaf = node._backward is None
-            if is_leaf or node._retain:
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backward is not None:
+            if g is not None:
+                if node._retain:
+                    node.grad = g if node.grad is None else node.grad + g
                 node._accumulate_parents(g, grads)
+            node._backward = _released
+            node._parents = ()
 
     def _accumulate_parents(self, g: np.ndarray, grads: dict) -> None:
         """Invoke the local backward fn, adding parent grads into ``grads``."""

@@ -1,9 +1,13 @@
-"""Backward-pass machinery: tape, accumulation, no_grad, retain_grad."""
+"""Backward-pass machinery: tape, accumulation, no_grad, retain_grad,
+and the tape's release as backward consumes it."""
+
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.nn import Tensor, is_grad_enabled, no_grad
+from repro.nn import functional as F
 
 
 class TestBackward:
@@ -92,6 +96,58 @@ class TestRetainGrad:
         mid = a * 3.0
         (mid * 4.0).sum().backward()
         assert mid.grad is None
+
+
+class TestRelease:
+    """Backward runs once per graph and frees the tape as it goes."""
+
+    def test_conv_columns_freed_by_backward(self, monkeypatch):
+        saved = []
+        forward = F.CONV2D.forward
+
+        def recording(*args, **kwargs):
+            out, cols = forward(*args, **kwargs)
+            saved.append(weakref.ref(cols))
+            return out, cols
+
+        monkeypatch.setattr(F.CONV2D, "forward", recording)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        out = F.conv2d(x, w, padding=1)
+        loss = (out * out).sum()
+        assert saved and saved[0]() is not None
+        loss.backward()
+        assert saved[0]() is None
+        assert w.grad is not None
+        assert out.data.shape == (2, 4, 6, 6)   # outputs keep their data
+
+    def test_second_backward_raises(self):
+        a = Tensor([2.0], requires_grad=True)
+        loss = (a * a).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released graph"):
+            loss.backward()
+        assert np.isclose(a.grad[0], 4.0)
+
+    def test_backward_through_released_intermediate_raises(self):
+        a = Tensor([2.0], requires_grad=True)
+        mid = a * 3.0
+        mid.sum().backward()
+        with pytest.raises(RuntimeError, match="released graph"):
+            (mid * 2.0).sum().backward()
+
+    def test_retained_and_leaf_grads_keep_their_values(self):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad=True)
+        feats = F.conv2d(x, w).relu()
+        feats.retain_grad()
+        (feats * feats).sum().backward()
+        np.testing.assert_allclose(feats.grad, 2.0 * feats.data, rtol=1e-6)
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert np.abs(w.grad).sum() > 0
+        assert feats._parents == ()
 
 
 class TestDetachCopy:
