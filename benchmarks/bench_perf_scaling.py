@@ -48,7 +48,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import nn  # noqa: E402
-from repro.benchmarks.train_memory import (measure_fresh, state_digest,  # noqa: E402
+from repro.benchmarks.train_memory import (DATASET, SCALE,  # noqa: E402
+                                           measure_fresh, state_digest,
                                            tape_ratio)
 from repro.data.registry import load_dataset  # noqa: E402
 from repro.eval.harness import PipelineConfig  # noqa: E402
@@ -200,16 +201,16 @@ def training_phase_breakdown(dataset_name: str = "unit",
     return profiler.snapshot()
 
 
-def training_memory(dataset_name: str, epochs: int = 3) -> dict:
+def training_memory(epochs: int = 3) -> dict:
     """Bench ``small_cnn`` training memory, each run in a fresh process.
 
     One untraced run of ``epochs`` gives the peak RSS (``VmHWM``) and
     the per-epoch minor faults and seconds; a traced one-epoch run gives
     the tracemalloc peak (tracing slows it, so it is timed apart).
     """
-    run = measure_fresh(dataset_name, "bench", epochs)
-    traced = measure_fresh(dataset_name, "bench", 1, trace=True)
-    return {"dataset": dataset_name, "model": "small_cnn", "scale": "bench",
+    run = measure_fresh(epochs)
+    traced = measure_fresh(1, trace=True)
+    return {"dataset": DATASET, "model": "small_cnn", "scale": SCALE,
             "epochs": epochs, "cpu_count": os.cpu_count(),
             "traced_peak_mb": traced["traced_peak_mb"],
             "vm_hwm_mb": run["vm_hwm_mb"],
@@ -324,8 +325,8 @@ def run_full(report: dict) -> bool:
                   file=sys.stderr)
             return False
 
-    print(f"training memory: bench small_cnn on {dataset}, fresh processes")
-    memory = report["training_memory"] = training_memory(dataset)
+    print(f"training memory: bench small_cnn on {DATASET}, fresh processes")
+    memory = report["training_memory"] = training_memory()
     print(f"  traced peak {memory['traced_peak_mb']:.1f} MB, VmHWM "
           f"{memory['vm_hwm_mb']:.1f} MB, minor faults per epoch "
           f"{memory['epoch_minor_faults']}")

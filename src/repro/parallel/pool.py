@@ -103,36 +103,6 @@ def set_blas_threads(count: int) -> Optional[int]:
     return previous
 
 
-@functools.lru_cache(maxsize=None)
-def pin_malloc_thresholds() -> bool:
-    """Pin glibc's mmap and trim thresholds; True if applied (once per process).
-
-    Backward frees each step's tape as it goes, so the heap empties at
-    the end of every step and refills in the next forward.  With
-    glibc's dynamic thresholds, the trim threshold tracks twice the
-    largest freed mmap chunk, so every step handed the emptied heap
-    back to the kernel and the next forward faulted it in again.  Bench
-    ``small_cnn`` on ``cifar10-bench`` (2-core x86-64, one BLAS thread):
-    each epoch after the first took 32-42k minor faults and 0.51-0.53 s.
-    Pinned at the caps the dynamic thresholds grow to (mmap 32 MiB,
-    trim 64 MiB), the heap is kept for the next step: 0-90 minor faults
-    and 0.43-0.49 s per epoch.
-
-    Forked workers inherit the setting.  A no-op (False) off glibc.
-    """
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
-    except (AttributeError, ValueError, OSError):
-        return False
-    if not libc.startswith("glibc"):
-        return False
-    m_trim_threshold, m_mmap_threshold = -1, -3      # glibc's malloc.h
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    return bool(mallopt(m_mmap_threshold, 32 << 20)
-                and mallopt(m_trim_threshold, 64 << 20))
-
-
 def available_cpu_count() -> int:
     """CPUs this process may actually use.
 

@@ -57,8 +57,6 @@ def train_model(model: nn.Module, dataset: ArrayDataset,
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    from .parallel.pool import pin_malloc_thresholds  # repro.parallel imports us
-    pin_malloc_thresholds()
     optimizer = nn.Adam(model.parameters(), lr=config.lr,
                         weight_decay=config.weight_decay)
     t_max = config.cosine_t_max or config.epochs
