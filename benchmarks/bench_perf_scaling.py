@@ -12,7 +12,8 @@ Times three perf surfaces and verifies their determinism contracts:
   ``small_cnn`` epochs in fresh processes (traced peak, ``VmHWM``,
   minor faults and seconds per epoch), and the quick gate's
   ``train_tape_ratio``, the traced peak of two training steps over one
-  forward tape (<= 1.3 while only one graph is alive).
+  forward tape (<= 1.3 while only one graph is alive), and
+  ``train_tape_mb``, that forward tape's traced size.
 
 Writes ``benchmarks/BENCH_perf_scaling.json`` with wall-clock seconds,
 speedups over the serial cell and training throughput (samples/sec),
@@ -230,7 +231,9 @@ def run_quick_gate() -> dict:
     # reads 6-8x the warm one on unchanged code.
     time_conv_train("unit", epochs=2)
     cells["conv_train_seconds"] = time_conv_train("unit", epochs=2)["seconds"]
-    cells["train_tape_ratio"] = tape_ratio()["ratio"]
+    tape = tape_ratio()
+    cells["train_tape_ratio"] = tape["ratio"]
+    cells["train_tape_mb"] = tape["tape_mb"]
     folding = time_folded_inference("unit", epochs=1, repeats=3)
     cells["folded_predict_seconds"] = folding["folded_seconds"]
     cells["folding_max_abs_delta"] = folding["max_abs_delta"]

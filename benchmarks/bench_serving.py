@@ -346,7 +346,7 @@ def phase_breakdown(requests: int = 64, concurrency: int = 8) -> dict:
     Enables the zero-cost profiling hooks (:func:`repro.obs.profiled`)
     for the duration of a short load: the snapshot splits the serving
     path into its instrumented phases — ``serve.dispatch`` (pad +
-    forward) and ``conv.forward`` (the conv GEMM).
+    forward) and ``conv.forward`` (the conv kernel: im2col and GEMMs).
     """
     policy = BatchPolicy(max_batch_size=8, max_delay_ms=2.0)
     server, test = _build_server(policy, dataset="unit",

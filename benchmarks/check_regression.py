@@ -8,7 +8,8 @@ tolerance factor.  Correctness is gated absolutely regardless of
 timing: the folded-inference delta must stay within atol=1e-5, a
 pooled SISA fit + unlearn must hash identically to the serial one, two
 training steps must peak within ``TAPE_RATIO_LIMIT`` (from
-:mod:`repro.benchmarks.train_memory`) of one forward tape, the
+:mod:`repro.benchmarks.train_memory`) of one forward tape, that tape
+must stay within ``TAPE_MB_FACTOR`` of its recorded size, the
 serving load must drop zero responses, and solo- vs
 coalesced-served logits must be bit-identical (delta exactly 0.0).
 
@@ -129,6 +130,8 @@ SERVING_TIMING_CELLS = ("serving_p50_seconds",
                         "serving_compiled_steady_p50_seconds")
 FORGET_TIMING_CELLS = ("forget_deletion_to_swap_seconds",
                        "forget_steady_p99_seconds")
+#: The traced forward tape may grow this much over ``train_tape_mb``.
+TAPE_MB_FACTOR = 1.1
 
 
 class GateReport:
@@ -272,6 +275,19 @@ def main(argv=None) -> int:
              "—" if recorded is None else f"{recorded:.3f}",
              f"<= {TAPE_RATIO_LIMIT:g}", tape > TAPE_RATIO_LIMIT,
              correctness=True)
+    # The ratio cannot see a tape that shrinks or grows with the step
+    # around it (the conv's saved buffers do both), so the tape's own
+    # traced size is gated against the recorded one.
+    tape_mb = measured["train_tape_mb"]
+    recorded_mb = baseline.get("train_tape_mb")
+    if recorded_mb is None:
+        gate.add("train_tape_mb", f"{tape_mb:.2f} MB", "—",
+                 "no baseline", None, note="skipped")
+    else:
+        limit = TAPE_MB_FACTOR * recorded_mb
+        gate.add("train_tape_mb", f"{tape_mb:.2f} MB",
+                 f"{recorded_mb:.2f} MB", f"<= {limit:.2f} MB",
+                 tape_mb > limit, correctness=True)
 
     print(f"rerunning serving quick-gate cells [{mode}]")
     serving = run_serving_quick_gate()

@@ -4,12 +4,13 @@ Convolution (stride / padding / groups via im2col), pooling, padding,
 batch norm and the fused softmax cross-entropy loss used throughout the
 reproduction.  Each is one entry of the op table in
 :mod:`repro.nn.tensor`: a forward kernel that can write into ``out=``
-(and into named scratch buffers: conv's padded input and im2col
-columns, max-pool's window masks) plus a backward rule.  The public
-functions here validate their arguments and dispatch through
-:func:`repro.nn.tensor.apply`, so the interpreted forward, the training
-tape and the compiled graph's replay all run the same kernel.  They
-accept and return :class:`repro.nn.tensor.Tensor`.
+(and into named scratch buffers: conv's padded input and one
+row-block of im2col columns, max-pool's window masks) plus a backward
+rule.  The public functions here validate their arguments and dispatch
+through
+:func:`repro.nn.tensor.apply`, so the interpreted forward, the
+training tape and the compiled graph's replay all run the same kernel.
+They accept and return :class:`repro.nn.tensor.Tensor`.
 
 The conv input gradient runs one GEMM per row-block back to im2col
 columns, then scatters them onto the padded image (col2im) with one
@@ -24,10 +25,14 @@ Max-pool and batch norm produce the same bits as the plain argmax /
 ``mean``+``var`` formulations, down to which of ``-0.0`` and ``+0.0`` a
 tied window returns.
 
-The conv forward is one per-sample batched GEMM.  The conv backward
-walks the batch in shape-only row-blocks (:func:`_batch_blocks`) and
-sums the weight-gradient partials in block-index order;
-``tests/nn/test_kernel_oracle.py`` holds that order to a reference.
+The conv walks the batch in shape-only row-blocks (:func:`_batch_blocks`)
+and never holds a whole batch's im2col columns.  The forward copies each
+block's columns into one block-sized buffer and runs one GEMM per
+sample; it saves the padded input, about ``1 / (kh*kw)`` the size of
+the columns.  The backward rebuilds each block's columns from it and
+sums the weight-gradient partials in block-index order.
+``tests/nn/test_kernel_oracle.py`` holds the forward to per-sample GEMMs
+and that order to a reference.
 """
 
 from __future__ import annotations
@@ -94,62 +99,72 @@ def _batch_blocks(n: int) -> List[slice]:
     return out
 
 
-def _conv_gemm(w_g: np.ndarray, cols_g: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """Forward conv GEMM ``(1, G, O/G, K) @ (N, G, K, L) -> out``.
+def _conv_windows(xp: np.ndarray, kh: int, kw: int, stride) -> np.ndarray:
+    """Strided ``(N, C, kh, kw, out_h, out_w)`` im2col view of ``xp``.
 
-    ``out`` has shape ``(N, G, O/G, L)``.  Each sample is its own GEMM,
-    so a sample's bits do not depend on the batch around it.
+    No copy: a row-block of it is copied into a contiguous columns
+    buffer; the transposing copy is cheaper than an equivalent
+    fancy-index gather.
     """
-    _prof = _profile.ACTIVE
-    token = _prof.start("conv.forward") if _prof is not None else None
-    np.matmul(w_g[None], cols_g, out=out)
-    if _prof is not None:
-        _prof.stop(token)
-    return out
+    sh, sw = stride
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    return windows.transpose(0, 1, 4, 5, 2, 3)
+
+
+def _cols_shape(x, weight, stride, padding) -> Tuple[int, ...]:
+    """Shape of the columns of the largest (leading) row-block."""
+    out_h, out_w = _conv_out_hw(x, weight, stride, padding)
+    return ((_batch_blocks(len(x))[0].stop, x.shape[1])
+            + weight.shape[2:] + (out_h, out_w))
 
 
 def _conv2d(x, weight, bias=None, *, stride, padding, groups,
             out=None, padded=None, cols=None):
-    """Conv forward kernel: pad, im2col, :func:`_conv_gemm`, bias.
+    """Conv forward kernel: pad, then im2col and GEMM per row-block
+    (:func:`_batch_blocks`), then bias.
 
-    Saves the im2col columns, shaped ``(N, C, kh, kw, out_h, out_w)``,
-    for the backward.
+    ``cols`` holds one row-block's columns, ``(B, C, kh, kw, out_h,
+    out_w)``, so no whole-batch column array exists.  Each sample is its
+    own GEMM ``(G, O/G, K) @ (G, K, L)``, so its bits do not depend on
+    the batch around it.  Saves the padded input (``x`` itself when
+    unpadded) for the backward, which rebuilds the columns from it.
     """
     out_h, out_w = _conv_out_hw(x, weight, stride, padding)
-    (sh, sw), (ph, pw) = stride, padding
-    n, c = x.shape[:2]
+    (ph, pw), (n, c) = padding, x.shape[:2]
     o, _, kh, kw = weight.shape
     xp = _pad2d(x, padding=padding, out=padded)[0] if ph or pw else x
-    # im2col via a strided sliding-window view; the transposing copy is
-    # cheaper than an equivalent fancy-index gather.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    windows = _conv_windows(xp, kh, kw, stride)
     if cols is None:
-        cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
-    np.copyto(cols, windows.transpose(0, 1, 4, 5, 2, 3))
+        cols = np.empty(_cols_shape(x, weight, stride, padding), x.dtype)
     loc, kdim = out_h * out_w, c // groups * kh * kw
     w_g = weight.reshape(groups, o // groups, kdim)
     if out is None:
         out = np.empty((n, o, out_h, out_w), dtype=np.result_type(w_g, cols))
-    _conv_gemm(w_g, cols.reshape(n, groups, kdim, loc),
-               out.reshape(n, groups, o // groups, loc))
+    out_g = out.reshape(n, groups, o // groups, loc)
+    _prof = _profile.ACTIVE
+    prof_token = _prof.start("conv.forward") if _prof is not None else None
+    for sl in _batch_blocks(n):
+        block = cols[:sl.stop - sl.start]
+        np.copyto(block, windows[sl])
+        np.matmul(w_g[None], block.reshape(len(block), groups, kdim, loc),
+                  out=out_g[sl])
+    if _prof is not None:
+        _prof.stop(prof_token)
     if bias is not None:
         np.add(out, bias.reshape(1, o, 1, 1), out=out)
-    return out.astype(x.dtype, copy=False), cols
+    return out.astype(x.dtype, copy=False), xp
 
 
 def _conv2d_scratch(x, weight, bias=None, *, stride, padding, groups):
-    out_h, out_w = _conv_out_hw(x, weight, stride, padding)
     (ph, pw), (n, c, h, w) = padding, x.shape
-    kh, kw = weight.shape[2:]
-    specs = {"cols": ((n, c, kh, kw, out_h, out_w), x.dtype)}
+    specs = {"cols": (_cols_shape(x, weight, stride, padding), x.dtype)}
     if ph or pw:
         specs["padded"] = ((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
     return specs
 
 
-def _conv2d_grad(g, ins, y, cols, *, stride, padding, groups):
+def _conv2d_grad(g, ins, y, xp, *, stride, padding, groups):
     x, weight = ins[0], ins[1]
     bias = ins[2] if len(ins) > 2 else None
     out_h, out_w = _conv_out_hw(x.data, weight.data, stride, padding)
@@ -158,8 +173,6 @@ def _conv2d_grad(g, ins, y, cols, *, stride, padding, groups):
     o, _, kh, kw = weight.shape
     hp, wp = h + 2 * ph, w + 2 * pw
     loc, kdim = out_h * out_w, c // groups * kh * kw
-    cols = cols.reshape(n, c * kh * kw, loc)
-    cols_g = cols.reshape(n, groups, kdim, loc)
     w_g = weight.data.reshape(groups, o // groups, kdim)
 
     _prof = _profile.ACTIVE
@@ -168,24 +181,29 @@ def _conv2d_grad(g, ins, y, cols, *, stride, padding, groups):
     bwd_blocks = _batch_blocks(n)
     gx = gw = gb = None
     if weight.requires_grad:
-        if groups == 1:
-            # Per-block GEMM (O, B*L) @ (B*L, K); partials summed in
-            # block-index order so the reduction is deterministic.
-            def _gw_block(sl: slice) -> np.ndarray:
-                nb = sl.stop - sl.start
+        # Each block's columns are rebuilt from the saved padded input
+        # into one block-sized buffer, in the layout the GEMM operand had
+        # when the forward kept a whole-batch column array: BLAS picks
+        # its kernel, and so its bits, by operand layout.
+        windows = _conv_windows(xp, kh, kw, stride)
+        cols = np.empty(_cols_shape(x.data, weight.data, stride, padding),
+                        xp.dtype)
+        for sl in bwd_blocks:
+            nb = sl.stop - sl.start
+            block = cols[:nb]
+            np.copyto(block, windows[sl])
+            if groups > 1:
+                part = np.matmul(g_r[sl], block.reshape(
+                    nb, groups, kdim, loc).transpose(0, 1, 3, 2)).sum(axis=0)
+            else:
+                # GEMM (O, B*L) @ (B*L, K) over the block's samples.
                 g2 = (g[sl].reshape(nb, o, loc)
                       .transpose(1, 0, 2).reshape(o, nb * loc))
-                c2 = (cols[sl].transpose(1, 0, 2)
+                c2 = (block.reshape(nb, kdim, loc).transpose(1, 0, 2)
                       .reshape(kdim, nb * loc))
-                return g2 @ c2.T
-        else:
-            def _gw_block(sl: slice) -> np.ndarray:
-                return np.matmul(
-                    g_r[sl], cols_g[sl].transpose(0, 1, 3, 2)).sum(axis=0)
-
-        gw = _gw_block(bwd_blocks[0])
-        for sl in bwd_blocks[1:]:
-            gw = gw + _gw_block(sl)
+                part = g2 @ c2.T
+            # Partials summed in block-index order: a fixed reduction.
+            gw = part if gw is None else gw + part
         gw = gw.reshape(weight.shape).astype(weight.dtype, copy=False)
     if x.requires_grad:
         gx = np.empty((n, c, h, w), dtype=np.result_type(w_g, g))

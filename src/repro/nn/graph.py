@@ -20,8 +20,9 @@ module compiles that knowledge into a flat program:
   conv→bias→ReLU chains and residual adds collapse onto the conv's GEMM
   output with zero extra traffic.
 - **Arena.**  Remaining intermediate buffers, and the scratch buffers
-  ops declare (conv's padded input and im2col columns, relu's mask,
-  max-pool's window masks, sigmoid's temporaries), get
+  ops declare (conv's padded input and one row-block of im2col
+  columns, relu's mask and scale, max-pool's window masks, sigmoid's
+  temporaries), get
   liveness intervals and a greedy first-fit offset assignment into one
   preallocated byte arena, so steady-state serving performs no
   per-batch intermediate allocation.

@@ -10,7 +10,7 @@ gradients into every tensor created with ``requires_grad=True``.
 
 The tape runs once, like PyTorch's ``retain_graph=False`` default: as
 backward passes a node it drops the node's backward closure (its saved
-buffers, such as a conv's im2col columns) and its parents, so each buffer
+buffers, such as a conv's padded input) and its parents, so each buffer
 is freed as soon as nothing upstream needs it, and a training step never
 holds more than one graph.  A second backward through a released graph
 raises ``RuntimeError``.  Leaf gradients and ``retain_grad``
@@ -585,9 +585,24 @@ def _max_grad(g, ins, y, saved, *, axis, keepdims):
     return ((mask * g / counts).astype(a.dtype),)
 
 
-def _relu(a, *, out=None, mask=None):
+def _relu(a, *, out=None, mask=None, scale=None):
+    """``a * (a > 0)``, the mask first copied to ``0.0``/``1.0`` in ``scale``.
+
+    The same bits as a multiply by the boolean mask (a negative input
+    gives ``-0.0``, NaN stays NaN), without the buffer numpy allocates
+    on every call to cast a boolean operand.  Saves the boolean mask.
+    The result buffer holds the scale unless it may be ``a`` itself; then
+    the ``scale`` scratch (or a fresh array) does.
+    """
     mask = np.greater(a, 0, out=mask)
-    return np.multiply(a, mask, out=out), mask
+    if out is None:
+        out = np.empty_like(a)
+    if not np.may_share_memory(out, a):
+        scale = out
+    elif scale is None:
+        scale = np.empty_like(a)
+    np.copyto(scale, mask)
+    return np.multiply(a, scale, out=out), mask
 
 
 def _sigmoid(a, *, out=None, clipped=None, exp=None, nonneg=None):
@@ -641,7 +656,8 @@ SQRT = Op("sqrt", _ufunc(np.sqrt), lambda g, ins, y, saved: (g * 0.5 / y,),
 TANH = Op("tanh", _ufunc(np.tanh),
           lambda g, ins, y, saved: (g * (1.0 - y ** 2),), inplace=True)
 RELU = Op("relu", _relu, lambda g, ins, y, mask: (g * mask,), inplace=True,
-          scratch=lambda a: {"mask": (a.shape, np.dtype(bool))})
+          scratch=lambda a: {"mask": (a.shape, np.dtype(bool)),
+                             "scale": (a.shape, a.dtype)})
 SIGMOID = Op("sigmoid", _sigmoid,
              lambda g, ins, y, saved: (g * y * (1.0 - y),),
              scratch=lambda a: {"clipped": (a.shape, a.dtype),

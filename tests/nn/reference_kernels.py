@@ -150,6 +150,29 @@ def _scatter_matrix(k_idx, i_idx, j_idx, padded_hw: Tuple[int, int],
         shape=(channels * hp * wp, n_cols))
 
 
+def conv2d_forward(x: np.ndarray, weight: np.ndarray,
+                   bias: Optional[np.ndarray], stride: Tuple[int, int],
+                   padding: Tuple[int, int], groups: int) -> np.ndarray:
+    """The conv forward one sample at a time: an index-gather im2col,
+    one ``(G, O/G, K) @ (G, K, L)`` GEMM, then the bias."""
+    (sh, sw), (ph, pw) = stride, padding
+    n, c, h, w = x.shape
+    o, _, kh, kw = weight.shape
+    k_idx, i_idx, j_idx, out_h, out_w = _im2col_indices(
+        c, h, w, kh, kw, sh, sw, ph, pw)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    loc, kdim = out_h * out_w, c // groups * kh * kw
+    w_g = weight.reshape(groups, o // groups, kdim)
+    out = np.empty((n, o, out_h, out_w), dtype=np.result_type(weight, x))
+    for i in range(n):
+        cols = np.ascontiguousarray(xp[i][k_idx, i_idx, j_idx])
+        out[i] = np.matmul(w_g, cols.reshape(groups, kdim, loc)).reshape(
+            o, out_h, out_w)
+    if bias is not None:
+        out += bias.reshape(1, o, 1, 1)
+    return out.astype(x.dtype, copy=False)
+
+
 def conv2d_input_grad(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
                       stride: Tuple[int, int], padding: Tuple[int, int],
                       groups: int) -> np.ndarray:

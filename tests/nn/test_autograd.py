@@ -101,26 +101,43 @@ class TestRetainGrad:
 class TestRelease:
     """Backward runs once per graph and frees the tape as it goes."""
 
-    def test_conv_columns_freed_by_backward(self, monkeypatch):
+    @staticmethod
+    def _conv_saves(monkeypatch):
+        """Weak references to what each conv forward saves for backward."""
         saved = []
         forward = F.CONV2D.forward
 
         def recording(*args, **kwargs):
-            out, cols = forward(*args, **kwargs)
-            saved.append(weakref.ref(cols))
-            return out, cols
+            out, kept = forward(*args, **kwargs)
+            saved.append(weakref.ref(kept))
+            return out, kept
 
         monkeypatch.setattr(F.CONV2D, "forward", recording)
+        return saved
+
+    def test_conv_saves_padded_input_freed_by_backward(self, monkeypatch):
+        """Conv keeps its padded input for the backward, never im2col
+        columns, and backward frees it."""
+        saved = self._conv_saves(monkeypatch)
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(2, 3, 6, 6)))
+        x = Tensor(rng.normal(size=(17, 3, 6, 6)))      # several row-blocks
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
         out = F.conv2d(x, w, padding=1)
         loss = (out * out).sum()
-        assert saved and saved[0]() is not None
+        kept = saved[0]()
+        assert kept.shape == (17, 3, 8, 8)
+        assert kept.nbytes < 17 * 3 * 9 * 6 * 6 * x.data.itemsize  # columns
+        del kept
         loss.backward()
         assert saved[0]() is None
         assert w.grad is not None
-        assert out.data.shape == (2, 4, 6, 6)   # outputs keep their data
+        assert out.data.shape == (17, 4, 6, 6)   # outputs keep their data
+
+    def test_unpadded_conv_saves_its_input_itself(self, monkeypatch):
+        saved = self._conv_saves(monkeypatch)
+        x = Tensor(np.ones((2, 3, 5, 5)))
+        F.conv2d(x, Tensor(np.ones((4, 3, 3, 3)), requires_grad=True))
+        assert saved[0]() is x.data
 
     def test_second_backward_raises(self):
         a = Tensor([2.0], requires_grad=True)

@@ -1,18 +1,21 @@
-"""Copy-free max-pool, batch norm and conv backward vs reference kernels.
+"""Copy-free max-pool, batch norm and blocked conv vs reference kernels.
 
 The production kernels in :mod:`repro.nn.functional` are rewrites for
 speed or for fewer dependencies; they must not move a single bit.  A
 hypothesis sweep compares them with the references in
 ``reference_kernels.py``: outputs, input and parameter gradients,
-running statistics, the conv input gradient against the sparse-GEMM
-col2im, and the conv weight gradient against per-block GEMMs summed in
-block-index order, byte for byte.  The value palettes are tiny on purpose so that
+running statistics, the conv forward against per-sample GEMMs, the conv
+input gradient against the sparse-GEMM col2im, and the conv weight
+gradient against per-block GEMMs summed in block-index order, byte for
+byte.  The value palettes are tiny on purpose so that
 ties, windows mixing ``-0.0`` with ``+0.0``, and NaN windows come up
 constantly.  A final test trains a model with each kernel pair and
 compares the weights.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from repro.data import load_dataset
 from repro.models import small_cnn
 from repro.nn import functional as F
 from repro.nn.functional import MIN_BLOCK_BATCH
-from repro.nn.tensor import SIGMOID, Tensor
+from repro.nn.tensor import RELU, SIGMOID, Tensor
 from repro.train import TrainConfig, train_model
 from tests.nn import reference_kernels as ref
 
@@ -167,6 +170,45 @@ def test_sigmoid_matches_reference_bitwise(dtype, data):
     assert out is buffers["out"] and _same_bits(out, expected)
 
 
+@_settings
+@given(st.sampled_from(DTYPES), st.data())
+def test_relu_matches_boolean_mask_multiply_bitwise(dtype, data):
+    """The bits of ``a * (a > 0)``: ``-0.0`` for negatives, NaN stays NaN;
+    interpreted, into poisoned buffers, and in place."""
+    values = st.sampled_from([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.5, -2.5])
+    a = data.draw(arrays(dtype, data.draw(st.integers(1, 40)),
+                         elements=values))
+    with np.errstate(invalid="ignore"):         # -inf * 0 is NaN
+        expected = a * (a > 0)
+        assert _same_bits(Tensor(a, dtype=dtype).relu().data, expected)
+        buffers = {"out": np.full(a.shape, np.nan, dtype),
+                   "mask": np.ones(a.shape, bool),
+                   "scale": np.full(a.shape, 7.0, dtype)}
+        out, mask = RELU.forward(a, **buffers)
+        assert out is buffers["out"] and _same_bits(out, expected)
+        # The result buffer held the scale: the scratch was not written.
+        assert (buffers["scale"] == 7.0).all()
+        for scale in (None, np.full(a.shape, 7.0, dtype)):
+            in_place = a.copy()
+            out, _ = RELU.forward(in_place, out=in_place, scale=scale)
+            assert out is in_place and _same_bits(out, expected)
+    assert _same_bits(mask, a > 0)
+
+
+def test_relu_forward_allocates_no_cast_buffer():
+    """Multiplying by the boolean mask itself made numpy allocate a
+    ~32 KB cast buffer on every call."""
+    a = np.linspace(-1.0, 1.0, 1 << 16, dtype=np.float32)
+    RELU.forward(a)
+    tracemalloc.start()
+    try:
+        out, mask = RELU.forward(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes - mask.nbytes < 4096
+
+
 def _conv_arrays(seed, n, c, o, groups, k, h, w, dtype, stride, pad, nan):
     """Input, weight and an upstream gradient full of signed zeros."""
     rng = np.random.default_rng(seed)
@@ -221,14 +263,38 @@ def test_conv_input_grad_matches_sparse_col2im(case):
     _check_conv_input_grad(case)
 
 
-@pytest.mark.parametrize("n", [1, MIN_BLOCK_BATCH - 1, MIN_BLOCK_BATCH, 40])
-@pytest.mark.parametrize("geometry", [
-    # (c, o, groups, k, h, w, stride, pad)
+#: (c, o, groups, k, h, w, stride, pad) of the fixed-shape conv checks.
+_GEOMETRIES = [
     (3, 4, 1, 3, 6, 7, 2, 1),       # dense, stride 2
     (4, 4, 2, 5, 5, 5, 1, 2),       # grouped, kernel 5
     (4, 4, 4, 3, 8, 8, 2, 1),       # depthwise, stride 2
     (2, 3, 1, 1, 4, 4, 1, 0),       # pointwise
+]
+
+
+@pytest.mark.parametrize("n", [MIN_BLOCK_BATCH - 1, MIN_BLOCK_BATCH,
+                               MIN_BLOCK_BATCH + 1, 40])
+@pytest.mark.parametrize("geometry", _GEOMETRIES + [
+    (3, 5, 1, 3, 6, 6, 1, 1),       # dense, stride 1
 ])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_conv_forward_matches_per_sample_reference(n, geometry, dtype):
+    """One block below the threshold, several above it: each sample's
+    output is its own GEMM's, whichever block computed it."""
+    c, o, groups, k, h, w, stride, pad = geometry
+    x, weight, _ = _conv_arrays(n, n, c, o, groups, k, h, w, dtype,
+                                stride, pad, False)
+    bias = np.linspace(-1.0, 1.0, o).astype(dtype)
+    out = F.conv2d(Tensor(x, dtype=dtype), Tensor(weight, dtype=dtype),
+                   Tensor(bias, dtype=dtype), stride=stride, padding=pad,
+                   groups=groups)
+    expected = ref.conv2d_forward(x, weight, bias, (stride, stride),
+                                  (pad, pad), groups)
+    assert _same_bits(out.data, expected)
+
+
+@pytest.mark.parametrize("n", [1, MIN_BLOCK_BATCH - 1, MIN_BLOCK_BATCH, 40])
+@pytest.mark.parametrize("geometry", _GEOMETRIES)
 def test_conv_input_grad_matches_sparse_col2im_both_block_sides(n, geometry):
     """Each geometry on either side of the row-block threshold, with NaN.
 
@@ -272,13 +338,7 @@ def test_conv_weight_grad_matches_blocked_reference(case):
 
 
 @pytest.mark.parametrize("n", [1, MIN_BLOCK_BATCH - 1, MIN_BLOCK_BATCH, 40])
-@pytest.mark.parametrize("geometry", [
-    # (c, o, groups, k, h, w, stride, pad)
-    (3, 4, 1, 3, 6, 7, 2, 1),       # dense, stride 2
-    (4, 4, 2, 5, 5, 5, 1, 2),       # grouped, kernel 5
-    (4, 4, 4, 3, 8, 8, 2, 1),       # depthwise, stride 2
-    (2, 3, 1, 1, 4, 4, 1, 0),       # pointwise
-])
+@pytest.mark.parametrize("geometry", _GEOMETRIES)
 def test_conv_weight_grad_matches_blocked_reference_both_block_sides(
         n, geometry):
     """Without NaN, which would hide the summation order."""
