@@ -11,9 +11,10 @@ Times three perf surfaces and verifies their determinism contracts:
 - training memory (:mod:`repro.benchmarks.train_memory`): bench
   ``small_cnn`` epochs in fresh processes (traced peak, ``VmHWM``,
   minor faults and seconds per epoch), and the quick gate's
-  ``train_tape_ratio``, the traced peak of two training steps over one
-  forward tape (<= 1.3 while only one graph is alive), and
-  ``train_tape_mb``, that forward tape's traced size.
+  ``train_tape_ratio``, the traced peak of two training steps over that
+  of one (<= 1.3 while only one graph is alive), ``train_tape_mb``, one
+  forward tape's traced size, and ``train_step_peak_mb``, one step's
+  traced peak.
 
 Writes ``benchmarks/BENCH_perf_scaling.json`` with wall-clock seconds,
 speedups over the serial cell and training throughput (samples/sec),
@@ -234,6 +235,7 @@ def run_quick_gate() -> dict:
     tape = tape_ratio()
     cells["train_tape_ratio"] = tape["ratio"]
     cells["train_tape_mb"] = tape["tape_mb"]
+    cells["train_step_peak_mb"] = tape["one_step_peak_mb"]
     folding = time_folded_inference("unit", epochs=1, repeats=3)
     cells["folded_predict_seconds"] = folding["folded_seconds"]
     cells["folding_max_abs_delta"] = folding["max_abs_delta"]

@@ -8,9 +8,9 @@ tolerance factor.  Correctness is gated absolutely regardless of
 timing: the folded-inference delta must stay within atol=1e-5, a
 pooled SISA fit + unlearn must hash identically to the serial one, two
 training steps must peak within ``TAPE_RATIO_LIMIT`` (from
-:mod:`repro.benchmarks.train_memory`) of one forward tape, that tape
-must stay within ``TAPE_MB_FACTOR`` of its recorded size, the
-serving load must drop zero responses, and solo- vs
+:mod:`repro.benchmarks.train_memory`) of one step, one forward tape
+and one step's peak must stay within ``TAPE_MB_FACTOR`` of their
+recorded sizes, the serving load must drop zero responses, and solo- vs
 coalesced-served logits must be bit-identical (delta exactly 0.0).
 
 Beyond the baseline-relative timing cells, the serving gate makes
@@ -130,7 +130,8 @@ SERVING_TIMING_CELLS = ("serving_p50_seconds",
                         "serving_compiled_steady_p50_seconds")
 FORGET_TIMING_CELLS = ("forget_deletion_to_swap_seconds",
                        "forget_steady_p99_seconds")
-#: The traced forward tape may grow this much over ``train_tape_mb``.
+#: The traced forward tape and training step may grow this much over
+#: ``train_tape_mb`` and ``train_step_peak_mb``.
 TAPE_MB_FACTOR = 1.1
 
 
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
     # A ratio of allocation sizes, not of times: machine speed and load
     # do not move it, so it is gated absolutely, like the above.  The
     # recorded value is shown beside it: a move away from it with the
-    # limit still held means the tape or the step changed size.
+    # limit still held means the two steps no longer peak alike.
     tape = measured["train_tape_ratio"]
     recorded = baseline.get("train_tape_ratio")
     gate.add("train_tape_ratio", f"{tape:.3f}",
@@ -276,18 +277,20 @@ def main(argv=None) -> int:
              f"<= {TAPE_RATIO_LIMIT:g}", tape > TAPE_RATIO_LIMIT,
              correctness=True)
     # The ratio cannot see a tape that shrinks or grows with the step
-    # around it (the conv's saved buffers do both), so the tape's own
-    # traced size is gated against the recorded one.
-    tape_mb = measured["train_tape_mb"]
-    recorded_mb = baseline.get("train_tape_mb")
-    if recorded_mb is None:
-        gate.add("train_tape_mb", f"{tape_mb:.2f} MB", "—",
-                 "no baseline", None, note="skipped")
-    else:
-        limit = TAPE_MB_FACTOR * recorded_mb
-        gate.add("train_tape_mb", f"{tape_mb:.2f} MB",
-                 f"{recorded_mb:.2f} MB", f"<= {limit:.2f} MB",
-                 tape_mb > limit, correctness=True)
+    # around it (the conv's saved buffers do both), nor a step whose
+    # backward stops freeing its graph (both peaks rise alike), so the
+    # tape's and one step's traced sizes are gated against the recorded
+    # ones.
+    for cell in ("train_tape_mb", "train_step_peak_mb"):
+        size = measured[cell]
+        recorded_mb = baseline.get(cell)
+        if recorded_mb is None:
+            gate.add(cell, f"{size:.2f} MB", "—", "no baseline", None,
+                     note="skipped")
+        else:
+            limit = TAPE_MB_FACTOR * recorded_mb
+            gate.add(cell, f"{size:.2f} MB", f"{recorded_mb:.2f} MB",
+                     f"<= {limit:.2f} MB", size > limit, correctness=True)
 
     print(f"rerunning serving quick-gate cells [{mode}]")
     serving = run_serving_quick_gate()

@@ -4,9 +4,12 @@ Convolution (stride / padding / groups via im2col), pooling, padding,
 batch norm and the fused softmax cross-entropy loss used throughout the
 reproduction.  Each is one entry of the op table in
 :mod:`repro.nn.tensor`: a forward kernel that can write into ``out=``
-(and into named scratch buffers: conv's padded input and one
-row-block of im2col columns, max-pool's window masks) plus a backward
-rule.  The public functions here validate their arguments and dispatch
+(and into named scratch buffers: conv's padded input, one row-block
+of im2col columns and its bias, max-pool's windows and masks) plus a
+backward rule, and declares what of its inputs and result that rule
+reads (:class:`repro.nn.tensor.Op`): conv keeps only its weight, batch
+norm only its gamma, max-pool, padding, pooling and the loss only
+shapes.  The public functions here validate their arguments and dispatch
 through
 :func:`repro.nn.tensor.apply`, so the interpreted forward, the
 training tape and the compiled graph's replay all run the same kernel.
@@ -19,8 +22,9 @@ pixel sums its contributions in a fixed order starting from ``+0.0``.
 ``tests/nn/test_kernel_oracle.py`` holds it to the bits of a sparse
 scatter-GEMM col2im, whose CSR rows add the same values in that order.
 
-Max-pool works on strided window views of its input (no transposed copy)
-and keeps one boolean mask per window element for the backward.
+Max-pool copies its input once into window-major order, so its scans
+run over contiguous memory, and keeps one boolean mask per window
+element for the backward.
 Max-pool and batch norm produce the same bits as the plain argmax /
 ``mean``+``var`` formulations, down to which of ``-0.0`` and ``+0.0`` a
 tied window returns.
@@ -53,7 +57,7 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     return (int(value[0]), int(value[1]))
 
 
-def _conv_out_hw(x: np.ndarray, weight: np.ndarray, stride,
+def _conv_out_hw(x, weight, stride,
                  padding) -> Tuple[int, int]:
     """``(out_h, out_w)`` of a conv; raises when the output would be empty."""
     (sh, sw), (ph, pw) = stride, padding
@@ -115,20 +119,23 @@ def _conv_windows(xp: np.ndarray, kh: int, kw: int, stride) -> np.ndarray:
 def _cols_shape(x, weight, stride, padding) -> Tuple[int, ...]:
     """Shape of the columns of the largest (leading) row-block."""
     out_h, out_w = _conv_out_hw(x, weight, stride, padding)
-    return ((_batch_blocks(len(x))[0].stop, x.shape[1])
+    return ((_batch_blocks(x.shape[0])[0].stop, x.shape[1])
             + weight.shape[2:] + (out_h, out_w))
 
 
 def _conv2d(x, weight, bias=None, *, stride, padding, groups,
-            out=None, padded=None, cols=None):
-    """Conv forward kernel: pad, then im2col and GEMM per row-block
-    (:func:`_batch_blocks`), then bias.
+            out=None, padded=None, cols=None, bias_plane=None):
+    """Conv forward kernel: pad, then per row-block (:func:`_batch_blocks`)
+    im2col, GEMM and bias.
 
     ``cols`` holds one row-block's columns, ``(B, C, kh, kw, out_h,
     out_w)``, so no whole-batch column array exists.  Each sample is its
     own GEMM ``(G, O/G, K) @ (G, K, L)``, so its bits do not depend on
-    the batch around it.  Saves the padded input (``x`` itself when
-    unpadded) for the backward, which rebuilds the columns from it.
+    the batch around it.  The bias is first copied out to one block's
+    shape in ``bias_plane``: an add of two same-shaped arrays runs
+    without the iteration buffers numpy allocates for a broadcast
+    operand.  Saves the padded input (``x`` itself when unpadded) for
+    the backward, which rebuilds the columns from it.
     """
     out_h, out_w = _conv_out_hw(x, weight, stride, padding)
     (ph, pw), (n, c) = padding, x.shape[:2]
@@ -142,6 +149,10 @@ def _conv2d(x, weight, bias=None, *, stride, padding, groups,
     if out is None:
         out = np.empty((n, o, out_h, out_w), dtype=np.result_type(w_g, cols))
     out_g = out.reshape(n, groups, o // groups, loc)
+    if bias is not None:
+        if bias_plane is None:
+            bias_plane = np.empty((len(cols), o, out_h, out_w), bias.dtype)
+        np.copyto(bias_plane, bias.reshape(1, o, 1, 1))
     _prof = _profile.ACTIVE
     prof_token = _prof.start("conv.forward") if _prof is not None else None
     for sl in _batch_blocks(n):
@@ -149,25 +160,29 @@ def _conv2d(x, weight, bias=None, *, stride, padding, groups,
         np.copyto(block, windows[sl])
         np.matmul(w_g[None], block.reshape(len(block), groups, kdim, loc),
                   out=out_g[sl])
+        if bias is not None:
+            np.add(out[sl], bias_plane[:len(block)], out=out[sl])
     if _prof is not None:
         _prof.stop(prof_token)
-    if bias is not None:
-        np.add(out, bias.reshape(1, o, 1, 1), out=out)
     return out.astype(x.dtype, copy=False), xp
 
 
 def _conv2d_scratch(x, weight, bias=None, *, stride, padding, groups):
     (ph, pw), (n, c, h, w) = padding, x.shape
-    specs = {"cols": (_cols_shape(x, weight, stride, padding), x.dtype)}
+    cols = _cols_shape(x, weight, stride, padding)
+    specs = {"cols": (cols, x.dtype)}
     if ph or pw:
         specs["padded"] = ((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
+    if bias is not None:
+        specs["bias_plane"] = ((cols[0], weight.shape[0]) + cols[-2:],
+                               bias.dtype)
     return specs
 
 
 def _conv2d_grad(g, ins, y, xp, *, stride, padding, groups):
     x, weight = ins[0], ins[1]
     bias = ins[2] if len(ins) > 2 else None
-    out_h, out_w = _conv_out_hw(x.data, weight.data, stride, padding)
+    out_h, out_w = _conv_out_hw(x, weight, stride, padding)
     (sh, sw), (ph, pw) = stride, padding
     n, c, h, w = x.shape
     o, _, kh, kw = weight.shape
@@ -186,8 +201,7 @@ def _conv2d_grad(g, ins, y, xp, *, stride, padding, groups):
         # when the forward kept a whole-batch column array: BLAS picks
         # its kernel, and so its bits, by operand layout.
         windows = _conv_windows(xp, kh, kw, stride)
-        cols = np.empty(_cols_shape(x.data, weight.data, stride, padding),
-                        xp.dtype)
+        cols = np.empty(_cols_shape(x, weight, stride, padding), xp.dtype)
         for sl in bwd_blocks:
             nb = sl.stop - sl.start
             block = cols[:nb]
@@ -266,24 +280,31 @@ def _max_pool_select(x: np.ndarray, kh: int, kw: int,
                      out: Optional[np.ndarray] = None,
                      masks: Optional[np.ndarray] = None,
                      seen: Optional[np.ndarray] = None,
-                     sel: Optional[np.ndarray] = None
+                     sel: Optional[np.ndarray] = None,
+                     windows: Optional[np.ndarray] = None
                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Max over each non-overlapping ``kh x kw`` window, without copies.
+    """Max over each non-overlapping ``kh x kw`` window.
 
-    Scans the ``kh*kw`` strided window views of
-    ``x.reshape(n, c, oh, kh, ow, kw)`` in row-major window order.
+    Copies the ``kh*kw`` window views of
+    ``x.reshape(n, c, oh, kh, ow, kw)`` into one contiguous ``windows``
+    buffer, in row-major window order, then scans them.  Every ufunc
+    runs over contiguous operands: on a strided view numpy allocates
+    iteration buffers per call, and the scans run about twice as slow.
     Returns ``(out, masks)``: ``masks[k]`` is the one-hot selection of
     window element ``k``, using argmax's rule (the first maximum wins; a
     window holding a NaN selects its first NaN).  ``out`` is assembled
     from the selected element's own bits, so a window mixing ``-0.0``
     and ``+0.0`` yields whichever zero comes first.  ``out`` and the
-    working buffers ``masks``, ``seen`` and ``sel`` (see
+    working buffers ``masks``, ``seen``, ``sel`` and ``windows`` (see
     :func:`_max_pool_scratch`) may be preallocated.
     """
     n, c, h, w = x.shape
     oh, ow = h // kh, w // kw
-    x6 = x.reshape(n, c, oh, kh, ow, kw)
-    views = [x6[:, :, :, i, :, j] for i in range(kh) for j in range(kw)]
+    if windows is None:
+        windows = np.empty((kh * kw, n, c, oh, ow), dtype=x.dtype)
+    np.copyto(windows.reshape(kh, kw, n, c, oh, ow),
+              x.reshape(n, c, oh, kh, ow, kw).transpose(3, 5, 0, 1, 2, 4))
+    views = list(windows)
     if out is None:
         out = np.empty((n, c, oh, ow), dtype=x.dtype)
     # ``out`` holds the window max until the masks are built.
@@ -313,13 +334,23 @@ def _max_pool_select(x: np.ndarray, kh: int, kw: int,
     if sel is None:
         sel = np.empty(out.shape, dtype=bits)
     for k, (v, mask) in enumerate(zip(views, masks)):
-        np.negative(mask.view(np.uint8), dtype=bits, out=sel)   # 0 or ~0
+        _select_bits(mask, sel)
         if k == 0:
             np.bitwise_and(v.view(bits), sel, out=out_bits)
         else:
             np.bitwise_and(v.view(bits), sel, out=sel)
             np.bitwise_or(out_bits, sel, out=out_bits)
     return out, masks
+
+
+def _select_bits(mask: np.ndarray, sel: np.ndarray) -> None:
+    """``sel = 0`` where ``mask`` is False, all one bits where True.
+
+    A copy then an in-place negate: a ufunc that casts the boolean mask
+    as it reads it allocates numpy's iteration buffers on every call.
+    """
+    np.copyto(sel, mask)
+    np.negative(sel, out=sel)
 
 
 def _max_pool_scratch(x, *, kernel):
@@ -331,7 +362,8 @@ def _max_pool_scratch(x, *, kernel):
     shape = (n, c, h // kh, w // kw)
     return {"masks": ((kh * kw,) + shape, np.dtype(bool)),
             "seen": (shape, np.dtype(bool)),
-            "sel": (shape, np.dtype(f"u{x.dtype.itemsize}"))}
+            "sel": (shape, np.dtype(f"u{x.dtype.itemsize}")),
+            "windows": ((kh * kw,) + shape, x.dtype)}
 
 
 def _max_pool2d_grad(g, ins, y, masks, *, kernel):
@@ -347,7 +379,7 @@ def _max_pool2d_grad(g, ins, y, masks, *, kernel):
     g_bits = g.view(bits)
     sel = np.empty(g.shape, dtype=bits)
     for k, mask in enumerate(masks):
-        np.negative(mask.view(np.uint8), dtype=bits, out=sel)
+        _select_bits(mask, sel)
         np.bitwise_and(g_bits, sel, out=gx6[:, :, :, k // kw, :, k % kw])
     return (gx,)
 
@@ -628,12 +660,17 @@ def entropy_of_probs(probs: np.ndarray, eps: float = 1e-12, base2: bool = True) 
     return h
 
 
-CONV2D = Op("conv2d", _conv2d, _conv2d_grad, scratch=_conv2d_scratch)
+CONV2D = Op("conv2d", _conv2d, _conv2d_grad, scratch=_conv2d_scratch,
+            keep=(1,), keep_result=False)
 MAX_POOL2D = Op("max_pool2d",
                 lambda x, *, kernel, out=None, **scratch: _max_pool_select(
                     x, *kernel, out=out, **scratch),
-                _max_pool2d_grad, scratch=_max_pool_scratch)
-AVG_POOL2D = Op("avg_pool2d", _avg_pool2d, _avg_pool2d_grad)
-PAD2D = Op("pad2d", _pad2d, _pad2d_grad)
-BATCH_NORM = Op("batch_norm", _batch_norm, _batch_norm_grad)
-CROSS_ENTROPY = Op("cross_entropy", _cross_entropy, _cross_entropy_grad)
+                _max_pool2d_grad, scratch=_max_pool_scratch,
+                keep=(), keep_result=False)
+AVG_POOL2D = Op("avg_pool2d", _avg_pool2d, _avg_pool2d_grad,
+                keep=(), keep_result=False)
+PAD2D = Op("pad2d", _pad2d, _pad2d_grad, keep=(), keep_result=False)
+BATCH_NORM = Op("batch_norm", _batch_norm, _batch_norm_grad,
+                keep=(1,), keep_result=False)
+CROSS_ENTROPY = Op("cross_entropy", _cross_entropy, _cross_entropy_grad,
+                   keep=(), keep_result=False)

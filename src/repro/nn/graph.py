@@ -25,7 +25,13 @@ module compiles that knowledge into a flat program:
   temporaries), get
   liveness intervals and a greedy first-fit offset assignment into one
   preallocated byte arena, so steady-state serving performs no
-  per-batch intermediate allocation.
+  per-batch intermediate allocation.  Arenas are shared: every program
+  whose arena has the same byte size runs in one buffer, under one
+  lock (:func:`_shared_arena`).  A replay leaves nothing in its arena
+  that the next replay reads, so the versions of one model at one
+  width (a store after each deletion's retrain registers another)
+  hold one arena between them, not one each.  The buffer is freed
+  when its last program is.
 
 Bit-identity is the hard gate.  Each node replays by calling its op's
 own forward kernel, the one the interpreted path runs, with ``out=`` and
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 import threading as _threading
 import warnings
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -261,19 +268,51 @@ class _Arena:
         return offset
 
 
+class _SharedArena:
+    """One arena buffer and the lock every replay into it holds."""
+
+    __slots__ = ("buf", "lock", "__weakref__")
+
+    def __init__(self, nbytes: int):
+        self.buf = np.empty(nbytes, dtype=np.uint8)
+        self.lock = _threading.Lock()
+
+
+#: Live arenas by byte size.  Weak values: an arena goes when the last
+#: program holding it does.
+_ARENAS: "weakref.WeakValueDictionary[int, _SharedArena]" = (
+    weakref.WeakValueDictionary())
+_ARENAS_LOCK = _threading.Lock()
+
+
+def _shared_arena(nbytes: int) -> _SharedArena:
+    """The live arena of ``nbytes`` bytes, made if there is none."""
+    with _ARENAS_LOCK:
+        arena = _ARENAS.get(nbytes)
+        if arena is None:
+            arena = _ARENAS[nbytes] = _SharedArena(nbytes)
+        return arena
+
+
 # ---------------------------------------------------------------------------
 # Program construction (replay closures over arena views)
 # ---------------------------------------------------------------------------
 
 class GraphProgram:
-    """A compiled flat program: ordered replay closures over one arena."""
+    """A compiled flat program: ordered replay closures over an arena.
+
+    The arena may be shared with other programs of the same arena size,
+    so :meth:`run` must be called under :attr:`lock`.
+    """
 
     def __init__(self, runs: List[Optional[Callable]], out_idx: int,
-                 input_shape: Tuple[int, ...], arena: np.ndarray):
+                 input_shape: Tuple[int, ...], shared: _SharedArena):
         self._runs = runs
         self._out = out_idx
         self.input_shape = input_shape
-        self.arena = arena
+        self._shared = shared
+        self.arena = shared.buf
+        self.lock = shared.lock
         self._values: List[Optional[np.ndarray]] = [None] * len(runs)
 
     def run(self, batch: np.ndarray) -> np.ndarray:
@@ -315,7 +354,8 @@ def _build_program(nodes: List[_TraceNode], out_idx: int,
                       for name, (shape, dtype)
                       in node.op.scratch(*args, **node.params).items()]
 
-    buf = np.empty(arena.total, dtype=np.uint8)
+    shared = _shared_arena(arena.total)
+    buf = shared.buf
 
     def view(offset: int, shape: Tuple[int, ...], dtype) -> np.ndarray:
         return buf[offset:offset + _nbytes(shape, dtype)].view(dtype).reshape(shape)
@@ -329,7 +369,7 @@ def _build_program(nodes: List[_TraceNode], out_idx: int,
             for name, offset, shape, dtype in scratch[i]:
                 kwargs[name] = view(offset, shape, dtype)
         runs[i] = _replay(node.op.forward, node.inputs, kwargs)
-    return GraphProgram(runs, out_idx, nodes[0].shape, buf)
+    return GraphProgram(runs, out_idx, nodes[0].shape, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +383,11 @@ class CompiledModel:
     arena program; any other shape — and every call when compilation
     fell back — delegates to the interpreted folded model, so a
     ``CompiledModel`` is always safe to serve through.  Execution holds
-    a per-instance lock (the arena is single-flight); the serving layer
-    runs one batch at a time per model anyway.
+    its arena's lock: the arena is single-flight, and it is shared with
+    every other program whose arena has the same byte size (two
+    versions of one architecture at one width, say), so those programs
+    run one at a time.  ``plan["arena_bytes"]`` is the size of that
+    shared buffer, not memory this model holds alone.
     """
 
     def __init__(self, model: Module, program: Optional[GraphProgram],
@@ -355,7 +398,6 @@ class CompiledModel:
         self.plan = plan
         self.fallback_reason = fallback_reason
         self._program = program
-        self._lock = _threading.Lock()
 
     @property
     def compiled(self) -> bool:
@@ -370,7 +412,7 @@ class CompiledModel:
             return self.model(x if tensor_in else Tensor(arr))
         _prof = _profile.ACTIVE
         token = _prof.start("compiled.forward") if _prof is not None else None
-        with self._lock:
+        with program.lock:
             out = program.run(np.ascontiguousarray(arr, dtype=np.float32))
         if _prof is not None:
             _prof.stop(token)
@@ -449,15 +491,17 @@ def compile(model: Module, width: int, *,
         nodes, out_idx = _prune(*_trace(folded, Tensor(batch_a)))
         storage_of, end_of, fused_count = _plan_storages(nodes, out_idx)
         program = _build_program(nodes, out_idx, storage_of, end_of)
-        # Warm run: proves the replay executes, and leaves this batch's
-        # values in the arena, so the verify replay below cannot pass by
-        # relying on freshly zeroed memory.
-        program.run(batch_a)
         vrng = np.random.default_rng(0xA11CE ^ (width * 40503 % (1 << 31)))
         batch_b = vrng.standard_normal((width,) + shape, dtype=np.float32)
         with no_grad():
             ref = folded(Tensor(batch_b)).data
-        got = program.run(batch_b)
+        # Both replays hold the shared arena's lock: another program may
+        # be serving from the same buffer.  The warm run proves the
+        # replay executes and leaves batch A's values in the arena, so
+        # the verify run cannot pass by relying on freshly zeroed memory.
+        with program.lock:
+            program.run(batch_a)
+            got = program.run(batch_b)
         if (got.shape != ref.shape or got.dtype != ref.dtype
                 or got.tobytes() != ref.tobytes()):
             raise TraceError(

@@ -3,10 +3,21 @@
 This module is the foundation of the from-scratch deep-learning substrate
 used by the ReVeil reproduction (the paper used PyTorch; this environment
 has none, so we build the equivalent).  A :class:`Tensor` wraps a
-``numpy.ndarray`` and records the operations applied to it on a tape (the
-``_parents`` / ``_backward`` fields).  Calling :meth:`Tensor.backward` on a
-scalar output walks the tape in reverse topological order and accumulates
+``numpy.ndarray``.  The tape is held apart from tensors, in nodes: a
+tensor that an op makes points to its :class:`_Node`, which holds the
+op's backward rule and the nodes of its inputs (a leaf that requires
+grad is held directly).  Calling :meth:`Tensor.backward` on a scalar
+output walks the nodes in reverse topological order and accumulates
 gradients into every tensor created with ``requires_grad=True``.
+
+A node keeps only what its backward reads, the ``save_for_backward``
+idiom: each :class:`Op` declares which inputs' data, and whether its
+result, the backward needs, and every other input is kept as a stand-in
+that carries only its ``shape``, ``dtype`` and ``requires_grad``.  So an
+intermediate the caller drops (a conv's output that only feeds a batch
+norm, say) is freed during the forward, not held until backward.  A
+``retain_grad`` tensor is held by its node until backward has set its
+gradient.
 
 The tape runs once, like PyTorch's ``retain_graph=False`` default: as
 backward passes a node it drops the node's backward closure (its saved
@@ -138,7 +149,12 @@ class Op:
     kernel allocates itself unless they are passed by name.
 
     ``backward(g, inputs, result, saved, **params)`` returns one gradient
-    (or ``None``) per input tensor.
+    (or ``None``) per input tensor.  ``keep`` names the inputs, by
+    position, whose ``data`` it reads, and ``keep_result`` whether it
+    reads ``result``; the tape holds nothing else of them.  An input
+    not kept reaches the backward as a stand-in with only ``shape``,
+    ``dtype`` and ``requires_grad``, and an unkept result as ``None``.
+    By default every input and the result are kept.
 
     A ``view`` op returns a view of its input and takes no ``out``.  An
     ``inplace`` op is one aligned elementwise write, so its ``out`` may
@@ -147,13 +163,17 @@ class Op:
 
     def __init__(self, name: str, forward: Callable, backward: Callable, *,
                  view: bool = False, inplace: bool = False,
-                 scratch: Optional[Callable] = None):
+                 scratch: Optional[Callable] = None,
+                 keep: Optional[Tuple[int, ...]] = None,
+                 keep_result: bool = True):
         self.name = name
         self.forward = forward
         self.backward = backward
         self.view = view
         self.inplace = inplace
         self.scratch = scratch or (lambda *arrays, **params: {})
+        self.keep = keep
+        self.keep_result = keep_result
         OPS[name] = self
 
 
@@ -195,6 +215,46 @@ def _released(g: np.ndarray) -> None:
         "again with a fresh forward pass")
 
 
+class _Node:
+    """One op on the tape: its backward closure and its parents.
+
+    ``parents[i]`` is what input ``i`` came from: the input's own node,
+    the input itself when it is a leaf that requires grad, or ``None``
+    when it needs no gradient.  ``retained`` is the tensor whose
+    gradient backward keeps (:meth:`Tensor.retain_grad`), until
+    backward has run.
+    """
+
+    __slots__ = ("backward", "parents", "retained")
+
+    def __init__(self, backward: Callable, parents: tuple):
+        self.backward = backward
+        self.parents = parents
+        self.retained: Optional[Tensor] = None
+
+
+class _Shape:
+    """An input as a backward that does not read its data sees it."""
+
+    __slots__ = ("shape", "dtype", "requires_grad")
+
+    def __init__(self, tensor: "Tensor"):
+        self.shape = tensor.data.shape
+        self.dtype = tensor.data.dtype
+        self.requires_grad = tensor.requires_grad
+
+
+def _backward_of(op: Op, inputs: Tuple["Tensor", ...], result: np.ndarray,
+                 saved, params: dict) -> Callable:
+    """``op``'s backward bound to what it keeps of one call (see :class:`Op`)."""
+    if op.keep is not None:
+        inputs = tuple(t if i in op.keep else _Shape(t)
+                       for i, t in enumerate(inputs))
+    if not op.keep_result:
+        result = None
+    return lambda g: op.backward(g, inputs, result, saved, **params)
+
+
 def apply(op: Op, *inputs: "Tensor", **params) -> "Tensor":
     """Run ``op`` on ``inputs``: the single dispatch point of every op.
 
@@ -202,8 +262,10 @@ def apply(op: Op, *inputs: "Tensor", **params) -> "Tensor":
     thread, reports the call to its tracer.
     """
     data, saved = op.forward(*[t.data for t in inputs], **params)
-    out = Tensor._make(data, inputs,
-                       lambda g: op.backward(g, inputs, data, saved, **params))
+    backward = None
+    if _grad_enabled and any(t.requires_grad for t in inputs):
+        backward = _backward_of(op, inputs, data, saved, params)
+    out = Tensor._make(data, inputs, backward)
     tracer = getattr(TRACE, "tracer", None)
     if tracer is not None:
         tracer.record(op, inputs, params, out)
@@ -235,15 +297,13 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_retain")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False, dtype=_DEFAULT_DTYPE):
         self.data = _as_array(data, dtype=dtype)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._parents: Tuple["Tensor", ...] = ()
-        self._retain = False
+        self._node: Optional[_Node] = None
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -294,9 +354,11 @@ class Tensor:
         """Keep the gradient of this (non-leaf) tensor after backward.
 
         Needed by GradCAM, which reads gradients of intermediate feature
-        maps.
+        maps.  The tensor's node holds it until backward sets its
+        gradient; a leaf keeps its gradient anyway.
         """
-        self._retain = True
+        if self._node is not None:
+            self._node.retained = self
         return self
 
     def zero_grad(self) -> None:
@@ -307,13 +369,17 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: Tuple["Tensor", ...],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        """Create a tape node if grad mode is on and any parent needs grad."""
+              backward: Optional[Callable[[np.ndarray], tuple]]) -> "Tensor":
+        """Create a tape node if grad mode is on and any parent needs grad.
+
+        ``backward(g)`` returns one gradient (or ``None``) per parent.
+        """
         requires = _grad_enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires, dtype=data.dtype)
         if requires:
-            out._parents = parents
-            out._backward = backward
+            out._node = _Node(backward, tuple(
+                p._node if p._node is not None
+                else (p if p.requires_grad else None) for p in parents))
         return out
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
@@ -339,57 +405,53 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=self.data.dtype)
         pin_malloc_thresholds()
+        root = self._node if self._node is not None else self
 
         # Topological order via iterative DFS (models can be deep enough
-        # that recursion would hit Python's stack limit).
-        topo: list[Tensor] = []
+        # that recursion would hit Python's stack limit).  Entries are
+        # nodes, and the leaf tensors that end the walk.
+        topo: list = []
         visited = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
-            node, processed = stack.pop()
+            entry, processed = stack.pop()
             if processed:
-                topo.append(node)
+                topo.append(entry)
                 continue
-            if id(node) in visited:
+            if id(entry) in visited:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited and parent.requires_grad:
-                    stack.append((parent, False))
+            visited.add(id(entry))
+            stack.append((entry, True))
+            if isinstance(entry, _Node):
+                for parent in entry.parents:
+                    if parent is not None and id(parent) not in visited:
+                        stack.append((parent, False))
 
-        # Pop nodes as they are processed: once a node is released and off
-        # the list, only outside references keep it (and its data) alive.
-        # ``grads`` is keyed by id, which is safe because every pending key
-        # belongs to a node still on the list.
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        # Pop entries as they are processed: once a node is released and
+        # off the list, nothing keeps its saved buffers alive.  ``grads``
+        # is keyed by id, which is safe because every pending key belongs
+        # to an entry still on the list.
+        grads: dict[int, np.ndarray] = {id(root): grad}
         while topo:
-            node = topo.pop()
-            g = grads.pop(id(node), None)
-            if node._backward is None:
+            entry = topo.pop()
+            g = grads.pop(id(entry), None)
+            if not isinstance(entry, _Node):
                 if g is not None:
-                    node.grad = g if node.grad is None else node.grad + g
+                    entry.grad = g if entry.grad is None else entry.grad + g
                 continue
             if g is not None:
-                if node._retain:
-                    node.grad = g if node.grad is None else node.grad + g
-                node._accumulate_parents(g, grads)
-            node._backward = _released
-            node._parents = ()
-
-    def _accumulate_parents(self, g: np.ndarray, grads: dict) -> None:
-        """Invoke the local backward fn, adding parent grads into ``grads``."""
-        contributions = self._backward(g)
-        if contributions is None:
-            return
-        for parent, contrib in zip(self._parents, contributions):
-            if contrib is None or not parent.requires_grad:
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + contrib
-            else:
-                grads[key] = contrib
+                kept = entry.retained
+                if kept is not None:
+                    kept.grad = g if kept.grad is None else kept.grad + g
+                contributions = entry.backward(g)
+                for parent, contrib in zip(entry.parents, contributions or ()):
+                    if contrib is None or parent is None:
+                        continue
+                    key = id(parent)
+                    grads[key] = grads[key] + contrib if key in grads else contrib
+            entry.backward = _released
+            entry.parents = ()
+            entry.retained = None
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic (broadcasting)
@@ -638,52 +700,62 @@ def _concat_grad(g, ins, y, saved, *, axis):
 
 ADD = Op("add", _ufunc(np.add), lambda g, ins, y, saved: (
     _unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape)),
-    inplace=True)
+    inplace=True, keep=(), keep_result=False)
 NEG = Op("neg", _ufunc(np.negative), lambda g, ins, y, saved: (-g,),
-         inplace=True)
-MUL = Op("mul", _ufunc(np.multiply), _mul_grad, inplace=True)
-DIV = Op("div", _ufunc(np.divide), _div_grad, inplace=True)
+         inplace=True, keep=(), keep_result=False)
+MUL = Op("mul", _ufunc(np.multiply), _mul_grad, inplace=True,
+         keep_result=False)
+DIV = Op("div", _ufunc(np.divide), _div_grad, inplace=True,
+         keep_result=False)
 POW = Op("pow",
          lambda a, *, exponent, out=None: (_to(out, a ** exponent), None),
          lambda g, ins, y, saved, *, exponent: (
-             g * exponent * ins[0].data ** (exponent - 1),))
+             g * exponent * ins[0].data ** (exponent - 1),),
+         keep_result=False)
 EXP = Op("exp", _ufunc(np.exp), lambda g, ins, y, saved: (g * y,),
-         inplace=True)
+         inplace=True, keep=())
 LOG = Op("log", _ufunc(np.log), lambda g, ins, y, saved: (g / ins[0].data,),
-         inplace=True)
+         inplace=True, keep_result=False)
 SQRT = Op("sqrt", _ufunc(np.sqrt), lambda g, ins, y, saved: (g * 0.5 / y,),
-          inplace=True)
+          inplace=True, keep=())
 TANH = Op("tanh", _ufunc(np.tanh),
-          lambda g, ins, y, saved: (g * (1.0 - y ** 2),), inplace=True)
+          lambda g, ins, y, saved: (g * (1.0 - y ** 2),), inplace=True,
+          keep=())
 RELU = Op("relu", _relu, lambda g, ins, y, mask: (g * mask,), inplace=True,
           scratch=lambda a: {"mask": (a.shape, np.dtype(bool)),
-                             "scale": (a.shape, a.dtype)})
+                             "scale": (a.shape, a.dtype)},
+          keep=(), keep_result=False)
 SIGMOID = Op("sigmoid", _sigmoid,
              lambda g, ins, y, saved: (g * y * (1.0 - y),),
              scratch=lambda a: {"clipped": (a.shape, a.dtype),
                                 "exp": (a.shape, a.dtype),
-                                "nonneg": (a.shape, np.dtype(bool))})
+                                "nonneg": (a.shape, np.dtype(bool))},
+             keep=())
 CLIP = Op("clip", lambda a, *, low, high, out=None: (
-    np.clip(a, low, high, out=out), None), _clip_grad, inplace=True)
+    np.clip(a, low, high, out=out), None), _clip_grad, inplace=True,
+    keep_result=False)
 MATMUL = Op("matmul",
             lambda a, b, *, out=None: (matmul_rows(a, b, out=out), None),
-            _matmul_grad)
+            _matmul_grad, keep_result=False)
 SUM = Op("sum", lambda a, *, axis, keepdims, out=None: (
-    np.sum(a, axis=axis, keepdims=keepdims, out=out), None), _sum_grad)
+    np.sum(a, axis=axis, keepdims=keepdims, out=out), None), _sum_grad,
+    keep=(), keep_result=False)
 MAX = Op("max", lambda a, *, axis, keepdims, out=None: (
     np.max(a, axis=axis, keepdims=keepdims, out=out), None), _max_grad)
 RESHAPE = Op("reshape", lambda a, *, shape: (a.reshape(shape), None),
              lambda g, ins, y, saved, *, shape: (g.reshape(ins[0].shape),),
-             view=True)
+             view=True, keep=(), keep_result=False)
 TRANSPOSE = Op("transpose", lambda a, *, axes: (a.transpose(axes), None),
                lambda g, ins, y, saved, *, axes: (
                    g.transpose(np.argsort(axes)),),
-               view=True)
+               view=True, keep=(), keep_result=False)
 GETITEM = Op("getitem", lambda a, *, index: (a[index], None), _getitem_grad,
              view=True)
 STACK = Op("stack", lambda *arrays, axis, out=None: (
     np.stack(arrays, axis=axis, out=out), None),
     lambda g, ins, y, saved, *, axis: tuple(
-        np.squeeze(p, axis=axis) for p in np.split(g, len(ins), axis=axis)))
+        np.squeeze(p, axis=axis) for p in np.split(g, len(ins), axis=axis)),
+    keep=(), keep_result=False)
 CONCAT = Op("concat", lambda *arrays, axis, out=None: (
-    np.concatenate(arrays, axis=axis, out=out), None), _concat_grad)
+    np.concatenate(arrays, axis=axis, out=out), None), _concat_grad,
+    keep=(), keep_result=False)

@@ -31,7 +31,8 @@ class ModelVersionEntry:
 
     ``plan`` is the compact compiled-plan summary (``ops`` / ``fused``
     / ``arena_bytes``) or ``None`` while the version serves
-    interpreted.  ``metadata`` is the registration metadata with the
+    interpreted.  ``arena_bytes`` is the size of the arena the version
+    replays in; every program of that size shares it.  ``metadata`` is the registration metadata with the
     additive ``compiled``/``plan`` wire keys stripped back out.
     """
 

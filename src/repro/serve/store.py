@@ -89,7 +89,8 @@ class ModelEntry:
         Goes through the process-wide folded cache keyed by
         ``(fingerprint, width)``, so every consumer of this version at
         this width — server, eval harness, forget plane — shares one
-        compiled program and one arena.  Trace failures never propagate:
+        compiled program; its arena is shared with every program of the
+        same arena size.  Trace failures never propagate:
         the returned :class:`~repro.nn.graph.CompiledModel` falls back to
         the folded interpreter and says so via ``.compiled``.
         """
@@ -114,7 +115,12 @@ class ModelEntry:
         return None
 
     def plan_summary(self) -> Optional[dict]:
-        """Compact JSON plan view for listings (``/v1/models``)."""
+        """Compact JSON plan view for listings (``/v1/models``).
+
+        ``arena_bytes`` is the size of the shared arena the program
+        replays in (see :mod:`repro.nn.graph`), not memory this version
+        holds alone.
+        """
         plan = self.plan()
         if plan is None:
             return None

@@ -72,7 +72,7 @@ class TestNoGrad:
             out = a * 2.0
         assert is_grad_enabled()
         assert not out.requires_grad
-        assert out._backward is None
+        assert out._node is None
 
     def test_nested_restores(self):
         with no_grad():
@@ -154,6 +154,28 @@ class TestRelease:
         with pytest.raises(RuntimeError, match="released graph"):
             (mid * 2.0).sum().backward()
 
+    def test_dropped_intermediates_are_freed_before_backward(self):
+        """The tape keeps what each backward reads (conv its weight, batch
+        norm its gamma, relu and max-pool their masks), so conv, batch
+        norm and relu outputs the caller drops are freed in the forward."""
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(3, 2, 6, 6)))
+        w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+        gamma = Tensor(np.ones(4), requires_grad=True)
+        beta = Tensor(np.zeros(4), requires_grad=True)
+        conv = F.conv2d(x, w, padding=1)
+        norm = F.batch_norm(conv, gamma, beta, np.zeros(4, np.float32),
+                            np.ones(4, np.float32), training=True)
+        act = norm.relu()
+        loss = F.max_pool2d(act, 2).sum()
+        dropped = [weakref.ref(t.data) for t in (conv, norm, act)]
+        dropped += [weakref.ref(t) for t in (conv, norm, act)]
+        del conv, norm, act
+        assert [ref() for ref in dropped] == [None] * len(dropped)
+        loss.backward()
+        for leaf in (w, gamma, beta):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
     def test_retained_and_leaf_grads_keep_their_values(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
@@ -164,7 +186,7 @@ class TestRelease:
         np.testing.assert_allclose(feats.grad, 2.0 * feats.data, rtol=1e-6)
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
         assert np.abs(w.grad).sum() > 0
-        assert feats._parents == ()
+        assert feats._node.parents == () and feats._node.retained is None
 
 
 class TestDetachCopy:

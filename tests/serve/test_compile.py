@@ -11,7 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import gc
+import tracemalloc
+
 from repro import nn
+from repro.data.registry import get_profile
 from repro.models import build_model
 from repro.nn.fold import _inference_copy
 from repro.nn.tensor import Tensor
@@ -133,3 +137,41 @@ class TestCompiledHotPath:
             assert np.array_equal(result.logits, recompiled.logits)
         finally:
             server.close()
+
+
+class TestVersionMemory:
+    def test_each_registered_bench_version_adds_under_half_a_megabyte(self):
+        """Versions of one architecture at one width share one compile
+        arena, so a store's memory does not grow by an arena (2.8 MB for
+        bench ``small_cnn``) per deletion's version.  Measured: 0.23 MB
+        per version, the model, its folded copy and its program."""
+        profile = get_profile("cifar10-bench")
+        shape = (3, profile.spec.image_size, profile.spec.image_size)
+
+        def register(store, seed):
+            nn.manual_seed(seed)
+            model = build_model("small_cnn", profile.num_classes,
+                                scale="bench")
+            model.eval()
+            store.register("m", model, version=f"v{seed}",
+                           input_shape=shape)
+            assert store.entry("m", f"v{seed}").compiled
+
+        store = ModelStore()
+        server = InferenceServer(store, policy=BatchPolicy())
+        try:
+            register(store, 0)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                sizes = [tracemalloc.get_traced_memory()[0]]
+                for seed in range(1, 4):
+                    register(store, seed)
+                    gc.collect()
+                    sizes.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        finally:
+            server.close()
+        growth = np.diff(sizes) / (1 << 20)
+        assert growth.max() <= 0.5, growth

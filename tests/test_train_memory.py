@@ -6,15 +6,54 @@ import platform
 
 import pytest
 
+from repro.benchmarks import train_memory
 from repro.benchmarks.train_memory import (TAPE_RATIO_LIMIT, measure_fresh,
                                            tape_ratio)
+from repro.nn.tensor import Tensor, _Node
 
 
-def test_two_training_steps_peak_near_one_forward_tape():
+def test_two_training_steps_peak_near_one_step():
     """Backward frees step 1's graph before step 2's forward builds its
-    own, so two steps peak near one tape (two graphs alive read ~2x)."""
+    own, so two steps peak near one step."""
     result = tape_ratio()
     assert result["ratio"] <= TAPE_RATIO_LIMIT, result
+
+
+def _backward_closures(tensor):
+    """The backward closure of every node in ``tensor``'s graph: what
+    each node keeps for its backward."""
+    closures, seen, stack = [], set(), [tensor._node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Node) and id(node) not in seen:
+            seen.add(id(node))
+            closures.append(node.backward)
+            stack.extend(node.parents)
+    return closures
+
+
+def test_a_graph_kept_into_the_next_step_exceeds_the_limit(monkeypatch):
+    """Negative control: each step's graph held alive into the next step,
+    until that step's backward has run (or the training run ends), reads
+    above the limit (1.49 measured, against ~1.0 without it)."""
+    kept = []
+    backward, train_model = Tensor.backward, train_memory.train_model
+
+    def leaky_backward(self, grad=None):
+        graph = _backward_closures(self)
+        backward(self, grad)
+        kept[:] = graph
+
+    def train_then_drop(*args, **kwargs):
+        try:
+            return train_model(*args, **kwargs)
+        finally:
+            kept.clear()
+
+    monkeypatch.setattr(Tensor, "backward", leaky_backward)
+    monkeypatch.setattr(train_memory, "train_model", train_then_drop)
+    result = tape_ratio()
+    assert result["ratio"] > TAPE_RATIO_LIMIT, result
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
