@@ -14,7 +14,11 @@ Times three perf surfaces and verifies their determinism contracts:
   ``train_tape_ratio``, the traced peak of two training steps over that
   of one (<= 1.3 while only one graph is alive), ``train_tape_mb``, one
   forward tape's traced size, and ``train_step_peak_mb``, one step's
-  traced peak.
+  traced peak;
+- pool memory (:mod:`repro.benchmarks.pool_memory`): a 2-shard,
+  ``workers=2`` SISA fit and unlearn in a fresh process, with the
+  caller's ``VmHWM``, the largest worker's ``ru_maxrss`` and the number
+  of workers started.
 
 Writes ``benchmarks/BENCH_perf_scaling.json`` with wall-clock seconds,
 speedups over the serial cell and training throughput (samples/sec),
@@ -50,6 +54,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import nn  # noqa: E402
+from repro.benchmarks import pool_memory as pool_mem  # noqa: E402
 from repro.benchmarks.train_memory import (DATASET, SCALE,  # noqa: E402
                                            measure_fresh, state_digest,
                                            tape_ratio)
@@ -335,6 +340,13 @@ def run_full(report: dict) -> bool:
     print(f"  traced peak {memory['traced_peak_mb']:.1f} MB, VmHWM "
           f"{memory['vm_hwm_mb']:.1f} MB, minor faults per epoch "
           f"{memory['epoch_minor_faults']}")
+
+    print(f"pool memory: {pool_mem.SHARDS}-shard SISA fit + unlearn of bench "
+          f"small_cnn on {DATASET}, workers={pool_mem.WORKERS}, fresh process")
+    pool = report["pool_memory"] = pool_mem.measure_fresh()
+    print(f"  caller VmHWM {pool['caller_vm_hwm_mb']:.1f} MB, largest worker "
+          f"{pool['children_max_rss_mb']:.1f} MB, "
+          f"{pool['workers_started']} workers started")
 
     print("per-phase training breakdown (profiling hooks on)")
     report["phases"] = training_phase_breakdown()

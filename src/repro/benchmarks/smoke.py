@@ -5,16 +5,19 @@ it against the serial path bit-for-bit, and enforces a wall-clock
 budget: a cheap end-to-end probe that the process pool, the
 shared-memory dataset handoff and the determinism contract all still
 hold.  Also asserts the run leaked no shared-memory segments (every
-published dataset unlinked exactly once)::
+published dataset unlinked exactly once) and that no ``multiprocessing``
+child is still alive after either fit::
 
     PYTHONPATH=src python -m repro.benchmarks.smoke [--timeout 120]
 
-Exit code 0 on success, 1 on divergence, a leak, or budget overrun.
+Exit code 0 on success, 1 on divergence, a leak, a live child, or
+budget overrun.
 """
 
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import sys
 import time
 
@@ -49,6 +52,15 @@ def _diverged(reference: SISAEnsemble, other: SISAEnsemble,
     return False
 
 
+def _children_left(label: str) -> bool:
+    children = multiprocessing.active_children()
+    if children:
+        print(f"SMOKE FAIL: {len(children)} child processes still alive "
+              f"after the {label} fit: {[c.pid for c in children]}",
+              file=sys.stderr)
+    return bool(children)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--timeout", type=float, default=120.0,
@@ -58,8 +70,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     shm_before = shm_segment_names()
     pooled = _fit(workers=2)
+    if _children_left("pooled"):
+        return 1
     serial = _fit(workers=1)
-    if _diverged(serial, pooled, "workers=2"):
+    if _children_left("serial") or _diverged(serial, pooled, "workers=2"):
         return 1
     leaked = leaked_segments(shm_before)
     if leaked:
@@ -72,7 +86,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     print(f"smoke ok: workers=2 SISA fit bit-identical to serial, no shm "
-          f"leaks ({elapsed:.1f}s, budget {args.timeout:.0f}s)")
+          f"leaks, no live children ({elapsed:.1f}s, budget "
+          f"{args.timeout:.0f}s)")
     return 0
 
 

@@ -107,7 +107,7 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _vm_hwm_mb() -> Optional[float]:
+def vm_hwm_mb() -> Optional[float]:
     """This process's peak RSS, ``VmHWM``; None where ``/proc`` has none.
 
     Not ``ru_maxrss``: Linux carries that across ``execve`` from the
@@ -142,24 +142,27 @@ def train_epochs(epochs: int, trace: bool = False) -> dict:
     return {
         "epoch_seconds": [b[0] - a[0] for a, b in zip(marks, marks[1:])],
         "epoch_minor_faults": [b[1] - a[1] for a, b in zip(marks, marks[1:])],
-        "vm_hwm_mb": _vm_hwm_mb(),
+        "vm_hwm_mb": vm_hwm_mb(),
         "traced_peak_mb": None if traced_peak is None else traced_peak / MB,
         "digest": state_digest(model.state_dict()),
     }
 
 
-def measure_fresh(epochs: int, trace: bool = False) -> dict:
-    """:func:`train_epochs` in a fresh interpreter; returns its result."""
+def run_fresh(module: str, *args: str) -> dict:
+    """``python -m module *args`` in a fresh interpreter; its last line as JSON."""
     src = str(Path(__file__).resolve().parents[2])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    args = [sys.executable, "-m", "repro.benchmarks.train_memory",
-            "--epochs", str(epochs)]
-    if trace:
-        args.append("--trace")
-    proc = subprocess.run(args, capture_output=True, text=True, env=env,
+    proc = subprocess.run([sys.executable, "-m", module, *args],
+                          capture_output=True, text=True, env=env,
                           timeout=600, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def measure_fresh(epochs: int, trace: bool = False) -> dict:
+    """:func:`train_epochs` in a fresh interpreter; returns its result."""
+    return run_fresh("repro.benchmarks.train_memory", "--epochs", str(epochs),
+                     *(["--trace"] if trace else []))
 
 
 def main(argv=None) -> int:

@@ -87,11 +87,14 @@ def run_replicated(config: PipelineConfig, num_runs: int = 5,
     init and batching together — independent end-to-end runs, exactly
     the paper's protocol.
 
-    ``workers > 1`` (or 0 = auto) fans the replicates out across worker
-    processes; every replicate is fully seeded by its config, so the
-    aggregates are bit-identical to the serial order.  When replicates
-    run in the pool, each pipeline's own ``workers`` is forced to 1 —
-    pool workers are daemonic and cannot spawn nested pools.
+    ``workers > 1`` (or 0 = auto) fans the replicates out across that
+    many processes, the caller included; every replicate is fully
+    seeded by its config, so the aggregates are bit-identical to the
+    serial order.  When replicates run in the pool, each pipeline's own
+    ``workers`` is forced to 1.  Only the head share needs it, since
+    pool workers are daemonic and cannot spawn nested pools, but the
+    caller's tail share gets the same config so that every replicate
+    runs alike.
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")

@@ -1,15 +1,17 @@
 """Deterministic process-pool executor.
 
 :func:`run_tasks` maps a list of task objects (anything with a
-zero-arg ``run()`` method) over a pool of worker processes and returns
-their results **in task order**.  ``workers<=1`` (or a single task)
-runs the identical task objects inline in the calling process, which is
-both the fallback path and the reference the parallel path must match
-bit-for-bit.
+zero-arg ``run()`` method) over ``workers`` processes, the calling
+process counted among them, and returns their results **in task
+order**.  The caller runs a fixed tail share of the tasks itself while
+``workers - 1`` forked workers run the rest.  ``workers<=1`` (or a
+single task) runs every task inline, which is both the fallback path
+and the reference the parallel path must match bit-for-bit.
 
-Failures inside a worker are captured with their full formatted
-traceback and re-raised in the parent as :class:`WorkerError`, so a
-crash three processes away still reads like a local stack trace.
+Failures inside a pooled task are captured with their full formatted
+traceback and re-raised in the parent as :class:`WorkerError`, whether
+the task ran in a worker or in the caller's share, so a crash three
+processes away still reads like a local stack trace.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import pickle
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional
+from typing import Any, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -103,6 +106,17 @@ def set_blas_threads(count: int) -> Optional[int]:
     return previous
 
 
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block on one BLAS thread, then restore the caller's count."""
+    previous = set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
+
+
 def available_cpu_count() -> int:
     """CPUs this process may actually use.
 
@@ -119,6 +133,8 @@ def available_cpu_count() -> int:
 def resolve_workers(workers: Optional[int]) -> int:
     """Normalize a ``workers`` knob: ``None``/1 serial, 0 = auto.
 
+    The count is of processes that run tasks, the caller included:
+    :func:`run_tasks` starts one worker fewer than it resolves to.
     Auto sizes to the CPUs this process may actually use
     (``os.sched_getaffinity``) rather than the whole machine, so CI
     containers with restricted CPU masks don't oversubscribe the pool.
@@ -168,31 +184,45 @@ def run_tasks(tasks: Iterable[Any], workers: int = 1,
         each task (and its result) must be picklable.
     workers:
         1 (default) runs inline, 0 auto-sizes to the available CPUs,
-        N > 1 uses a pool of N processes (capped at the task count).
+        N > 1 runs on ``P = min(N, len(tasks))`` processes counting the
+        caller: ``P - 1`` forked workers run the head
+        ``tasks[:len(tasks) - len(tasks) // P]`` while the caller runs
+        the tail ``len(tasks) // P`` itself.
     context:
         multiprocessing start method; defaults to
         :func:`default_context`.
+
+    The split depends only on the task count and ``P``, never on
+    timing, and every task seeds itself, so each result is the same
+    bits whichever process ran it.  A pooled task that raises surfaces
+    as :class:`WorkerError` wherever it ran.  One that kills its own
+    process (``os._exit``, a segfault, the OOM killer) takes the caller
+    down when it is in the caller's share, as with ``workers=1``.
     """
     task_list = list(tasks)
     effective = resolve_workers(workers)
     if effective <= 1 or len(task_list) <= 1:
-        previous = set_blas_threads(1)
-        try:
+        with _one_blas_thread():
             return [task.run() for task in task_list]
-        finally:
-            if previous is not None:
-                set_blas_threads(previous)
 
     ctx = mp.get_context(context or default_context())
     processes = min(effective, len(task_list))
+    # A static split, not "whatever the pool has not started": the
+    # executor marks up to max_workers + 1 queued items as running, so
+    # cancelling futures could leave the caller nothing to run.
+    split = len(task_list) - len(task_list) // processes
     # ProcessPoolExecutor (not mp.Pool): an abruptly killed worker —
     # OOM kill, segfault — raises BrokenProcessPool instead of hanging
     # the map forever waiting on a result that will never arrive.
-    with ProcessPoolExecutor(max_workers=processes, mp_context=ctx,
+    with ProcessPoolExecutor(max_workers=processes - 1, mp_context=ctx,
                              initializer=set_blas_threads,
                              initargs=(1,)) as pool:
+        # map submits the whole head share before the caller starts.
+        pooled = pool.map(_execute, task_list[:split])
+        with _one_blas_thread():
+            own = [_execute(task) for task in task_list[split:]]
         try:
-            outcomes = list(pool.map(_execute, task_list))
+            outcomes = list(pooled) + own
         except BrokenProcessPool as exc:
             raise WorkerError(
                 "<pool>", "BrokenProcessPool",

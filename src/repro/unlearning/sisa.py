@@ -172,8 +172,9 @@ class SISAEnsemble(UnlearningMethod):
 
         ``workers=1`` runs the identical task objects inline; ``>1``
         publishes ``dataset`` once in shared memory and fans the tasks
-        out.  Both paths are bit-identical because every task seeds
-        itself.
+        out over that many processes, this one included (it trains its
+        own share of the shards).  Both paths are bit-identical because
+        every task seeds itself.
         """
         workers = resolve_workers(self.config.workers)
         pooled = workers > 1 and len(tasks) > 1

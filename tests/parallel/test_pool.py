@@ -1,6 +1,8 @@
 """Process-pool executor: ordering, fan-out, crash propagation."""
 
+import multiprocessing
 import os
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -26,6 +28,18 @@ class PidTask:
     label: str = ""
 
     def run(self) -> int:
+        return os.getpid()
+
+
+@dataclass(frozen=True)
+class SlowPidTask:
+    """Holds its process long enough that every worker gets a task."""
+
+    seconds: float = 0.2
+    label: str = ""
+
+    def run(self) -> int:
+        time.sleep(self.seconds)
         return os.getpid()
 
 
@@ -110,6 +124,20 @@ class TestRunTasks:
                          workers=workers) == [1, 1]
         assert blas_threads() == parent
 
+    def test_caller_runs_the_tail_share(self):
+        """Two processes for two tasks: one worker, and the caller."""
+        child, caller = run_tasks([PidTask(), PidTask()], workers=2)
+        assert child != os.getpid()
+        assert caller == os.getpid()
+
+    def test_workers_counts_the_caller(self):
+        """workers=3 over six tasks: two workers take the first four,
+        the caller the last two."""
+        pids = run_tasks([SlowPidTask() for _ in range(6)], workers=3)
+        assert pids[4:] == [os.getpid(), os.getpid()]
+        assert len(set(pids[:4])) == 2
+        assert os.getpid() not in pids[:4]
+
     def test_single_task_runs_inline(self):
         assert run_tasks([PidTask()], workers=4) == [os.getpid()]
 
@@ -122,6 +150,28 @@ class TestRunTasks:
         surface as WorkerError promptly, never hang the map forever."""
         with pytest.raises(WorkerError, match="died abruptly"):
             run_tasks([DieTask(), AddTask(1, 2)], workers=2)
+
+    def test_caller_share_crash_raises_worker_error(self):
+        """A task in the caller's share fails as it would in a worker."""
+        with pytest.raises(WorkerError) as excinfo:
+            run_tasks([AddTask(1, 2), BoomTask()], workers=2)
+        assert excinfo.value.task_label == "boom"
+        assert excinfo.value.error_type == "ValueError"
+        assert "original failure message 12345" in str(excinfo.value)
+        assert "in run" in excinfo.value.worker_traceback
+
+    @pytest.mark.parametrize("tasks", [
+        [AddTask(1, 2), AddTask(3, 4), AddTask(5, 6)],
+        [BoomTask(), AddTask(3, 4)],
+        [AddTask(1, 2), BoomTask()],
+        [DieTask(), AddTask(3, 4)],
+    ], ids=["ok", "worker-raises", "caller-raises", "worker-dies"])
+    def test_no_child_outlives_the_call(self, tasks):
+        try:
+            run_tasks(tasks, workers=2)
+        except WorkerError:
+            pass
+        assert multiprocessing.active_children() == []
 
     def test_worker_crash_surfaces_original_traceback(self):
         tasks = [AddTask(1, 2), BoomTask(), AddTask(3, 4)]

@@ -91,6 +91,45 @@ class TestBitIdentity:
         _assert_states_equal(serial, auto, "workers=0")
 
 
+class TestUnevenSplits:
+    """Shard counts that split unevenly between the pool's workers and
+    the caller's own share still give the serial bits, fit and unlearn.
+    """
+
+    @pytest.fixture(scope="class")
+    def serial(self, unit):
+        train, _, profile = unit
+        return {shards: self._fit_unlearn(profile, train, shards, workers=1)
+                for shards in (3, 5)}
+
+    @staticmethod
+    def _fit_unlearn(profile, train, shards, workers):
+        fitted = _fit(profile, train, workers, shards=shards, slices=2)
+        states = [fitted.state_dict(i) for i in range(fitted.num_models)]
+        # One sample from every shard, so every shard retrains.
+        shard_idx = fitted.shard_of(train.sample_ids)
+        forget = [train.sample_ids[np.flatnonzero(shard_idx == s)[0]]
+                  for s in range(shards)]
+        stats = fitted.unlearn(forget)
+        assert stats["shards_retrained"] == shards
+        return states, fitted
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("shards", [3, 5])
+    def test_fit_and_unlearn_match_serial(self, unit, serial, shards,
+                                          workers):
+        train, _, profile = unit
+        serial_states, serial_after = serial[shards]
+        states, after = self._fit_unlearn(profile, train, shards, workers)
+        for index, (state_s, state_p) in enumerate(zip(serial_states,
+                                                       states)):
+            for key in state_s:
+                assert np.array_equal(state_s[key], state_p[key]), \
+                    f"fit: shard {index} key {key}"
+        _assert_states_equal(serial_after, after, "unlearn")
+        _assert_checkpoints_equal(serial_after, after, "unlearn")
+
+
 class TestConfig:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
