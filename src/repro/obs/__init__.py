@@ -13,8 +13,7 @@ report about themselves:
   dumpable via ``GET /v1/debug/traces``;
 - :mod:`repro.obs.profile` — per-phase wall/CPU timers (batcher
   dispatch, conv kernels), off by default and
-  zero-cost when off (module-attr ``None`` check, same idiom as
-  :mod:`repro.reliability.faults`);
+  zero-cost when off (one module-attr ``None`` check per site);
 - :mod:`repro.obs.backoff` — the deterministic sha1-jitter backoff
   behind the serving client's retry loop.
 

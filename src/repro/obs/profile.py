@@ -1,8 +1,8 @@
 """Per-phase profiling hooks: wall + CPU timers, zero-cost when off.
 
 The instrumented layers — the batcher's dispatch path and the
-conv kernels — each guard their timer with the same
-module-attribute idiom as :mod:`repro.reliability.faults`::
+conv kernels — each guard their timer with one module-attribute
+check::
 
     _prof = _profile.ACTIVE
     if _prof is not None:

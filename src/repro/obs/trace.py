@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import string
 import threading
 import time
 from collections import deque
@@ -43,6 +44,8 @@ TRACE_HEADER = "X-Trace-Id"
 #: Default ring capacity: big enough that the tier-2 smoke lanes never
 #: wrap, small enough (~a few MB of span dicts) to forget about.
 DEFAULT_CAPACITY = 16384
+
+_HEX_DIGITS = frozenset(string.hexdigits)
 
 _mint_lock = threading.Lock()
 _mint_counter = itertools.count()
@@ -67,13 +70,13 @@ def mint_trace_id() -> str:
 
 
 def valid_trace_id(value) -> bool:
-    if not isinstance(value, str) or not 1 <= len(value) <= 16:
-        return False
-    try:
-        int(value, 16)
-    except ValueError:
-        return False
-    return True
+    """True for 1-16 ASCII hex characters (either case), nothing else.
+
+    ``int(value, 16)`` is not this test: it also takes ``0x``, signs,
+    underscores, surrounding whitespace and non-ASCII digits.
+    """
+    return (isinstance(value, str) and 1 <= len(value) <= 16
+            and all(char in _HEX_DIGITS for char in value))
 
 
 def coerce_trace_id(value) -> str:

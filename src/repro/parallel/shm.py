@@ -16,7 +16,6 @@ entirely — a task spec costs bytes, not gigabytes.
 
 from __future__ import annotations
 
-import errno
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -26,23 +25,16 @@ from typing import Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from ..data.dataset import ArrayDataset
-from ..reliability import faults as _faults
 
 
 def _create_segment(nbytes: int) -> shared_memory.SharedMemory:
     """Allocate a fresh shared-memory segment (single creation choke point).
 
-    Every owner-side allocation funnels through here so the fault site
-    ``shm.create`` can make any one of them fail as if ``/dev/shm`` were
-    exhausted, and so the partial-publish cleanup in
-    :meth:`SharedDataset.publish` runs under test instead of only in
-    outages.
+    Every owner-side allocation funnels through here, so a test can
+    patch this one function to make any allocation fail as if
+    ``/dev/shm`` were exhausted and drive the partial-publish cleanup in
+    :meth:`SharedDataset.publish`.
     """
-    if _faults.ACTIVE is not None:
-        fault = _faults.ACTIVE.check("shm.create")
-        if fault is not None and fault.kind == "oserror":
-            raise OSError(errno.ENOSPC,
-                          "injected: no space left on /dev/shm")
     return shared_memory.SharedMemory(create=True, size=max(1, int(nbytes)))
 
 

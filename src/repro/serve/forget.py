@@ -309,6 +309,11 @@ class ForgetPlane:
                            else lambda ens: ens.snapshot_model(0))
         self._input_shape = (input_shape if input_shape is not None
                              else store.entry(model).input_shape)
+        # Requests are checked against the ids the ensemble was trained
+        # on, not the ids it still holds: an id removed by a round whose
+        # publish then failed must stay requestable, so the retry's
+        # round (an ``already_removed`` no-op) publishes the deletion.
+        self._trained_ids = ensemble.sample_ids
 
         self.registry = Registry()
         self._requests = self.registry.counter("requests")
@@ -360,7 +365,7 @@ class ForgetPlane:
             if ids.size == 0:
                 self._invalid.inc()
                 raise ValueError("sample_ids must be non-empty")
-            known = np.isin(ids, self.ensemble.sample_ids)
+            known = np.isin(ids, self._trained_ids)
             if not known.all():
                 self._invalid.inc()
                 missing = ids[~known][:5].tolist()

@@ -13,12 +13,13 @@ Endpoints (all JSON, each on exactly one ``/v1`` path):
   ``429`` with ``Retry-After`` under backpressure, ``404`` for unknown
   models/versions, ``400`` for malformed payloads.
 - ``POST /v1/forget`` — ``{"user": str|int, "sample_ids": [int, ...],
-  "wait"?: bool}`` — the online unlearning plane: the request is
-  screened (rate limits, suspicion flags), coalesced per SISA shard,
-  retrained in the background and hot-swapped into serving.  ``404``
-  when no forget plane is attached or an id is unknown, ``429`` when the
-  user's deletion rate or the queue bound is exceeded, ``403`` when the
-  guard runs in enforce mode and flags the request.
+  "wait"?: bool, "timeout"?: seconds}`` — the online unlearning plane:
+  the request is screened (rate limits, suspicion flags), coalesced per
+  SISA shard, retrained in the background and hot-swapped into serving.
+  ``404`` when no forget plane is attached or an id was never trained
+  on, ``429`` when the user's deletion rate or the queue bound is
+  exceeded, ``403`` when the guard runs in enforce mode and flags the
+  request.
 - ``POST /v1/activate`` — ``{"model": str, "version": str}`` hot-swaps
   the active version; subsequent unversioned requests hit the new one.
 - ``POST /v1/compile`` — ``{"model": str, "version"?: str}`` compiles
@@ -356,8 +357,12 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(wait, bool):
             raise ValueError("'wait' must be a boolean when given")
         timeout = payload.get("timeout", 120.0)
-        if not isinstance(timeout, (int, float)) or timeout <= 0:
-            raise ValueError("'timeout' must be a positive number")
+        # json.loads accepts Infinity and NaN, and a bool is an int; the
+        # comparison rejects NaN and anything a wait cannot take.
+        if (not isinstance(timeout, (int, float)) or isinstance(timeout, bool)
+                or not 0 < timeout <= threading.TIMEOUT_MAX):
+            raise ValueError("'timeout' must be a positive, finite number "
+                             "of seconds")
         result = plane.request(user, sample_ids, trace=trace, wait=wait,
                                timeout=float(timeout))
         self._send_json(200 if wait else 202, result)

@@ -29,7 +29,6 @@ import numpy as np
 from ..nn.tensor import Tensor
 from ..obs import trace as _trace
 from ..obs.metrics import Registry, render_prometheus
-from ..reliability import faults as _faults
 from .batcher import BatchPolicy, MicroBatcher, QueueFullError
 from .cache import ResponseCache, input_digest
 from .screening import OnlineStrip
@@ -378,9 +377,6 @@ class InferenceServer:
                     if entry.compiled),
             },
         }
-        injector = _faults.active_injector()
-        if injector is not None:
-            payload["fault_injection"] = injector.stats()
         if self.cache is not None:
             payload["response_cache"] = self.cache.stats()
         if self.screening is not None:

@@ -9,8 +9,8 @@ fires a small concurrent load through the stdlib client, and asserts:
 - served logits bit-identical to a direct forward pass at the fixed
   compute width (the batcher's determinism contract, end to end
   through JSON);
-- with ``--response-cache`` > 0, a replayed request is answered from
-  the cache with bit-identical logits;
+- a replayed request is answered from the response cache with
+  bit-identical logits;
 - the online STRIP screen reported a flag rate for the served version;
 - every shared-memory segment the run created is gone after close —
   the serving stack leaks nothing.
@@ -25,9 +25,7 @@ camouflage-removal sequences, and the deletion ledger balances.
 
 Run::
 
-    PYTHONPATH=src python -m repro.serve.smoke [--timeout 120] \
-        [--p50-ms 2000] [--response-cache 64] \
-        [--no-prefetch-replicas] [--forget]
+    PYTHONPATH=src python -m repro.serve.smoke [--timeout 120] [--forget]
 
 Exit code 0 on success, 1 on any violation.
 """
@@ -67,6 +65,14 @@ ARTIFACT_DIR = os.environ.get("REVEIL_SMOKE_OBS_DIR", "smoke-obs")
 #: counters even after ``finally`` tore the server down (the registries
 #: outlive ``close()``).
 _prom_renderer = None
+
+#: p50 latency budget of the basic lane, in milliseconds.
+P50_MS = 2000.0
+#: Predict requests per lane, and the closed-loop clients sending them.
+REQUESTS = 32
+CONCURRENCY = 4
+#: Entry capacity of the basic lane's exact-response LRU.
+RESPONSE_CACHE = 16
 
 
 def _dump_obs_artifacts() -> None:
@@ -134,16 +140,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="wall-clock budget in seconds (default 120)")
-    parser.add_argument("--p50-ms", type=float, default=2000.0,
-                        help="p50 latency budget in milliseconds")
-    parser.add_argument("--requests", type=int, default=32)
-    parser.add_argument("--concurrency", type=int, default=4)
-    parser.add_argument("--response-cache", type=int, default=16,
-                        help="exact-response LRU capacity (0 disables)")
-    parser.add_argument("--prefetch-replicas",
-                        action=argparse.BooleanOptionalAction, default=True,
-                        help="warm every version before the first request "
-                             "(the serving default)")
     parser.add_argument("--forget", action="store_true",
                         help="run the unlearning-as-a-service gate: mixed "
                              "predict/forget traffic against the camouflaged "
@@ -151,8 +147,6 @@ def main(argv=None) -> int:
                              "the retrain → hot-swap arc, guard 429/403 "
                              "drills, balanced deletion ledger")
     args = parser.parse_args(argv)
-    if args.response_cache < 0:
-        parser.error("--response-cache must be >= 0 (0 = disabled)")
     # CI step timeouts deliver SIGTERM; turn it into SystemExit so the
     # finally blocks below still stop the HTTP server and the serving
     # stack, and the leak checks still run.
@@ -188,12 +182,10 @@ def run_basic(args) -> int:
     try:
         inference = InferenceServer(store, policy=policy,
                                     screening=screening,
-                                    response_cache=args.response_cache,
-                                    prefetch_replicas=args.prefetch_replicas)
+                                    response_cache=RESPONSE_CACHE)
         global _prom_renderer
         _prom_renderer = inference.prometheus
-        print(f"serving smoke: response_cache={args.response_cache}, "
-              f"prefetch={'on' if args.prefetch_replicas else 'off'}")
+        print(f"serving smoke: response_cache={RESPONSE_CACHE}")
         httpd = start_http_server(inference)
         client = ServingClient(httpd.url)
         if client.health().get("status") != "ok":
@@ -223,23 +215,22 @@ def run_basic(args) -> int:
         # (p50 budget, zero drops) must measure real
         # scheduler + forward traffic, not response-cache lookups.  The
         # cache gets its own replay assertion below.
-        load_images = test.images[:args.requests]
+        load_images = test.images[:REQUESTS]
         report = run_load(client, "smoke", load_images,
-                          requests=args.requests,
-                          concurrency=args.concurrency)
+                          requests=REQUESTS, concurrency=CONCURRENCY)
         print(f"load: {report.summary()}")
         if report.rejected or report.errors:
             print(f"SMOKE FAIL: {report.rejected} rejected / "
                   f"{report.errors} errored responses (want 0)",
                   file=sys.stderr)
             return 1
-        if report.ok != args.requests:
-            print(f"SMOKE FAIL: {report.ok}/{args.requests} responses",
+        if report.ok != REQUESTS:
+            print(f"SMOKE FAIL: {report.ok}/{REQUESTS} responses",
                   file=sys.stderr)
             return 1
-        if report.p50_ms > args.p50_ms:
+        if report.p50_ms > P50_MS:
             print(f"SMOKE FAIL: p50 {report.p50_ms:.1f}ms > budget "
-                  f"{args.p50_ms:.0f}ms", file=sys.stderr)
+                  f"{P50_MS:.0f}ms", file=sys.stderr)
             return 1
 
         # End-to-end determinism: a served image's logits must match a
@@ -256,28 +247,25 @@ def run_basic(args) -> int:
                   "fixed-width forward", file=sys.stderr)
             return 1
 
-        if args.response_cache:
-            replay = client.predict("smoke", image)
-            if not replay.get("cached"):
-                print("SMOKE FAIL: replayed request was not served from "
-                      "the response cache", file=sys.stderr)
-                return 1
-            if np.array(replay["logits"][0],
-                        dtype=np.float32).tolist() != served.tolist():
-                print("SMOKE FAIL: cached logits diverged from fresh ones",
-                      file=sys.stderr)
-                return 1
-            cache = inference.cache.stats()
-            print(f"response cache: {cache['hits']} hits / "
-                  f"{cache['misses']} misses "
-                  f"(hit rate {cache['hit_rate']:.3f})")
+        replay = client.predict("smoke", image)
+        if not replay.get("cached"):
+            print("SMOKE FAIL: replayed request was not served from "
+                  "the response cache", file=sys.stderr)
+            return 1
+        if np.array(replay["logits"][0],
+                    dtype=np.float32).tolist() != served.tolist():
+            print("SMOKE FAIL: cached logits diverged from fresh ones",
+                  file=sys.stderr)
+            return 1
+        cache = inference.cache.stats()
+        print(f"response cache: {cache['hits']} hits / "
+              f"{cache['misses']} misses "
+              f"(hit rate {cache['hit_rate']:.3f})")
 
         # Cache hits replay screening instead of recomputing it, so the
-        # screened floor is the distinct-input count when caching is on.
-        screened_floor = (min(args.requests, len(load_images))
-                          if args.response_cache else args.requests)
+        # screened floor is the distinct-input count.
         flag_report = client.metrics().get("screening", {}).get("smoke/v1")
-        if not flag_report or flag_report["screened"] < screened_floor:
+        if not flag_report or flag_report["screened"] < len(load_images):
             print("SMOKE FAIL: screening report missing or incomplete",
                   file=sys.stderr)
             return 1
@@ -311,7 +299,7 @@ def run_basic(args) -> int:
         print(f"SMOKE FAIL: took {elapsed:.1f}s > budget {args.timeout:.0f}s",
               file=sys.stderr)
         return 1
-    print(f"serving smoke ok: {args.requests} requests, 0 dropped, "
+    print(f"serving smoke ok: {REQUESTS} requests, 0 dropped, "
           f"p50 {report.p50_ms:.1f}ms, bit-identical logits "
           f"({elapsed:.1f}s, budget {args.timeout:.0f}s)")
     return 0
@@ -350,7 +338,7 @@ def run_forget(args) -> int:
     cfg = PipelineConfig(dataset="unit", attack="A1", attack_scale="bench",
                          model_scale="tiny", poison_ratio=0.1, epochs=2,
                          seed=0)
-    print(f"forget smoke: unit profile, {args.requests} predicts x "
+    print(f"forget smoke: unit profile, {REQUESTS} predicts x "
           f"{forgets} concurrent deletions, epochs={cfg.epochs}")
 
     httpd = None
@@ -401,9 +389,8 @@ def run_forget(args) -> int:
         for thread in threads:
             thread.start()
         report = run_load(client, build.model_name,
-                          build.clean_test.images[:args.requests],
-                          requests=args.requests,
-                          concurrency=args.concurrency)
+                          build.clean_test.images[:REQUESTS],
+                          requests=REQUESTS, concurrency=CONCURRENCY)
         for thread in threads:
             thread.join()
         print(f"predict load during retrains: {report.summary()}")
@@ -412,9 +399,9 @@ def run_forget(args) -> int:
             print(f"FORGET FAIL: deletion {slot} failed: {exc!r}",
                   file=sys.stderr)
             return 1
-        if report.rejected or report.errors or report.ok != args.requests:
+        if report.rejected or report.errors or report.ok != REQUESTS:
             print(f"FORGET FAIL: predicts dropped through the swap "
-                  f"({report.ok}/{args.requests} ok, {report.rejected} "
+                  f"({report.ok}/{REQUESTS} ok, {report.rejected} "
                   f"rejected, {report.errors} errors; want all ok)",
                   file=sys.stderr)
             return 1
@@ -524,7 +511,7 @@ def run_forget(args) -> int:
         print(f"FORGET FAIL: took {elapsed:.1f}s > budget "
               f"{args.timeout:.0f}s", file=sys.stderr)
         return 1
-    print(f"forget smoke ok: {args.requests} predicts + {forgets} "
+    print(f"forget smoke ok: {REQUESTS} predicts + {forgets} "
           f"deletions, 0 dropped, retrain → swap under load, guard "
           f"enforced ({elapsed:.1f}s, budget {args.timeout:.0f}s)")
     return 0

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import re
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import trace as _trace
 from repro.obs.trace import (FlightRecorder, coerce_trace_id, mint_trace_id,
@@ -33,6 +38,11 @@ class TestTraceIds:
         assert not valid_trace_id("0123456789abcdef0")   # 17 chars
         assert not valid_trace_id("not-hex!")
         assert not valid_trace_id(1234)
+        # int(value, 16) takes all of these; a trace id is plain hex.
+        for value in ("0xab", "+ab", "-ab", "a_b", " ab", "ab\n",
+                      "\u0663\u0664"):
+            assert not valid_trace_id(value), value
+            assert coerce_trace_id(value) != value.rjust(16, "0")
 
     def test_coerce_pads_and_lowercases(self):
         assert coerce_trace_id("DEADBEEF") == "00000000deadbeef"
@@ -42,6 +52,19 @@ class TestTraceIds:
         minted = coerce_trace_id(None)
         assert valid_trace_id(minted) and len(minted) == 16
         assert coerce_trace_id("zzz") != "zzz"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(st.text(max_size=20),
+                     st.text(alphabet=string.hexdigits + "xX+-_ \n\u0663",
+                             max_size=18)))
+    def test_coerce_always_yields_a_canonical_id(self, value):
+        coerced = coerce_trace_id(value)
+        assert len(coerced) == 16
+        assert set(coerced) <= set("0123456789abcdef")
+        valid = re.fullmatch("[0-9a-fA-F]{1,16}", value) is not None
+        assert valid_trace_id(value) == valid
+        if valid:
+            assert coerced == value.lower().rjust(16, "0")
 
 
 class TestFlightRecorder:

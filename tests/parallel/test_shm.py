@@ -1,5 +1,6 @@
 """Shared-memory dataset handoff: zero-copy views, strict lifecycle."""
 
+import errno
 import pickle
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -8,8 +9,12 @@ import numpy as np
 import pytest
 
 from repro.data import load_dataset
+from repro.data.dataset import ArrayDataset
+from repro.parallel import shm
 from repro.parallel.pool import run_tasks
-from repro.parallel.shm import SharedDataset, SharedDatasetHandle, share_dataset
+from repro.parallel.shm import (SharedDataset, SharedDatasetHandle,
+                                leaked_segments, share_dataset,
+                                shm_segment_names)
 
 pytestmark = pytest.mark.parallel
 
@@ -99,3 +104,25 @@ class TestLifecycle:
             with handle.open() as view:
                 assert view.images.shape == unit_train.images.shape
         _assert_unlinked(handle)
+
+    def test_failed_allocation_frees_published_segments(self, monkeypatch):
+        # The second allocation (labels) fails after the images segment
+        # exists, so publish must unlink that one before re-raising.
+        dataset = ArrayDataset(np.zeros((4, 1, 2, 2), np.float32),
+                               np.arange(4))
+        create = shm._create_segment
+        calls = []
+
+        def second_call_fails(nbytes):
+            calls.append(nbytes)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "no space left on /dev/shm")
+            return create(nbytes)
+
+        monkeypatch.setattr(shm, "_create_segment", second_call_fails)
+        before = shm_segment_names()
+        with pytest.raises(OSError) as info:
+            SharedDataset.publish(dataset)
+        assert info.value.errno == errno.ENOSPC
+        assert len(calls) == 2
+        assert leaked_segments(before) == []

@@ -9,8 +9,11 @@ activate arc and its observability contract.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -201,6 +204,29 @@ class TestForgetPlane:
         finally:
             plane.close()
 
+    def test_removed_ids_stay_requestable_but_untrained_ids_do_not(self):
+        plane, ensemble, store, train = _plane_stack()
+        try:
+            removed = int(train.sample_ids[0])
+            plane.request("alice", [removed])
+            held = ensemble.sample_ids
+            # A mix with an id the ensemble never trained on is refused
+            # whole, and only the untrained id is named.
+            with pytest.raises(KeyError, match=r"\[1000000000\]"):
+                plane.request("alice", [removed, 10 ** 9])
+            assert plane.stats()["counters"]["invalid"] == 1
+            np.testing.assert_array_equal(ensemble.sample_ids, held)
+            # The removed id alone is a no-op round that still publishes.
+            result = plane.request("alice", [removed])
+            assert result["samples_removed"] == 0
+            assert store.active_version("m") == result["version"]
+            counters = plane.stats()["counters"]
+            assert counters["already_removed"] == 1
+            assert counters["swaps"] == 2
+            assert plane.ledger_balanced()
+        finally:
+            plane.close()
+
     def test_cross_round_deletions_are_idempotent(self):
         from repro.serve.forget import _Pending
         plane, ensemble, _, train = _plane_stack()
@@ -258,7 +284,7 @@ class TestForgetPlane:
     @pytest.mark.parametrize("stage", ["publisher", "activate"])
     def test_failed_round_fails_every_waiter_and_keeps_the_version(
             self, stage):
-        plane, _, store, train = _plane_stack(
+        plane, ensemble, store, train = _plane_stack(
             config=ForgetConfig(max_delay_ms=400.0))
         try:
             boom = RuntimeError(f"{stage} failed")
@@ -299,11 +325,17 @@ class TestForgetPlane:
             assert counters["swaps"] == 0
             assert store.active_version("m") == "base"
             assert plane.ledger_balanced()
-            # The next round publishes normally.
-            result = plane.request("alice", [int(train.sample_ids[5])])
+            # The retrain ran before the failure, so the members are gone
+            # but not served.  Retrying one with a fresh id publishes both:
+            # the retried id is an already-removed no-op in that round.
+            retried = [int(train.sample_ids[0]), int(train.sample_ids[5])]
+            assert not np.isin(retried[:1], ensemble.sample_ids).any()
+            result = plane.request("alice", retried)
             assert store.active_version("m") == result["version"]
             assert result["samples_removed"] == 1
+            assert not np.isin(retried, ensemble.sample_ids).any()
             counters = plane.stats()["counters"]
+            assert counters["already_removed"] == 1
             assert counters["failed_rounds"] == 1
             assert counters["swaps"] == 1
         finally:
@@ -354,6 +386,38 @@ class TestForgetHTTP:
         assert excinfo.value.status == 404
         assert excinfo.value.code == "not_found"
         assert excinfo.value.trace_id
+
+    @pytest.mark.parametrize("timeout", ["Infinity", "NaN", "true", "1e300"])
+    def test_bad_timeout_answers_400_before_the_plane(self, forget_stack,
+                                                      timeout):
+        _, httpd, _, plane, _, train = forget_stack
+        body = (f'{{"user": "alice", "sample_ids": '
+                f'[{int(train.sample_ids[40])}], "timeout": {timeout}}}')
+        request = urllib.request.Request(
+            f"{httpd.url}/v1/forget", data=body.encode(), method="POST",
+            headers={"Content-Type": "application/json"})
+        before = plane.stats()["counters"]["requests"]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        with excinfo.value as error:
+            assert error.code == 400
+            assert json.loads(error.read())["error"]["code"] == "bad_request"
+        assert plane.stats()["counters"]["requests"] == before
+
+    def test_finite_timeout_reaches_the_plane(self, forget_stack):
+        _, httpd, _, plane, store, train = forget_stack
+        body = (f'{{"user": "alice", "sample_ids": '
+                f'[{int(train.sample_ids[41])}], "timeout": 60}}')
+        request = urllib.request.Request(
+            f"{httpd.url}/v1/forget", data=body.encode(), method="POST",
+            headers={"Content-Type": "application/json"})
+        before = plane.stats()["counters"]["requests"]
+        with urllib.request.urlopen(request) as response:
+            assert response.status == 200
+            outcome = json.loads(response.read())
+        assert outcome["samples_removed"] == 1
+        assert store.active_version("m") == outcome["version"]
+        assert plane.stats()["counters"]["requests"] == before + 1
 
     def test_rate_limited_answers_429(self, forget_stack):
         server, _, client, plane, _, train = forget_stack

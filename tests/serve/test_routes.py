@@ -8,17 +8,58 @@ Every endpoint answers under ``/v1/`` only, with the
 from __future__ import annotations
 
 import json
+import string
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import nn
 from repro.models import build_model
+from repro.obs.trace import coerce_trace_id, valid_trace_id
 from repro.serve import (BatchPolicy, InferenceServer, ModelStore,
                          start_http_server, stop_http_server)
 from repro.serve.http import API_PREFIX, ROUTES, route_table
+
+_LOOKUP, _METHODS = route_table(ROUTES)
+
+_settings = settings(max_examples=25, deadline=None, derandomize=True)
+
+#: Known paths, the same names without the prefix, and made-up ones.
+paths = st.one_of(
+    st.sampled_from(sorted(_METHODS)),
+    st.sampled_from([f"/{route.name}" for route in ROUTES]),
+    st.lists(st.text(alphabet=string.ascii_lowercase + string.digits + "-_",
+                     min_size=1, max_size=8),
+             min_size=1, max_size=3).map(
+        lambda parts: "/".join(["", *parts])),
+    st.lists(st.text(alphabet=string.ascii_lowercase + ".", min_size=1,
+                     max_size=8),
+             min_size=1, max_size=2).map(
+        lambda parts: "/".join([API_PREFIX, *parts])))
+methods = st.sampled_from(["GET", "POST"])
+#: POST bodies: none, not JSON, not an object, and objects whose fields
+#: range over right and wrong values.
+bodies = st.one_of(
+    st.none(), st.just(b"not json"), st.just(b"[1, 2]"),
+    st.fixed_dictionaries({}, optional={
+        "model": st.sampled_from(["m", "ghost", 3]),
+        "version": st.sampled_from(["v1", "v9", 5]),
+        "inputs": st.sampled_from([np.zeros((3, 12, 12)).tolist(), "x",
+                                   [[1.0]]]),
+        "user": st.sampled_from(["alice", True]),
+        "sample_ids": st.sampled_from([[1], [], ["a"]]),
+    }).map(lambda payload: json.dumps(payload).encode()))
+#: X-Trace-Id values: absent, valid hex of either case, and arbitrary
+#: printable ASCII.
+trace_headers = st.one_of(
+    st.none(),
+    st.text(alphabet=string.hexdigits, min_size=1, max_size=16),
+    st.text(alphabet=string.ascii_letters + string.digits
+            + string.punctuation, min_size=1, max_size=20))
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +151,46 @@ class TestRouteTable:
             assert error["code"] == expected_code
             assert error["message"]
             assert error["trace_id"] == headers["X-Trace-Id"]
+
+
+class TestDispatchProperties:
+    @_settings
+    @given(method=methods, path=paths)
+    def test_unrouted_pairs_answer_404_or_405(self, stack, method, path):
+        assume((method, path) not in _LOOKUP)
+        status, body, headers = _fetch(
+            f"{stack.url}{path}", data=b"{}" if method == "POST" else None,
+            method=method)
+        allowed = _METHODS.get(path)
+        error = json.loads(body)["error"]
+        if allowed:
+            assert status == 405
+            assert headers["Allow"] == ", ".join(allowed)
+            assert error["code"] == "method_not_allowed"
+        else:
+            assert status == 404
+            assert "Allow" not in headers
+            assert error["code"] == "not_found"
+
+    @_settings
+    @given(method=methods, path=paths, body=bodies, trace=trace_headers)
+    def test_every_error_is_one_envelope_echoing_the_trace(
+            self, stack, method, path, body, trace):
+        status, raw, headers = _fetch(
+            f"{stack.url}{path}",
+            data=(body or b"") if method == "POST" else None,
+            method=method,
+            headers={} if trace is None else {"X-Trace-Id": trace})
+        echoed = headers["X-Trace-Id"]
+        assert valid_trace_id(echoed) and len(echoed) == 16
+        if trace is not None and valid_trace_id(trace):
+            assert echoed == coerce_trace_id(trace)
+        if 200 <= status < 300:
+            return
+        payload = json.loads(raw)
+        assert set(payload) == {"error"}
+        error = payload["error"]
+        assert set(error) == {"code", "message", "trace_id"}
+        assert isinstance(error["code"], str) and error["code"]
+        assert isinstance(error["message"], str) and error["message"]
+        assert error["trace_id"] == echoed

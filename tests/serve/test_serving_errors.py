@@ -1,4 +1,4 @@
-"""Serving error paths: port collisions, backpressure floods, bad knobs."""
+"""Serving error paths: port collisions and backpressure floods."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.models import build_model
 from repro.serve import (BatchPolicy, InferenceServer, ModelStore,
                          ServingClient, ServingError, start_http_server,
                          stop_http_server)
-from repro.serve.smoke import main as smoke_main
 
 
 def make_server(**kwargs) -> InferenceServer:
@@ -132,9 +131,3 @@ class TestCacheMissFlood:
             stop_http_server(httpd)
             server.close()
 
-
-class TestSmokeKnobValidation:
-    def test_negative_response_cache_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            smoke_main(["--response-cache", "-5"])
-        assert "--response-cache" in capsys.readouterr().err
