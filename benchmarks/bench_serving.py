@@ -1,22 +1,24 @@
 """Serving-layer benchmark: throughput/latency vs policy, cache, compile.
 
-Stands up the real stack — ModelStore, fixed-width micro-batcher,
-stdlib HTTP front end — around a bench-scale model and drives it with
-the closed-loop load generator across several axes:
+Stands up the real stack — ModelStore, natural-width micro-batcher,
+stdlib keep-alive HTTP front end — around a bench-scale model and
+drives it with the closed-loop load generator across several axes:
 
 - **policies**: coalescing (max_batch_size, max_delay_ms) sweep;
 - **cache**: the exact-response LRU under repeated traffic, on vs off,
   plus a cached-vs-fresh max-delta that the determinism contract pins
   to exactly 0.0;
-- **compiled**: the traced/fused/arena graph path (``repro.nn.compile``,
-  the serving default) vs interpreted serving, plus a
-  compiled-vs-interpreted max-delta pinned to exactly 0.0 and a
-  steady-p50 pair that ``check_regression.py`` gates — compiled must
-  not lose to interpreted.
+- **compiled**: in process, the forward the server runs (the folded
+  interpreter at natural width) against a ``repro.nn.compile`` program
+  at width 32, the fixed width serving used to pad every batch to, for
+  1 row and for 1 request + 8 STRIP rows; plus a served-vs-compiled
+  max-delta pinned to exactly 0.0 and a steady-p50 pair that
+  ``check_regression.py`` gates — the served forward must not lose to
+  the compiled one.
 
-Records, per cell: throughput (req/s), p50/p95 client-observed latency,
-scheduler occupancy / mean batch width, dropped + errored responses,
-and (where relevant) cache hit rates.
+Records, per HTTP cell: throughput (req/s), p50/p95 client-observed
+latency, mean batch width, dropped + errored responses, and (where
+relevant) cache hit rates.
 
 Writes the ``serving`` section of ``benchmarks/BENCH_perf_scaling.json``
 (other sections preserved), including the ``serving.quick_gate`` cells
@@ -55,12 +57,16 @@ OUT_PATH = Path(__file__).parent / "BENCH_perf_scaling.json"
 
 #: (max_batch_size, max_delay_ms) policies swept by the full run.
 POLICIES = ((1, 0.0), (8, 2.0), (32, 4.0))
+#: The width ``repro serve`` batches used to be padded to (its default
+#: ``--max-batch-size``), and the forward rows of one request served
+#: alone: unscreened, and with ``repro serve``'s 8 STRIP overlays.
+COMPILE_WIDTH = 32
+SERVED_ROWS = (1, 9)
 
 
 def _build_server(policy: BatchPolicy, dataset: str = "cifar10-bench",
                   model_name: str = "small_cnn", scale: str = "bench",
-                  response_cache: int = 0, prefetch: bool = True,
-                  compile_models: bool = True):
+                  response_cache: int = 0, prefetch: bool = True):
     _, test, profile = load_dataset(dataset, seed=0)
     nn.manual_seed(0)
     model = build_model(model_name, profile.num_classes, scale=scale)
@@ -70,8 +76,7 @@ def _build_server(policy: BatchPolicy, dataset: str = "cifar10-bench",
                    input_shape=test.images.shape[1:])
     server = InferenceServer(store, policy=policy,
                              response_cache=response_cache,
-                             prefetch_replicas=prefetch,
-                             compile_models=compile_models)
+                             prefetch_replicas=prefetch)
     return server, test
 
 
@@ -80,12 +85,12 @@ def _run_cell(server: InferenceServer, test, requests: int, concurrency: int,
     """Drive one server over HTTP and collect the standard cell fields."""
     httpd = start_http_server(server)
     try:
-        client = ServingClient(httpd.url)
-        # Warm the folded copy + connection path out of the timed run.
-        client.predict("small_cnn", test.images[0])
-        report = run_load(client, "small_cnn",
-                          test.images[:distinct_images],
-                          requests=requests, concurrency=concurrency)
+        with ServingClient(httpd.url) as client:
+            # Warm the folded copy + connection path out of the timed run.
+            client.predict("small_cnn", test.images[0])
+            report = run_load(client, "small_cnn",
+                              test.images[:distinct_images],
+                              requests=requests, concurrency=concurrency)
     finally:
         stop_http_server(httpd)
     stats = server.batcher.stats()
@@ -98,7 +103,6 @@ def _run_cell(server: InferenceServer, test, requests: int, concurrency: int,
         "throughput_rps": report.throughput_rps,
         "p50_ms": report.p50_ms,
         "p95_ms": report.p95_ms,
-        "occupancy": stats["occupancy"],
         "mean_batch_width": stats["mean_batch_width"],
     }
     if server.cache is not None:
@@ -140,84 +144,98 @@ def time_cache(response_cache: int, distinct_images: int = 8,
         server.close()
 
 
-def time_compiled(compile_models: bool,
-                  max_batch: int = 32, delay_ms: float = 4.0,
-                  requests: int = 128, concurrency: int = 16,
-                  dataset: str = "cifar10-bench") -> dict:
-    """One compiled-vs-interpreted cell: the same HTTP load served
-    through the traced/fused/arena graph or module-by-module."""
-    policy = BatchPolicy(max_batch_size=max_batch, max_delay_ms=delay_ms)
-    server, test = _build_server(policy, dataset=dataset,
-                                 compile_models=compile_models)
-    try:
-        cell = _run_cell(server, test, requests, concurrency)
-        cell.update(compiled=compile_models,
-                    max_batch_size=max_batch, max_delay_ms=delay_ms)
-        entry = server.store.entry("small_cnn", "v1")
-        cell["plan"] = entry.plan_summary()
-        return cell
-    finally:
-        server.close()
+def compile_cells(rows_list=SERVED_ROWS, repeats: int = 3,
+                  steady: int = 48) -> dict:
+    """Compiled at width 32 vs the folded interpreter at natural width.
+
+    In process, on bench ``small_cnn`` over ``cifar10-bench``, one
+    forward per lap, for each row count in ``rows_list``: the compiled
+    program runs the rows zero-padded to :data:`COMPILE_WIDTH` (what
+    serving ran before batches lost their padding), the interpreter
+    runs just the rows (what it runs now).  Modes alternate lap by lap;
+    each cell is the best of ``repeats`` medians over ``steady`` laps,
+    the floor estimator the other measured-vs-measured cells use.
+    """
+    _, test, profile = load_dataset("cifar10-bench", seed=0)
+    nn.manual_seed(0)
+    model = build_model("small_cnn", profile.num_classes, scale="bench")
+    model.eval()
+    store = ModelStore()
+    store.register("small_cnn", model, version="v1")
+    folded = store.folded("small_cnn")
+    compiled = nn.compile(model, COMPILE_WIDTH,
+                          input_shape=test.images.shape[1:])
+    assert compiled.compiled, compiled.fallback_reason
+    cells = {}
+    with nn.no_grad():
+        for rows in rows_list:
+            padded = np.zeros((COMPILE_WIDTH,) + test.images.shape[1:],
+                              np.float32)
+            padded[:rows] = test.images[:rows]
+            natural = np.ascontiguousarray(padded[:rows])
+            runs = {"compiled": lambda: compiled(Tensor(padded)),
+                    "interpreted": lambda: folded(Tensor(natural))}
+            for run in runs.values():
+                run()                                       # warm
+            best = {mode: float("inf") for mode in runs}
+            for _ in range(repeats):
+                laps = {mode: [] for mode in runs}
+                for _ in range(steady):
+                    for mode, run in runs.items():
+                        start = time.perf_counter()
+                        run()
+                        laps[mode].append(time.perf_counter() - start)
+                for mode in runs:
+                    best[mode] = min(best[mode], float(np.median(laps[mode])))
+            cells[f"rows{rows}"] = {
+                "rows": rows,
+                "compiled_width": COMPILE_WIDTH,
+                "compiled_p50_seconds": best["compiled"],
+                "interpreted_natural_p50_seconds": best["interpreted"],
+                "natural_speedup": best["compiled"] / max(best["interpreted"],
+                                                          1e-9),
+            }
+    cells["cpu_count"] = available_cpu_count()
+    return cells
 
 
-def compiled_steady_cells(repeats: int = 3, steady: int = 24,
-                          max_batch: int = 32,
-                          dataset: str = "cifar10-bench") -> dict:
-    """Compiled vs interpreted steady-state p50, measured-vs-measured.
+def compiled_steady_cells() -> dict:
+    """The quick gate's compiled pair: 1 request + 8 STRIP rows.
 
-    In-process predicts at the full serving width (every batch padded to
-    ``max_batch``), fresh server per repeat, best-of-``repeats`` per
-    mode — the same noise-robust floor estimator the observability
-    overhead cells use.  ``check_regression.py`` gates the pair:
-    compiled serving must not lose to interpreted
+    ``check_regression.py`` gates it: the served forward (interpreted,
+    natural width) must not lose to the compiled width-32 program
     (``REVEIL_COMPILE_SPEEDUP`` sets the allowed factor).
     """
-    policy = BatchPolicy(max_batch_size=max_batch, max_delay_ms=0.0)
-    p50 = {"compiled": float("inf"), "interpreted": float("inf")}
-    for _ in range(repeats):
-        for mode in ("interpreted", "compiled"):
-            server, test = _build_server(
-                policy, dataset=dataset,
-                compile_models=(mode == "compiled"))
-            try:
-                server.predict("small_cnn", test.images[0])   # warm
-                laps = []
-                for index in range(steady):
-                    image = test.images[(index + 1) % len(test.images)]
-                    start = time.perf_counter()
-                    server.predict("small_cnn", image)
-                    laps.append(time.perf_counter() - start)
-                p50[mode] = min(p50[mode], float(np.median(laps)))
-            finally:
-                server.close()
+    rows = SERVED_ROWS[-1]
+    cell = compile_cells(rows_list=(rows,))[f"rows{rows}"]
     return {
-        "serving_compiled_steady_p50_seconds": p50["compiled"],
-        "serving_interpreted_steady_p50_seconds": p50["interpreted"],
-        "serving_compile_speedup": (p50["interpreted"]
-                                    / max(p50["compiled"], 1e-9)),
+        "serving_compiled_steady_p50_seconds": cell["compiled_p50_seconds"],
+        "serving_interpreted_steady_p50_seconds":
+            cell["interpreted_natural_p50_seconds"],
+        "serving_compile_speedup": (cell["interpreted_natural_p50_seconds"]
+                                    / max(cell["compiled_p50_seconds"],
+                                          1e-9)),
     }
 
 
 def compiled_vs_interpreted_delta(dataset: str = "unit") -> float:
-    """Max |delta| between compiled-served and interpreted fixed-width
-    logits (want exactly 0.0 — the compiled graph must be invisible)."""
+    """Max |delta| between served logits (interpreted, natural width)
+    and the same model's ``nn.compile`` program at width 32 (want
+    exactly 0.0 — row invariance makes the width invisible)."""
     policy = BatchPolicy(max_batch_size=8, max_delay_ms=2.0)
     server, test = _build_server(policy, dataset=dataset,
-                                 model_name="small_cnn", scale="tiny",
-                                 compile_models=True)
+                                 model_name="small_cnn", scale="tiny")
     try:
-        entry = server.store.entry("small_cnn", "v1")
-        assert entry.compiled, (
-            f"bench server failed to compile: {entry.plan()}")
-        folded = server.store.folded("small_cnn", "v1")    # interpreted
+        compiled = nn.compile(server.store.model("small_cnn"), COMPILE_WIDTH,
+                              input_shape=test.images.shape[1:])
+        assert compiled.compiled, compiled.fallback_reason
         deltas = []
         for i in range(8):
             image = np.asarray(test.images[i], dtype=np.float32)
             served = server.predict("small_cnn", image).logits[0]
-            batch = np.zeros((policy.max_batch_size,) + image.shape,
-                             np.float32)
+            batch = np.zeros((COMPILE_WIDTH,) + image.shape, np.float32)
             batch[0] = image
-            direct = folded(Tensor(batch)).data[0].astype(np.float32)
+            direct = compiled(Tensor(batch)).data[0].astype(np.float32)
             deltas.append(np.abs(np.asarray(served, np.float32)
                                  - direct).max())
         return float(max(deltas))
@@ -230,8 +248,8 @@ def first_batch_latency(prefetch: bool, repeats: int = 3,
     """First-request vs steady-state latency, fresh server per repeat.
 
     The first request is the one that pays every deferred cost when
-    prefetch is off — folded-copy build, compile, kernel planning,
-    screen calibration.  With prefetch + warm-up all of
+    prefetch is off — folded-copy build, kernel planning, screen
+    calibration.  With prefetch + warm-up all of
     that ran at construction time, so the first request should land
     within a small factor of the steady-state p50 (gated in
     ``check_regression.py``).  In-process predicts, so the cell
@@ -345,8 +363,8 @@ def phase_breakdown(requests: int = 64, concurrency: int = 8) -> dict:
 
     Enables the zero-cost profiling hooks (:func:`repro.obs.profiled`)
     for the duration of a short load: the snapshot splits the serving
-    path into its instrumented phases — ``serve.dispatch`` (pad +
-    forward) and ``conv.forward`` (the conv kernel: im2col and GEMMs).
+    path into its instrumented phases — ``serve.dispatch`` (the
+    group's forward) and ``conv.forward`` (the conv kernel: im2col and GEMMs).
     """
     policy = BatchPolicy(max_batch_size=8, max_delay_ms=2.0)
     server, test = _build_server(policy, dataset="unit",
@@ -390,9 +408,9 @@ def run_quick_gate() -> dict:
         "serving_first_batch_seconds": warm["first_batch_p99_seconds"],
         "serving_steady_p50_seconds": warm["steady_p50_seconds"],
         "serving_cold_first_batch_seconds": cold["first_batch_p99_seconds"],
-        # Compiled pair: the same in-process steady load served through
-        # the traced/fused/arena graph vs module-by-module, plus the
-        # bit-identity delta the compiled path must keep at exactly 0.0.
+        # Compiled pair: in process, the served forward (interpreted,
+        # natural width) vs an nn.compile program at width 32, plus the
+        # bit-identity delta between them, exactly 0.0.
         "serving_compiled_vs_interpreted_max_delta":
             compiled_vs_interpreted_delta(),
         **compiled_steady_cells(),
@@ -430,7 +448,6 @@ def run_full() -> dict:
         print(f"  batch<={max_batch} delay={delay_ms:g}ms: "
               f"{cell['throughput_rps']:.1f} req/s, "
               f"p50 {cell['p50_ms']:.1f}ms, p95 {cell['p95_ms']:.1f}ms, "
-              f"occupancy {cell['occupancy']:.2f}, "
               f"width {cell['mean_batch_width']:.1f}")
     print("response-cache sweep (8 distinct images round-robined)")
     for capacity in (0, 256):
@@ -440,19 +457,15 @@ def run_full() -> dict:
                if capacity else "")
         print(f"  cache={capacity}: {cell['throughput_rps']:.1f} req/s, "
               f"p50 {cell['p50_ms']:.1f}ms{hit}")
-    # Cell labels keep their "w1-" prefix so refreshed cells overwrite
-    # the recorded ones in BENCH_perf_scaling.json.
-    print("compiled sweep at batch<=32 (compile on/off)")
-    section["compiled"] = {}
-    for compiled in (True, False):
-        cell = time_compiled(compiled)
-        section["compiled"][f"w1-{'on' if compiled else 'off'}"] = cell
-        plan = cell.get("plan") or {}
-        note = (f", {plan.get('ops', 0)} ops / "
-                f"{plan.get('fused', 0)} fused" if compiled else "")
-        print(f"  {'compiled' if compiled else 'interpreted'}: "
-              f"{cell['throughput_rps']:.1f} req/s, "
-              f"p50 {cell['p50_ms']:.1f}ms{note}")
+    print(f"compiled at width {COMPILE_WIDTH} vs interpreted at natural "
+          f"width, in process ({available_cpu_count()} cores)")
+    section["compiled"] = compile_cells()
+    for name, cell in section["compiled"].items():
+        if name.startswith("rows"):
+            print(f"  {cell['rows']} rows: compiled "
+                  f"{cell['compiled_p50_seconds'] * 1e3:.2f}ms, interpreted "
+                  f"{cell['interpreted_natural_p50_seconds'] * 1e3:.2f}ms "
+                  f"({cell['natural_speedup']:.2f}x)")
     print("first-batch latency: prefetch+warm-up vs lazy cold start")
     section["first_batch"] = {}
     for prefetch in (True, False):
@@ -502,8 +515,8 @@ def main(argv=None) -> int:
         return 1
     if section["quick_gate"][
             "serving_compiled_vs_interpreted_max_delta"] != 0.0:
-        print("ERROR: compiled vs interpreted logits diverged — the "
-              "compiled graph must be bit-invisible", file=sys.stderr)
+        print("ERROR: served logits diverged from the compiled width-32 "
+              "program — row invariance broken", file=sys.stderr)
         return 1
 
     _merge_write(args.out, section)

@@ -67,14 +67,16 @@ Environment knobs::
                                 absolute seconds the first batch may
                                 exceed the factor bound — fresh-server
                                 scheduling noise, not a cold start
-    REVEIL_COMPILE_SPEEDUP=1.0  compiled steady p50 must be <= the
-                                interpreted steady p50 times this —
-                                the compiled graph path must not lose
-                                to module-by-module serving (raise
+    REVEIL_COMPILE_SPEEDUP=1.0  the served forward's steady p50 (the
+                                folded interpreter at natural width,
+                                1 request + 8 STRIP rows) must be <=
+                                the width-32 compiled program's p50
+                                times this — serving must not lose to
+                                the compiled path it replaced (raise
                                 above 1.0 only to de-flake a runner)
     REVEIL_COMPILE_MIN_SLACK=0.005
-                                absolute seconds the compiled p50 may
-                                exceed the interpreted p50 before the
+                                absolute seconds the served p50 may
+                                exceed the compiled p50 before the
                                 comparison fails
     REVEIL_OBS_OVERHEAD_FACTOR=1.05
                                 steady p50 with tracing + metrics at
@@ -127,7 +129,8 @@ ATOL_CELL = "folding_max_abs_delta"
 SERVING_TIMING_CELLS = ("serving_p50_seconds",
                         "serving_cache_hit_p50_seconds",
                         "serving_first_batch_seconds",
-                        "serving_compiled_steady_p50_seconds")
+                        "serving_compiled_steady_p50_seconds",
+                        "serving_interpreted_steady_p50_seconds")
 FORGET_TIMING_CELLS = ("forget_deletion_to_swap_seconds",
                        "forget_steady_p99_seconds")
 #: The traced forward tape and training step may grow this much over
@@ -319,9 +322,10 @@ def main(argv=None) -> int:
              "—", "informational", None)
 
     # -- compiled graphs -----------------------------------------------
-    # The compiled path must be bit-invisible (delta exactly 0.0) and
-    # must not lose to interpreted serving on its own machine: steady
-    # p50 compiled <= interpreted * REVEIL_COMPILE_SPEEDUP, with an
+    # Served logits must equal the compiled width-32 program's bit for
+    # bit (delta exactly 0.0), and the served forward — interpreted, at
+    # natural width — must not lose to that program on its own machine:
+    # steady p50 served <= compiled * REVEIL_COMPILE_SPEEDUP, with an
     # absolute slack so millisecond-scale scheduler jitter cannot flake
     # the measured-vs-measured comparison.
     compiled_delta = serving["serving_compiled_vs_interpreted_max_delta"]
@@ -331,13 +335,14 @@ def main(argv=None) -> int:
     compile_factor = float(os.environ.get("REVEIL_COMPILE_SPEEDUP", "1.0"))
     compile_slack = float(os.environ.get("REVEIL_COMPILE_MIN_SLACK", "0.005"))
     compiled_p50 = serving["serving_compiled_steady_p50_seconds"]
-    interpreted_p50 = serving["serving_interpreted_steady_p50_seconds"]
-    regressed = (compiled_p50 > interpreted_p50 * compile_factor
-                 and (compiled_p50 - interpreted_p50) > compile_slack)
+    served_p50 = serving["serving_interpreted_steady_p50_seconds"]
+    regressed = (served_p50 > compiled_p50 * compile_factor
+                 and (served_p50 - compiled_p50) > compile_slack)
     gate.add("compiled_vs_interpreted_p50",
-             f"{compiled_p50 * 1e3:.1f}ms "
-             f"({serving['serving_compile_speedup']:.2f}x speedup)",
-             f"{interpreted_p50 * 1e3:.1f}ms (interpreted)",
+             f"{served_p50 * 1e3:.2f}ms served "
+             f"({1 / max(serving['serving_compile_speedup'], 1e-9):.2f}x "
+             f"faster)",
+             f"{compiled_p50 * 1e3:.2f}ms (compiled, width 32)",
              f"<= {compile_factor:g}x + {compile_slack:g}s", regressed)
 
     # -- response cache ------------------------------------------------

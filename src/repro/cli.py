@@ -129,8 +129,7 @@ def cmd_serve(args) -> int:
     start = time.time()
     serving = build_reveil_serving(cfg, policy=policy, screen=screen,
                                    response_cache=args.response_cache,
-                                   prefetch_replicas=args.prefetch_replicas,
-                                   compile_models=args.compile)
+                                   prefetch_replicas=args.prefetch_replicas)
     print(f"trained in {time.time() - start:.0f}s")
     httpd = start_http_server(serving.server, host=args.host, port=args.port)
     try:
@@ -141,7 +140,8 @@ def cmd_serve(args) -> int:
         print(f"serving {name} (versions {serving.store.versions(name)}, "
               f"active '{active}') at {httpd.url} [{cache}]")
         print(f"  predict: POST {httpd.url}/v1/predict "
-              f'{{"model": "{name}", "inputs": [...]}}')
+              f'{{"model": "{name}", "inputs": {{"shape": [N, C, H, W], '
+              f'"b64": "<little-endian float32 bytes, base64>"}}}}')
         print(f"  forget: POST {httpd.url}/v1/forget "
               f'{{"user": "...", "sample_ids": [...]}}  (needs a forget plane)')
         print(f"  hot-swap: POST {httpd.url}/v1/activate "
@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0,
                    help="0 = ephemeral (printed at startup)")
     p.add_argument("--max-batch-size", type=int, default=32,
-                   help="fixed compute width of every forward pass")
+                   help="most request rows one batch takes, and most "
+                        "rows one forward runs")
     p.add_argument("--max-delay-ms", type=float, default=2.0,
                    help="how long to hold a request open for coalescing")
     p.add_argument("--max-queue", type=int, default=128,
@@ -254,17 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 = disabled); hits skip the scheduler entirely")
     p.add_argument("--prefetch-replicas",
                    action=argparse.BooleanOptionalAction, default=True,
-                   help="compile every model version and run a "
-                        "fixed-width warm-up forward before the first "
-                        "request (kills the first-batch latency spike); "
+                   help="fold every model version and run a warm-up "
+                        "forward before the first request (kills the "
+                        "first-batch latency spike); "
                         "--no-prefetch-replicas restores lazy "
                         "load-on-first-request")
-    p.add_argument("--compile", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="serve every version through its compiled graph "
-                        "(trace -> fuse -> arena at the fixed "
-                        "compute width; bit-identical to interpreted); "
-                        "--no-compile restores module-by-module forwards")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("client",

@@ -1,12 +1,12 @@
 """``repro.serve`` — micro-batched inference serving for ReVeil models.
 
 The deployment stage of the threat model: a :class:`ModelStore` of
-versioned, BatchNorm-folded models, a fixed-width micro-batching
+versioned, BatchNorm-folded models, a natural-width micro-batching
 scheduler with a bit-identity determinism contract
 (:class:`MicroBatcher`) that runs every forward in its scheduler thread, an
 exact-response LRU (:class:`ResponseCache`, provably bit-identical
-replays), a stdlib HTTP front end with explicit
-429 backpressure, an online STRIP screen (:class:`OnlineStrip`) and a
+replays), a stdlib keep-alive HTTP front end with binary tensor inputs
+and explicit 429 backpressure, an online STRIP screen (:class:`OnlineStrip`) and a
 closed-loop load generator.  ``repro serve`` / ``repro client`` are
 the CLI entry points; :func:`build_reveil_serving` assembles the
 paper's camouflage → unlearn → hot-swap timeline as a live serving
@@ -20,8 +20,9 @@ from .client import (LoadReport, ModelVersionEntry, ServingClient,
                      ServingError, run_load)
 from .forget import (DeletionFlagged, DeletionRateLimited, ForgetConfig,
                      ForgetPlane, GuardPolicy, OnlineUnlearningGuard)
-from .http import (API_PREFIX, Route, ServingHTTPServer, route_table,
-                   start_http_server, stop_http_server)
+from .http import (API_PREFIX, Route, ServingHTTPServer, decode_tensor,
+                   encode_tensor, route_table, start_http_server,
+                   stop_http_server)
 from .scenario import (ReVeilForgetServing, ReVeilServing,
                        build_reveil_forget, build_reveil_serving,
                        serving_store)
@@ -36,7 +37,7 @@ __all__ = [
     "InferenceServer", "PredictResult",
     "OnlineStrip", "ScreenConfig",
     "ServingHTTPServer", "start_http_server", "stop_http_server",
-    "API_PREFIX", "Route", "route_table",
+    "API_PREFIX", "Route", "route_table", "encode_tensor", "decode_tensor",
     "ForgetPlane", "ForgetConfig", "OnlineUnlearningGuard", "GuardPolicy",
     "DeletionRateLimited", "DeletionFlagged",
     "ServingClient", "ServingError", "LoadReport", "ModelVersionEntry",

@@ -9,19 +9,17 @@ serves the whole group.
 
 Batch layout
 ------------
-Every forward runs at one fixed compute width, ``max_batch_size``, the
-width the serving graph is compiled at.  A group's rows are laid out as
+Every forward runs at its natural width.  A group's rows are laid out as
 
-    [ request rows | screen rows | zero rows ]
+    [ request rows | screen rows ]
 
 The screen rows are the online STRIP blends of the request rows (see
-:mod:`repro.serve.screening`); they sit where zero padding would
-otherwise go, so a lone request is served *and* screened by one
-forward.  The rows are zero-padded to a multiple of the width and run
-as width-sized chunks, so ``infer_fn`` only ever sees
-``max_batch_size``-row batches.  Chunks run in the scheduler thread,
-which resolves each request's :class:`~concurrent.futures.Future`
-before it takes the next group.
+:mod:`repro.serve.screening`), so a lone request is served *and*
+screened by one forward.  The rows run in chunks of at most
+``max_batch_size`` rows, in the scheduler thread, which resolves each
+request's :class:`~concurrent.futures.Future` before it takes the next
+group.  No row is padding: a lone request with 8 screen rows is one
+9-row forward.
 
 Determinism contract
 --------------------
@@ -32,12 +30,9 @@ products run as stacked one-row GEMMs
 (:func:`repro.nn.tensor.matmul_rows`), so no GEMM's shape — and hence
 no BLAS kernel choice or accumulation order — depends on how many rows
 a batch has, where a row sits in it, or what the other rows hold
-(enforced zoo-wide by ``tests/nn/test_row_invariance.py``).  Any
-``max_batch_size`` keeps the contract.
-
-Occupancy (useful rows / computed rows, where request and screen rows
-are useful and zero rows are not) is the headline metric of
-``benchmarks/bench_serving.py``.
+(enforced zoo-wide, at every width from 1 to 32, by
+``tests/nn/test_row_invariance.py``).  Any ``max_batch_size`` keeps the
+contract.
 
 The scheduler thread is a daemon and is drained at interpreter shutdown
 via ``atexit``, so servers and long pytest runs exit cleanly.
@@ -71,8 +66,9 @@ class BatchPolicy:
     """Coalescing policy of one :class:`MicroBatcher`.
 
     max_batch_size:
-        Fixed compute width of every forward pass, and the most request
-        rows one group takes (see the module docstring).
+        The most request rows one group takes, and the most rows one
+        forward runs: a group's request and screen rows run in chunks
+        of at most this many (see the module docstring).
     max_delay_ms:
         How long the scheduler holds the *first* request of a group to
         wait for companions.  0 disables coalescing-by-waiting: a group
@@ -134,18 +130,18 @@ atexit.register(_close_live_batchers)
 
 
 class MicroBatcher:
-    """Coalesces submitted requests into fixed-width inference batches.
+    """Coalesces submitted requests into natural-width inference batches.
 
     Parameters
     ----------
     infer_fn:
-        ``infer_fn(key, images) -> logits`` — one forward pass over an
-        already-padded ``(max_batch_size, C, H, W)`` batch for the model
-        pinned by ``key``.  Must be deterministic.
+        ``infer_fn(key, images) -> logits`` — one forward pass over a
+        ``(rows, C, H, W)`` batch of at most ``max_batch_size`` rows for
+        the model pinned by ``key``.  Must be deterministic.
     policy:
         The :class:`BatchPolicy`.
     screen:
-        Optional screen riding in each group's padding: an object with
+        Optional screen riding in each group's forward: an object with
         ``rows(key, images) -> blend rows`` and
         ``score(key, images, blend_logits) -> {name: array}``.  ``rows``
         runs before the forward over the group's request rows; its
@@ -174,7 +170,6 @@ class MicroBatcher:
         self._batches = self.registry.counter("batches")
         self._real_rows = self.registry.counter("real_rows")
         self._screen_rows = self.registry.counter("screen_rows")
-        self._padded_rows = self.registry.counter("padded_rows")
         self._latency_hist = self.registry.histogram("request_latency_s")
         self._per_key_requests: Dict[Hashable, int] = {}
         self._latencies: "deque[float]" = deque(maxlen=4096)
@@ -269,12 +264,11 @@ class MicroBatcher:
             self._dispatch_group(head.key, group)
 
     def _dispatch_group(self, key: Hashable, group: List[_Request]) -> None:
-        """Lay a group out at compute width, run it, resolve its futures.
+        """Run a group at its natural width and resolve its futures.
 
-        Request rows, then the screen's rows, then zeros up to a
-        multiple of ``max_batch_size``; ``infer_fn`` runs on each
-        width-sized chunk here, in the scheduler thread, which then
-        resolves every request's future.
+        Request rows, then the screen's rows; ``infer_fn`` runs on each
+        chunk of at most ``max_batch_size`` rows here, in the scheduler
+        thread, which then resolves every request's future.
         """
         dispatched_at = time.perf_counter()
         if _trace.tracing_enabled():
@@ -297,16 +291,11 @@ class MicroBatcher:
         prof_token = (_prof.start("serve.dispatch")
                       if _prof is not None else None)
         images = np.concatenate([request.images for request in group])
-        real = len(images)
         width = self.policy.max_batch_size
         try:
             screen = (self.screen.rows(key, images)
                       if self.screen is not None else images[:0])
-            rows = real + len(screen)
-            batch = np.zeros((-(-rows // width) * width,) + images.shape[1:],
-                             dtype=np.float32)
-            batch[:real] = images
-            batch[real:rows] = screen
+            batch = np.concatenate([images, screen]) if len(screen) else images
             logits = np.concatenate([
                 np.asarray(self.infer_fn(key, batch[start:start + width]))
                 for start in range(0, len(batch), width)])
@@ -330,7 +319,6 @@ class MicroBatcher:
                       images: np.ndarray, logits: np.ndarray,
                       screen_rows: int, dispatched_at: float) -> None:
         real = len(images)
-        computed = len(logits)
         try:
             extra: Dict[str, np.ndarray] = {}
             if self.screen is not None:
@@ -344,7 +332,6 @@ class MicroBatcher:
         self._batches.inc()
         self._real_rows.inc(real)
         self._screen_rows.inc(screen_rows)
-        self._padded_rows.inc(computed - real - screen_rows)
         if _trace.tracing_enabled():
             head = group[0]
             if head.trace is not None:
@@ -352,7 +339,7 @@ class MicroBatcher:
                     "batch.dispatch", head.trace, now - dispatched_at,
                     start_s=dispatched_at,
                     tags={"key": _format_key(key), "real": real,
-                          "screen": screen_rows, "width": computed})
+                          "screen": screen_rows})
         with self._cond:
             for request in group:
                 latency = now - request.submitted_at
@@ -378,10 +365,7 @@ class MicroBatcher:
             per_key = {_format_key(key): count for key, count in
                        sorted(self._per_key_requests.items())}
         real_rows = self._real_rows.value
-        screen_rows = self._screen_rows.value
-        padded_rows = self._padded_rows.value
         batches = self._batches.value
-        useful_rows = real_rows + screen_rows
         return {
             "requests": self._requests.value,
             "rejected": self._rejected.value,
@@ -389,10 +373,9 @@ class MicroBatcher:
             "batches": batches,
             "queued": queued,
             "real_rows": real_rows,
-            "screen_rows": screen_rows,
-            "padded_rows": padded_rows,
-            "occupancy": (useful_rows / (useful_rows + padded_rows)
-                          if useful_rows else 1.0),
+            "screen_rows": self._screen_rows.value,
+            # Always 0 (no row is padding); the repo benchmark reads it.
+            "padded_rows": 0,
             "mean_batch_width": (real_rows / batches if batches else 0.0),
             "latency_p50_s": (float(np.quantile(latencies, 0.5))
                               if len(latencies) else 0.0),

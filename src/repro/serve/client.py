@@ -15,6 +15,7 @@ import http.client
 import json
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 from urllib.parse import urlparse
@@ -22,25 +23,17 @@ from urllib.parse import urlparse
 import numpy as np
 
 from ..obs.backoff import backoff_delay
-from .http import API_PREFIX
+from .http import API_PREFIX, encode_tensor
 
 
 @dataclass(frozen=True)
 class ModelVersionEntry:
-    """One model version from ``GET /v1/models``, typed.
-
-    ``plan`` is the compact compiled-plan summary (``ops`` / ``fused``
-    / ``arena_bytes``) or ``None`` while the version serves
-    interpreted.  ``arena_bytes`` is the size of the arena the version
-    replays in; every program of that size shares it.  ``metadata`` is the registration metadata with the
-    additive ``compiled``/``plan`` wire keys stripped back out.
-    """
+    """One model version from ``GET /v1/models``, typed; ``metadata``
+    is its registration metadata."""
 
     name: str
     version: str
     active: bool
-    compiled: bool
-    plan: Optional[dict]
     metadata: Dict[str, str]
 
 
@@ -62,15 +55,26 @@ class ServingError(RuntimeError):
         self.trace_id = trace_id
 
 
+def _close_all(connections: list) -> None:
+    while connections:
+        connections.pop().close()
+
+
 class ServingClient:
     """Client for one serving endpoint (e.g. ``http://127.0.0.1:8351``).
 
     All endpoint methods (``predict`` / ``forget`` / ``activate`` /
     ``health`` / …) ride one request core that speaks the versioned
     ``/v1`` API and understands the unified error envelope.
-    Connections are per-call (the load generator opens one per worker
-    thread through ``http.client`` anyway), which keeps the client
-    trivially thread-safe.
+
+    Connections persist (HTTP/1.1 keep-alive).  A call takes an idle
+    connection, or opens one when none is idle, and puts it back once
+    the response is read, so a thread's sequential calls ride one
+    connection and ``N`` concurrent threads hold at most ``N``.  A
+    connection the server has closed fails its next call with a reset,
+    which reconnects through the reset retry.  The client is
+    thread-safe; :meth:`close` (or the ``with`` block, or garbage
+    collection) closes the idle connections.
     """
 
     def __init__(self, url: str, timeout: float = 60.0,
@@ -88,6 +92,20 @@ class ServingClient:
         #: Serving is deterministic, so the retry returns the same bits
         #: the aborted attempt would have.
         self.retry_resets = max(0, int(retry_resets))
+        self._idle: List[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
+
+    def close(self) -> None:
+        """Close every idle connection (a later call opens a new one)."""
+        with self._idle_lock:
+            _close_all(self._idle)
+
+    def __enter__(self) -> "ServingClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport -----------------------------------------------------
     def _request(self, method: str, path: str,
@@ -97,18 +115,19 @@ class ServingClient:
 
         ``path`` is the endpoint name (``/predict``); the ``/v1`` prefix
         is prepended here — the one request core every endpoint method
-        rides.  A server restarting (or an OS reclaiming sockets under
-        pressure) shows up client-side as a reset or
-        mid-response hangup; those retry up to
-        ``retry_resets`` times.  Anything still failing is normalized
-        into :class:`ServingError` / ``OSError`` so callers — the load
-        generator's worker threads in particular — only ever see those
-        two."""
+        rides.  A server restarting, closing an idle keep-alive
+        connection, or an OS reclaiming sockets under pressure shows up
+        client-side as a reset or mid-response hangup; those retry on a
+        new connection up to ``retry_resets`` times.  Anything still
+        failing is normalized into :class:`ServingError` / ``OSError``
+        so callers — the load generator's worker threads in particular
+        — only ever see those two."""
         path = f"{API_PREFIX}{path}"
+        body = None if payload is None else json.dumps(payload)
         last_exc: Optional[BaseException] = None
         for attempt in range(self.retry_resets + 1):
             try:
-                return self._request_once(method, path, payload,
+                return self._request_once(method, path, body,
                                           timeout=timeout)
             except (ConnectionResetError, BrokenPipeError,
                     http.client.RemoteDisconnected) as exc:
@@ -126,16 +145,19 @@ class ServingClient:
                f"{last_exc}") from last_exc
 
     def _request_once(self, method: str, path: str,
-                      payload: Optional[dict] = None,
+                      body: Optional[str] = None,
                       timeout: Optional[float] = None) -> dict:
-        conn = http.client.HTTPConnection(
-            self.host, self.port,
-            timeout=self.timeout if timeout is None else timeout)
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = http.client.HTTPConnection(self.host, self.port)
+        conn.timeout = self.timeout if timeout is None else timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(conn.timeout)   # a reused connection
+        reusable = False
         try:
-            body = None
             headers = {}
-            if payload is not None:
-                body = json.dumps(payload)
+            if body is not None:
                 headers["Content-Type"] = "application/json"
             try:
                 conn.request(method, path, body=body, headers=headers)
@@ -147,6 +169,7 @@ class ServingClient:
             except http.client.HTTPException as exc:
                 raise ServingError(
                     0, f"malformed HTTP response: {exc}") from exc
+            reusable = not response.will_close
             try:
                 data = json.loads(raw or b"{}")
             except json.JSONDecodeError as exc:
@@ -160,7 +183,11 @@ class ServingClient:
                 raise self._error_from(response.status, data)
             return data
         finally:
-            conn.close()
+            if reusable:
+                with self._idle_lock:
+                    self._idle.append(conn)
+            else:
+                conn.close()
 
     @staticmethod
     def _error_from(status: int, data: dict) -> ServingError:
@@ -178,7 +205,7 @@ class ServingClient:
     # -- endpoints -----------------------------------------------------
     def predict(self, model: str, images: np.ndarray,
                 version: Optional[str] = None) -> dict:
-        payload = {"model": model, "inputs": np.asarray(images).tolist()}
+        payload = {"model": model, "inputs": encode_tensor(images)}
         if version is not None:
             payload["version"] = version
         return self._request("POST", "/predict", payload)
@@ -215,12 +242,9 @@ class ServingClient:
         for name, info in sorted(self.models_json().items()):
             active = info.get("active")
             for version, meta in sorted(info.get("versions", {}).items()):
-                meta = dict(meta)
-                compiled = bool(meta.pop("compiled", False))
-                plan = meta.pop("plan", None)
                 entries.append(ModelVersionEntry(
                     name=name, version=version, active=version == active,
-                    compiled=compiled, plan=plan, metadata=meta))
+                    metadata=dict(meta)))
         return entries
 
     def models_json(self) -> dict:
@@ -230,20 +254,6 @@ class ServingClient:
     def activate(self, model: str, version: str) -> dict:
         return self._request("POST", "/activate",
                              {"model": model, "version": version})
-
-    def compile(self, model: str, version: Optional[str] = None) -> dict:
-        """Trigger server-side compilation (``POST /compile``).
-
-        Returns the compilation report: ``compiled`` (bool), the plan
-        summary, and — when compilation fell back to the interpreted
-        path — the ``fallback`` reason.  Raises :class:`ServingError`
-        with ``code`` ``bad_request`` when the version has no
-        registered input shape and ``not_found`` for unknown models.
-        """
-        payload: dict = {"model": model}
-        if version is not None:
-            payload["version"] = version
-        return self._request("POST", "/compile", payload)
 
 
 @dataclass
@@ -300,8 +310,8 @@ def run_load(client: ServingClient, model: str, images: np.ndarray,
     Worker ``w`` serves request indices ``w, w+C, w+2C, ...`` round-robin
     over ``images``, so the request mix is deterministic for a given
     (requests, concurrency) pair even though arrival interleaving — and
-    therefore batch composition — is not.  The batcher's fixed-width
-    contract is exactly what makes that interleaving irrelevant to the
+    therefore batch composition — is not.  The batcher's row-invariant
+    forwards are exactly what make that interleaving irrelevant to the
     returned logits.
     """
     if requests < 1 or concurrency < 1:

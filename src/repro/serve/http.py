@@ -8,10 +8,15 @@ another branch in an if/elif chain.
 Endpoints (all JSON, each on exactly one ``/v1`` path):
 
 - ``POST /v1/predict`` — ``{"model": str, "version"?: str, "inputs":
-  nested lists (C,H,W) or (N,C,H,W)}`` → logits, argmax labels, the
-  served version and (when screening is on) per-input STRIP flags.
-  ``429`` with ``Retry-After`` under backpressure, ``404`` for unknown
-  models/versions, ``400`` for malformed payloads.
+  {"shape": [C,H,W] or [N,C,H,W], "b64": str}}`` → logits, argmax
+  labels, the served version and (when screening is on) per-input STRIP
+  flags.  ``inputs`` is one tensor object: ``b64`` is the standard
+  base64 of the tensor's little-endian float32 bytes in C order, so
+  neither end walks a nested list of floats.  ``429`` with
+  ``Retry-After`` under backpressure, ``404`` for unknown
+  models/versions, ``400`` for malformed payloads (a byte count other
+  than ``prod(shape) * 4``, a rank other than 3 or 4, a dimension that
+  is not positive, bad base64, nested lists).
 - ``POST /v1/forget`` — ``{"user": str|int, "sample_ids": [int, ...],
   "wait"?: bool, "timeout"?: seconds}`` — the online unlearning plane:
   the request is screened (rate limits, suspicion flags), coalesced per
@@ -22,11 +27,6 @@ Endpoints (all JSON, each on exactly one ``/v1`` path):
   request.
 - ``POST /v1/activate`` — ``{"model": str, "version": str}`` hot-swaps
   the active version; subsequent unversioned requests hit the new one.
-- ``POST /v1/compile`` — ``{"model": str, "version"?: str}`` compiles
-  the version into a fused/arena program at the serving width
-  (:func:`repro.nn.compile`); answers with the compilation report
-  (``compiled``/``plan``).
-  ``400`` when the entry registered no input shape.
 - ``GET /v1/healthz`` — liveness + registered model names; ``200``
   with ``status`` ``"ok"`` while the process answers.  Readiness is the
   same answer: one process serves every request, so there is no pool
@@ -40,8 +40,8 @@ Endpoints (all JSON, each on exactly one ``/v1`` path):
 - ``GET /v1/debug/traces`` — the process-local flight recorder dump
   (``?trace=<id>`` filters to one request's spans); the CI smoke lanes
   write this into the failure artifact when an assertion trips.
-- ``GET /v1/models`` — the store listing (versions, active flags, and
-  per-version ``compiled``/``plan`` compilation state).
+- ``GET /v1/models`` — the store listing (versions, active flags and
+  registration metadata).
 
 Every response — success or error — echoes the
 request's trace id on the ``X-Trace-Id`` header (minted here when the
@@ -57,15 +57,25 @@ where ``code`` is a stable machine-readable slug (``bad_request``,
 
 Built on ``http.server.ThreadingHTTPServer`` (one thread per
 connection) so concurrent requests genuinely queue up in the batcher —
-that concurrency is what micro-batching coalesces.  No third-party
-dependencies.
+that concurrency is what micro-batching coalesces.  The handler speaks
+HTTP/1.1 with keep-alive, so a client sends request after request on
+one connection to one handler thread, and it sets ``TCP_NODELAY`` on
+every accepted socket: without it a response written in two segments
+waits out the client's delayed ACK.  :func:`stop_http_server` shuts the
+read side of every open connection, so idle keep-alive connections end
+with the server.  No third-party dependencies.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import errno
 import json
+import math
+import socket
 import threading
+import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
@@ -118,7 +128,6 @@ ROUTES: Tuple[Route, ...] = (
     Route("GET", "models", "_models"),
     Route("POST", "predict", "_predict", needs_body=True),
     Route("POST", "activate", "_activate", needs_body=True),
-    Route("POST", "compile", "_compile", needs_body=True),
     Route("POST", "forget", "_forget", needs_body=True),
 )
 
@@ -144,19 +153,57 @@ def route_table(routes: Tuple[Route, ...]
 _LOOKUP, _METHODS = route_table(ROUTES)
 
 
+def encode_tensor(images: np.ndarray) -> dict:
+    """The ``/v1/predict`` tensor object of ``images``:
+    ``{"shape": [...], "b64": <little-endian float32 bytes>}``."""
+    array = np.ascontiguousarray(images, dtype="<f4")
+    return {"shape": list(array.shape),
+            "b64": base64.b64encode(array).decode("ascii")}
+
+
+def decode_tensor(obj) -> np.ndarray:
+    """Inverse of :func:`encode_tensor`, validating every field.
+
+    Raises ``ValueError`` (answered 400) for anything but a
+    ``{"shape", "b64"}`` object of rank 3 or 4, positive dimensions and
+    exactly ``prod(shape) * 4`` decoded bytes.
+    """
+    if not isinstance(obj, dict) or set(obj) != {"shape", "b64"}:
+        raise ValueError("'inputs' must be a tensor object "
+                         "{\"shape\": [...], \"b64\": str}")
+    shape, data = obj["shape"], obj["b64"]
+    if (not isinstance(shape, list) or len(shape) not in (3, 4)
+            or not all(isinstance(d, int) and not isinstance(d, bool)
+                       and d > 0 for d in shape)):
+        raise ValueError("'inputs.shape' must be 3 or 4 positive integers "
+                         "((C,H,W) or (N,C,H,W))")
+    if not isinstance(data, str):
+        raise ValueError("'inputs.b64' must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (binascii.Error, ValueError):
+        raise ValueError("'inputs.b64' is not valid base64") from None
+    expected = 4 * math.prod(shape)
+    if len(raw) != expected:
+        raise ValueError(f"'inputs.b64' holds {len(raw)} bytes; shape "
+                         f"{shape} needs {expected}")
+    return np.frombuffer(raw, dtype="<f4").reshape(shape)
+
+
 class ServingHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer bound to an :class:`InferenceServer`.
 
     ``inference`` is duck-typed: anything with ``predict`` / ``health``
-    / ``metrics`` and a ``store`` can sit behind the handler.
+    / ``metrics`` and a ``store`` can sit behind the handler.  Each
+    connection gets a daemon handler thread, tracked until the
+    connection closes so :func:`stop_http_server` can end it.
     """
 
-    daemon_threads = True
     # Ephemeral-port reuse in quick test cycles.
     allow_reuse_address = True
     # socketserver's default accept backlog is 5; the closed-loop load
-    # generator (and any real client burst) opens far more one-shot
-    # connections at once, and overflowing SYNs stall ~1s for a
+    # generator (and any real client burst) opens many connections at
+    # once, and overflowing SYNs stall ~1s for a
     # retransmit or get reset outright — which reads as p95 cliffs and
     # spurious "errored responses" that have nothing to do with serving.
     request_queue_size = 128
@@ -164,6 +211,42 @@ class ServingHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: Tuple[int, int], inference) -> None:
         super().__init__(address, _Handler)
         self.inference = inference
+        #: Open connection -> the handler thread serving it.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        # Runs in the accept loop, so once ``shutdown()`` has returned
+        # the map holds every connection a handler thread may read.
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address),
+                                  daemon=True)
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def end_connections(self) -> None:
+        """Shut the read side of every open connection and join its
+        handler thread (for at most 10 s in all).
+
+        A handler idle between keep-alive requests reads end-of-file
+        and returns at once; one mid-request writes its response first.
+        """
+        with self._connections_lock:
+            connections = dict(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass            # the peer already closed it
+        deadline = time.monotonic() + 10.0
+        for thread in connections.values():
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     @property
     def url(self) -> str:
@@ -172,6 +255,11 @@ class ServingHTTPServer(ThreadingHTTPServer):
 
 
 class _Handler(BaseHTTPRequestHandler):
+    # Keep-alive: one connection carries many requests.
+    protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on the accepted socket (see the module docstring).
+    disable_nagle_algorithm = True
+
     # The default implementation logs every request to stderr.
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
@@ -210,13 +298,24 @@ class _Handler(BaseHTTPRequestHandler):
             "code": code, "message": message,
             "trace_id": getattr(self, "_trace", None)}}, headers=headers)
 
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
+    def _read_body(self) -> bytes:
+        """The request body, read whole so the connection stays in step
+        for its next request whatever this one answers."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body cannot be skipped, so the connection ends here.
+            self.close_connection = True
+            raise ValueError(f"Content-Length must be 0..{MAX_BODY_BYTES}")
+        return self.rfile.read(length)
+
+    @staticmethod
+    def _parse_json(body: bytes) -> dict:
+        if not body:
             raise ValueError("missing request body")
-        if length > MAX_BODY_BYTES:
-            raise ValueError(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        payload = json.loads(self.rfile.read(length))
+        payload = json.loads(body)
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload
@@ -235,6 +334,11 @@ class _Handler(BaseHTTPRequestHandler):
         # response — success or error, any endpoint.
         self._trace = _trace.coerce_trace_id(
             self.headers.get(_trace.TRACE_HEADER))
+        try:
+            body = self._read_body()
+        except ValueError as exc:
+            self._send_error_envelope(400, "bad_request", str(exc))
+            return
         route = _LOOKUP.get((method, path))
         if route is None:
             allowed = _METHODS.get(path)
@@ -249,7 +353,7 @@ class _Handler(BaseHTTPRequestHandler):
                                           f"unknown path {path}")
             return
         try:
-            payload = self._read_json() if route.needs_body else None
+            payload = self._parse_json(body) if route.needs_body else None
             getattr(self, route.handler)(payload, self._trace)
         except QueueFullError as exc:
             self._send_error_envelope(429, "backpressure", str(exc),
@@ -314,12 +418,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError("'version' must be a string when given")
         if "inputs" not in payload:
             raise ValueError("missing 'inputs'")
-        try:
-            images = np.asarray(payload["inputs"], dtype=np.float32)
-        except (TypeError, ValueError):
-            raise ValueError("'inputs' must be a numeric (C,H,W) or "
-                             "(N,C,H,W) nested list") from None
-        return model, version, images
+        return model, version, decode_tensor(payload["inputs"])
 
     def _activate(self, payload, trace) -> None:
         model, version = payload.get("model"), payload.get("version")
@@ -327,18 +426,6 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError("'model' and 'version' must be strings")
         self.inference.store.activate(model, version)
         self._send_json(200, {"model": model, "active": version})
-
-    def _compile(self, payload, trace) -> None:
-        model = payload.get("model")
-        if not isinstance(model, str) or not model:
-            raise ValueError("'model' must be a non-empty string")
-        version = payload.get("version")
-        if version is not None and not isinstance(version, str):
-            raise ValueError("'version' must be a string when given")
-        compiler = getattr(self.inference, "compile_model", None)
-        if not callable(compiler):
-            raise KeyError("this server does not support compilation")
-        self._send_json(200, compiler(model, version))
 
     def _forget(self, payload, trace) -> None:
         plane = getattr(self.inference, "forget_plane", None)
@@ -400,8 +487,15 @@ def start_http_server(inference, host: str = "127.0.0.1",
 
 
 def stop_http_server(httpd: ServingHTTPServer) -> None:
-    """Stop the accept loop and release the socket (idempotent)."""
+    """Stop the accept loop, end every connection and release the
+    socket (idempotent).
+
+    Idle keep-alive connections end at once; a request in flight
+    finishes and answers first.  Returns once every handler thread has
+    exited, or after 10 s with a request still in flight.
+    """
     httpd.shutdown()
+    httpd.end_connections()
     httpd.server_close()
     thread = getattr(httpd, "_serve_thread", None)
     if thread is not None:

@@ -72,8 +72,8 @@ def serving_store(result: PipelineResult, name: Optional[str] = None,
     store = ModelStore()
     profile = get_profile(cfg.dataset)
     spec = ModelSpec(cfg.model, profile.num_classes, scale=cfg.model_scale)
-    # The registered input shape lets the serving layer compile *and*
-    # warm every version at the fixed compute width before traffic.
+    # The registered input shape lets the serving layer warm every
+    # version before traffic.
     input_shape = (spec.in_channels, profile.spec.image_size,
                    profile.spec.image_size)
     stages = (("poison", result.poison_model),
@@ -104,7 +104,6 @@ def build_reveil_serving(cfg: PipelineConfig,
                          overlay_count: int = 32,
                          response_cache: int = 0,
                          prefetch_replicas: bool = True,
-                         compile_models: bool = True,
                          ) -> ReVeilServing:
     """Train the scenario and assemble the serving stack around it.
 
@@ -112,8 +111,7 @@ def build_reveil_serving(cfg: PipelineConfig,
     pool is the head of the clean test set (the provider's held-out
     data in the paper's setting).  ``response_cache`` > 0 enables the
     exact-response LRU; ``prefetch_replicas`` warms every version before
-    the first request; ``compile_models`` serves every version through
-    its compiled graph (all per :class:`InferenceServer`).
+    the first request (both per :class:`InferenceServer`).
     """
     result = run_pipeline(cfg, stages=("camouflage", "unlearn"))
     store = serving_store(result)
@@ -124,8 +122,7 @@ def build_reveil_serving(cfg: PipelineConfig,
         screening = OnlineStrip(overlay_pool=overlays, config=screen)
     server = InferenceServer(store, policy=policy, screening=screening,
                              response_cache=response_cache,
-                             prefetch_replicas=prefetch_replicas,
-                             compile_models=compile_models)
+                             prefetch_replicas=prefetch_replicas)
     return ReVeilServing(server=server, store=store, model_name=cfg.model,
                          result=result, clean_test=result.clean_test,
                          attack_test=result.attack_test,
@@ -167,7 +164,6 @@ def build_reveil_forget(cfg: PipelineConfig,
                         guard_policy: Optional[GuardPolicy] = GuardPolicy(),
                         response_cache: int = 0,
                         prefetch_replicas: bool = True,
-                        compile_models: bool = True,
                         ) -> ReVeilForgetServing:
     """Stand up the camouflaged provider with an online forget plane.
 
@@ -199,8 +195,7 @@ def build_reveil_forget(cfg: PipelineConfig,
     store.activate(cfg.model, "camouflage")
     server = InferenceServer(store, policy=policy,
                              response_cache=response_cache,
-                             prefetch_replicas=prefetch_replicas,
-                             compile_models=compile_models)
+                             prefetch_replicas=prefetch_replicas)
     guard = None
     if guard_policy is not None:
         guard = OnlineUnlearningGuard(

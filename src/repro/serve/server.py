@@ -142,29 +142,24 @@ class InferenceServer:
     prefetch_replicas:
         Warm every registered version *before* its first request
         (default on): at construction / registration time the folded
-        copy is built (and compiled), the STRIP screen calibrates, and
-        — for entries registered with an ``input_shape`` — one
-        fixed-compute-width warm-up forward runs in this process, so
-        the first real batch pays no cold-start spike.  The lazy path
-        stays as a safety net either way.
-    compile_models:
-        Compile every entry that declares an ``input_shape`` into a
-        fused/arena program at the serving width
-        (:func:`repro.nn.compile`) during prefetch, and serve through
-        it (default on).  Logits are bit-identical either way — a trace
-        failure warns once and falls back to the interpreted path.
+        copy is built, the STRIP screen calibrates, and — for entries
+        registered with an ``input_shape`` — one single-row warm-up
+        forward runs in this process, so the first real batch pays no
+        cold-start spike.  The lazy path stays as a safety net either
+        way.
+
+    Every version serves through its folded copy at the group's natural
+    width (see :mod:`repro.serve.batcher`).
     """
 
     def __init__(self, store: ModelStore,
                  policy: BatchPolicy = BatchPolicy(),
                  screening: Optional[OnlineStrip] = None,
                  response_cache: int = 0,
-                 prefetch_replicas: bool = True,
-                 compile_models: bool = True):
+                 prefetch_replicas: bool = True):
         self.store = store
         self.policy = policy
         self.screening = screening
-        self.compile_models = compile_models
         self.stats = ServerStats()
         self.cache = (ResponseCache(response_cache)
                       if response_cache else None)
@@ -200,42 +195,26 @@ class InferenceServer:
     def _prefetch_entry(self, entry) -> None:
         """Make ``entry`` fully warm before any request names it.
 
-        Builds (and compiles) the folded copy, calibrates the screening
-        boundary, and runs one forward at the fixed compute width —
-        after this, the first real request for the version does no lazy
-        work at all.
+        Builds the folded copy, calibrates the screening boundary, and
+        runs one single-row forward — after this, the first real
+        request for the version does no lazy work at all.
         """
         key = entry.key
-        self._ensure_compiled(entry)
         folded = entry.folded()          # build the folded copy now
         if self.screening is not None:
             self.screening.ensure_bound(key, folded)
         if entry.input_shape is None:
             return                       # no shape, no warm-up forward
-        width = self.policy.max_batch_size
-        mark = (key, (width,) + tuple(entry.input_shape))
         with self._warm_lock:
-            if mark in self._warmed_inline:
+            if key in self._warmed_inline:
                 return
-            self._warmed_inline.add(mark)
-        batch = np.zeros((width,) + tuple(entry.input_shape),
-                         dtype=np.float32)
-        folded(Tensor(batch))
-
-    def _ensure_compiled(self, entry) -> None:
-        """Compile ``entry`` at the serving width when the knob is on
-        and the input shape was registered.  Never raises: compilation failures surface as a
-        one-time warning inside :func:`repro.nn.compile` and the entry
-        keeps serving interpreted."""
-        if not self.compile_models:
-            return
-        if entry.input_shape is None:
-            return                       # no shape → nothing to trace
-        entry.ensure_compiled(self.policy.max_batch_size)
+            self._warmed_inline.add(key)
+        folded(Tensor(np.zeros((1,) + tuple(entry.input_shape),
+                               dtype=np.float32)))
 
     # -- scheduler callbacks -------------------------------------------
     def _infer(self, key: ModelKey, batch: np.ndarray) -> np.ndarray:
-        return self.store.entry(*key).executable()(Tensor(batch)).data
+        return self.store.folded(*key)(Tensor(batch)).data
 
     # -- public API ----------------------------------------------------
     def predict(self, model: str, images: np.ndarray,
@@ -302,8 +281,6 @@ class InferenceServer:
                 # these bytes at this version could not differ.  No
                 # queue slot, no forward, no backpressure exposure.
                 return hit.clone(cached=True)
-        # Lazy-path safety net (prefetch normally did this).
-        self._ensure_compiled(self.store.entry(*key))
         if self.screening is not None:
             # Calibrate the screen for this version here, in the caller's
             # thread, so the first request after a hot-swap never stalls
@@ -326,30 +303,6 @@ class InferenceServer:
             self.cache.put((key, digest), result.clone())
         return result
 
-    def compile_model(self, name: str, version: Optional[str] = None) -> dict:
-        """Compile ``name/version`` at the serving width (``/v1/compile``).
-
-        Explicit admin trigger — works even with ``compile_models``
-        off.  Returns the JSON-ready compilation report.
-
-        Raises :class:`KeyError` for unknown models/versions and
-        ``ValueError`` when the entry registered no ``input_shape`` (no
-        shape → nothing to trace).
-        """
-        key = self.store.resolve(name, version)
-        entry = self.store.entry(*key)
-        if entry.input_shape is None:
-            raise ValueError(
-                f"cannot compile {key[0]}/{key[1]}: no input_shape was "
-                f"registered for it")
-        compiled = entry.ensure_compiled(self.policy.max_batch_size)
-        report = {"model": key[0], "version": key[1],
-                  "compiled": entry.compiled,
-                  "plan": entry.plan_summary()}
-        if compiled.fallback_reason is not None:
-            report["fallback"] = str(compiled.fallback_reason)
-        return report
-
     def health(self) -> dict:
         """Liveness report (drives ``/healthz``): the process answers,
         so ``status`` is ``"ok"``, with the registered model names."""
@@ -369,12 +322,6 @@ class InferenceServer:
             "prefetch": {
                 "enabled": self.prefetch_replicas,
                 "warmed_inline": len(self._warmed_inline),
-            },
-            "compile": {
-                "enabled": self.compile_models,
-                "compiled_versions": sum(
-                    1 for entry in self.store.all_entries()
-                    if entry.compiled),
             },
         }
         if self.cache is not None:

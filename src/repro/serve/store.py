@@ -23,7 +23,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..nn import graph as _graph
 from ..nn.fold import _state_fingerprint, shared_folded_cache
 from ..nn.module import Module
 
@@ -47,14 +46,12 @@ class ModelEntry:
     model: Module
     metadata: Dict[str, str] = field(default_factory=dict)
     #: Per-input shape (e.g. ``(3, 32, 32)``), when the registrar knows
-    #: it.  Lets the serving layer compile this version and run a
-    #: warm-up forward at the fixed compute width before traffic, so
-    #: the first real batch pays no lazy-initialization cost.
+    #: it.  Lets the serving layer run a warm-up forward before
+    #: traffic, so the first real batch pays no lazy-initialization
+    #: cost.
     input_shape: Optional[Tuple[int, ...]] = None
     fingerprint: str = field(init=False, repr=False)
     _folded: Optional[Module] = field(init=False, repr=False, default=None)
-    _compiled: Optional["_graph.CompiledModel"] = field(
-        init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.fingerprint = _state_fingerprint(self.model)
@@ -83,57 +80,10 @@ class ModelEntry:
             self._folded = shared_folded_cache().get(self.model, current)
         return self._folded
 
-    def ensure_compiled(self, width: int) -> "_graph.CompiledModel":
-        """Compile this version at ``width`` (built at most once).
-
-        Goes through the process-wide folded cache keyed by
-        ``(fingerprint, width)``, so every consumer of this version at
-        this width — server, eval harness, forget plane — shares one
-        compiled program; its arena is shared with every program of the
-        same arena size.  Trace failures never propagate:
-        the returned :class:`~repro.nn.graph.CompiledModel` falls back to
-        the folded interpreter and says so via ``.compiled``.
-        """
-        width = int(width)
-        if self._compiled is not None and self._compiled.width == width:
-            return self._compiled
-        self._compiled = shared_folded_cache().get(
-            self.model, self.fingerprint, width=width,
-            build=lambda model: _graph.compile(
-                model, width, input_shape=self.input_shape))
-        return self._compiled
-
-    @property
-    def compiled(self) -> bool:
-        """True once a compiled (non-fallback) program is attached."""
-        return self._compiled is not None and self._compiled.compiled
-
     def plan(self) -> Optional[dict]:
-        """The compiled plan dict, or ``None`` before/without one."""
-        if self._compiled is not None and self._compiled.compiled:
-            return self._compiled.plan
+        """Always ``None``: versions serve through their folded copy and
+        none is compiled.  Kept because the repo benchmark reads it."""
         return None
-
-    def plan_summary(self) -> Optional[dict]:
-        """Compact JSON plan view for listings (``/v1/models``).
-
-        ``arena_bytes`` is the size of the shared arena the program
-        replays in (see :mod:`repro.nn.graph`), not memory this version
-        holds alone.
-        """
-        plan = self.plan()
-        if plan is None:
-            return None
-        return {"ops": plan["ops"], "fused": plan["fused"],
-                "arena_bytes": plan["arena_bytes"]}
-
-    def executable(self) -> Module:
-        """What the hot path should call: the compiled program when one
-        exists (falling back internally on width mismatch), otherwise
-        the plain folded copy."""
-        if self._compiled is not None:
-            return self._compiled
-        return self.folded()
 
 
 class ModelStore:
@@ -157,8 +107,8 @@ class ModelStore:
     def subscribe(self, listener: Callable[[str, ModelEntry], None]) -> None:
         """Call ``listener(event, entry)`` after every ``"register"`` /
         ``"activate"``.  Listeners run outside the store lock, in the
-        registering thread; the serving layer uses this to compile and
-        warm each version the moment it exists, instead of on its first
+        registering thread; the serving layer uses this to warm each
+        version the moment it exists, instead of on its first
         request.  Listener exceptions propagate to the caller
         (a failed prefetch should fail the registration loudly)."""
         with self._lock:
@@ -187,8 +137,8 @@ class ModelStore:
         """Register ``model`` as ``name/version``; returns the version.
 
         ``input_shape`` (optional) is the per-input array shape;
-        providing it lets the serving layer compile this version and run
-        a fixed-width warm-up forward before the first request arrives.
+        providing it lets the serving layer run a warm-up forward before
+        the first request arrives.
         ``spec`` is accepted and ignored; the repo benchmark still
         passes it.
         """
@@ -267,21 +217,15 @@ class ModelStore:
             return self._active[name]
 
     def describe(self) -> Dict[str, dict]:
-        """JSON-ready listing used by the ``/models`` endpoint.
-
-        Version dicts are the registration metadata plus two additive
-        keys: ``"compiled"`` (bool) and ``"plan"`` (compact plan summary
-        or ``None``) — the legacy ``/models`` alias stays compatible
-        modulo exactly these keys.
-        """
+        """JSON-ready listing used by the ``/models`` endpoint: per
+        name, the active version and each version's registration
+        metadata."""
         with self._lock:
             return {
                 name: {
                     "active": self._active[name],
                     "versions": {
-                        version: dict(entry.metadata,
-                                      compiled=entry.compiled,
-                                      plan=entry.plan_summary())
+                        version: dict(entry.metadata)
                         for version, entry in sorted(versions.items())
                     },
                 }

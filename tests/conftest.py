@@ -7,6 +7,8 @@ model) are session-scoped.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,26 @@ from repro import nn
 from repro.data import load_dataset
 from repro.models import small_cnn
 from repro.train import TrainConfig, train_model
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Let a failing hypothesis test print its falsifying example under
+    ``-W error``.
+
+    Hypothesis reports a failure by importing its patch writer, whose
+    ``libcst`` import raises one third-party DeprecationWarning
+    (``mypy_extensions.TypedDict``); ``-W error`` turns that into an
+    INTERNALERROR that hides the example.  A ``filterwarnings`` entry in
+    the pytest config cannot help: pytest applies command-line ``-W``
+    filters after the config's, so ``error`` wins.  This wrapper runs
+    outside hypothesis's and ignores exactly that warning.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", message="mypy_extensions.TypedDict is deprecated",
+            category=DeprecationWarning)
+        yield
 
 
 def numeric_gradient(fn, array: np.ndarray, eps: float = 1e-4) -> np.ndarray:

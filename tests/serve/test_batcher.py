@@ -69,21 +69,12 @@ class TestDeterminism:
         assert stats["batches"] < stats["requests"]
         assert stats["mean_batch_width"] > 1.0
 
-    @pytest.mark.parametrize("compiled", [False, True],
-                             ids=["interpreted", "compiled"])
     def test_width_20_solo_vs_coalesced_bit_identity(self, served_model,
-                                                     images, compiled):
+                                                     images):
         """20 splits into unequal conv row-blocks (3/3/3/3/2/2/2/2); the
         contract holds anyway because no GEMM shape depends on them."""
         key = ("m", "v1")
-        forward = served_model.folded(*key)
-        if compiled:
-            forward = nn.compile(served_model.entry(*key).model, 20,
-                                 input_shape=images.shape[1:])
-            assert forward.compiled, forward.fallback_reason
-
-        def infer(_key, batch):
-            return forward(Tensor(batch)).data
+        infer = model_infer(served_model)
 
         policy = BatchPolicy(max_batch_size=20, max_delay_ms=200.0)
         with MicroBatcher(infer, policy) as batcher:
@@ -123,9 +114,9 @@ class TestDeterminism:
             outputs = [f.result(timeout=30) for f in futures]
         for i, output in enumerate(outputs):
             assert output.logits[0, 0] == float(i % 2 == 0)
-        # Padded forwards always run at the fixed compute width.
-        assert all(width == 8 for widths in seen_widths.values()
-                   for width in widths)
+        # Each key's forwards carry exactly its own 4 rows: no padding.
+        assert {key: sum(widths) for key, widths in seen_widths.items()} \
+            == {("m", "v1"): 4, ("m", "v2"): 4}
 
 
 class TestBackpressure:
@@ -228,9 +219,10 @@ class TestLifecycle:
         assert combined == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert len(rows1) == 2 and len(rows2) == 3
 
-    @pytest.mark.parametrize("requested, forwards", [(1, 1), (3, 2)])
-    def test_screen_rows_ride_in_padding(self, images, requested, forwards):
-        """Request rows, then screen rows, then zeros; chunked at width."""
+    @pytest.mark.parametrize("requested, widths", [(1, [4]), (3, [8, 4])])
+    def test_screen_rows_follow_request_rows(self, images, requested,
+                                             widths):
+        """Request rows, then screen rows, chunked at max_batch_size."""
         seen = []
 
         def infer(key, batch):
@@ -252,15 +244,104 @@ class TestLifecycle:
             output = batcher.submit("k", images[:requested]).result(
                 timeout=30)
             stats = batcher.stats()
-        assert [len(batch) for batch in seen] == [8] * forwards
+        assert [len(batch) for batch in seen] == widths
         rows = np.concatenate(seen)
-        screened = 4 * requested
         assert np.array_equal(rows[:requested], images[:requested])
-        assert not rows[screened:].any()
+        assert np.array_equal(
+            rows[requested:],
+            np.concatenate([1.0 - images[:requested]] * 3))
         assert np.array_equal(
             output.logits,
             images[:requested].reshape(requested, -1)[:, :2])
         assert list(output.extra["n"]) == [3 * requested] * requested
         assert stats["screen_rows"] == 3 * requested
-        assert stats["padded_rows"] == 8 * forwards - screened
-        assert stats["occupancy"] == screened / (8 * forwards)
+        assert stats["padded_rows"] == 0
+
+
+class TestNaturalWidth:
+    @staticmethod
+    def _spy():
+        widths = []
+
+        def infer(key, batch):
+            widths.append(len(batch))
+            return np.zeros((len(batch), 2))
+        return widths, infer
+
+    class _EightBlends:
+        """Eight screen rows per request row, as ``repro serve``'s
+        STRIP screen with its default 8 overlays."""
+
+        def rows(self, key, real_images):
+            return np.concatenate([real_images] * 8)
+
+        def score(self, key, real_images, logits):
+            return {}
+
+    def test_lone_request_is_one_nine_row_forward(self, images):
+        widths, infer = self._spy()
+        with MicroBatcher(infer, BatchPolicy(max_batch_size=32),
+                          screen=self._EightBlends()) as batcher:
+            batcher.submit("k", images[0]).result(timeout=30)
+            stats = batcher.stats()
+        assert widths == [9]
+        assert stats["padded_rows"] == 0
+        assert (stats["real_rows"], stats["screen_rows"]) == (1, 8)
+
+    def test_unscreened_request_runs_its_own_rows(self, images):
+        widths, infer = self._spy()
+        with MicroBatcher(infer, BatchPolicy(max_batch_size=8)) as batcher:
+            for count in (1, 3, 8):
+                batcher.submit("k", images[:count]).result(timeout=30)
+            assert batcher.stats()["padded_rows"] == 0
+        assert widths == [1, 3, 8]
+
+    @pytest.mark.parametrize("max_batch_size", [1, 3, 5, 8])
+    def test_oversized_group_runs_in_bounded_chunks(self, images,
+                                                    max_batch_size):
+        widths, infer = self._spy()
+        policy = BatchPolicy(max_batch_size=max_batch_size)
+        with MicroBatcher(infer, policy,
+                          screen=self._EightBlends()) as batcher:
+            count = min(2, max_batch_size)
+            batcher.submit("k", images[:count]).result(timeout=30)
+        # 9 rows per request row, in order, none over the bound.
+        assert sum(widths) == 9 * count
+        assert all(1 <= width <= max_batch_size for width in widths)
+        assert widths[:-1] == [max_batch_size] * (len(widths) - 1)
+
+
+class TestExactCells:
+    """The solo-vs-coalesced and cached-vs-fresh cells of
+    ``benchmarks/bench_serving.py`` at natural width, screening on: the
+    screen rows change every forward's width, the bits do not move."""
+
+    @pytest.fixture()
+    def server(self, served_model, unit_data):
+        from repro.serve import InferenceServer, OnlineStrip, ScreenConfig
+        _, test, _ = unit_data
+        screen = OnlineStrip(test.subset(range(16)),
+                             config=ScreenConfig(num_overlays=3))
+        server = InferenceServer(
+            served_model, policy=BatchPolicy(max_batch_size=8,
+                                             max_delay_ms=50.0),
+            screening=screen, response_cache=16)
+        yield server
+        server.close()
+
+    def test_solo_vs_coalesced_delta_is_zero(self, server, images):
+        key = ("m", "v1")
+        solo = np.stack([server.batcher.submit(key, images[i])
+                         .result(timeout=30).logits[0] for i in range(8)])
+        futures = [server.batcher.submit(key, images[i]) for i in range(8)]
+        coalesced = np.stack([f.result(timeout=30).logits[0]
+                              for f in futures])
+        assert float(np.abs(solo - coalesced).max()) == 0.0
+        assert server.batcher.stats()["batches"] < 16
+
+    def test_cached_vs_fresh_delta_is_zero(self, server, images):
+        for i in range(4):
+            fresh = server.predict("m", images[i])
+            replay = server.predict("m", images[i])
+            assert replay.cached and not fresh.cached
+            assert float(np.abs(fresh.logits - replay.logits).max()) == 0.0

@@ -1,8 +1,12 @@
-"""HTTP front end: endpoints, error mapping, hot-swap over the wire."""
+"""HTTP front end: endpoints, error mapping, hot-swap, keep-alive."""
 
 from __future__ import annotations
 
 import json
+import socket
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -13,7 +17,7 @@ from repro import nn
 from repro.models import build_model
 from repro.serve import (BatchPolicy, InferenceServer, ModelStore,
                          QueueFullError, ServingClient, ServingError,
-                         start_http_server, stop_http_server)
+                         encode_tensor, start_http_server, stop_http_server)
 
 
 def _tiny_model(seed):
@@ -31,7 +35,8 @@ def stack():
     server = InferenceServer(store, policy=BatchPolicy(max_batch_size=8,
                                                        max_delay_ms=1.0))
     httpd = start_http_server(server)
-    yield store, server, httpd, ServingClient(httpd.url)
+    with ServingClient(httpd.url) as client:
+        yield store, server, httpd, client
     stop_http_server(httpd)
     server.close()
 
@@ -54,11 +59,7 @@ class TestEndpoints:
             == {("m", "v1"), ("m", "v2")}
         active = {e.version for e in entries if e.active}
         assert active == {"v1"}
-        # No input_shape registered → nothing compiled, plan is None,
-        # and the compilation keys stay out of the metadata dict.
-        for entry in entries:
-            assert entry.compiled is False and entry.plan is None
-            assert "compiled" not in entry.metadata
+        assert all(entry.metadata == {} for entry in entries)
         # The raw wire dict is still there for consumers of the payload.
         raw = client.models_json()
         assert set(raw["m"]["versions"]) == {"v1", "v2"}
@@ -142,7 +143,7 @@ class TestErrorMapping:
 
         monkeypatch.setattr(server.batcher, "submit", full)
         body = json.dumps({"model": "m",
-                           "inputs": image.tolist()}).encode()
+                           "inputs": encode_tensor(image)}).encode()
         request = urllib.request.Request(
             f"{httpd.url}/v1/predict", data=body, method="POST",
             headers={"Content-Type": "application/json"})
@@ -174,3 +175,156 @@ class TestHotSwap:
         with pytest.raises(ServingError) as excinfo:
             client.activate("m", "v9")
         assert excinfo.value.status == 404
+
+
+class _Spy:
+    """Counts accepted connections and the threads that served
+    predicts, on one fresh server."""
+
+    def __init__(self, httpd, server):
+        self.accepted = 0
+        self.threads = set()
+        accept, predict = httpd.process_request, server.predict
+
+        def counting_accept(request, client_address):
+            self.accepted += 1
+            accept(request, client_address)
+
+        def recording_predict(*args, **kwargs):
+            self.threads.add(threading.current_thread())
+            return predict(*args, **kwargs)
+
+        httpd.process_request = counting_accept
+        server.predict = recording_predict
+
+
+@pytest.fixture()
+def fresh():
+    store = ModelStore()
+    store.register("m", _tiny_model(0), version="v1")
+    server = InferenceServer(store, policy=BatchPolicy(max_batch_size=8,
+                                                       max_delay_ms=1.0))
+    httpd = start_http_server(server)
+    try:
+        yield server, httpd, _Spy(httpd, server)
+    finally:
+        stop_http_server(httpd)
+        server.close()
+
+
+class _SlowPlane:
+    """A forget plane whose waited deletions take ``seconds``."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def request(self, user, sample_ids, trace=None, wait=True,
+                timeout=120.0):
+        time.sleep(self.seconds)
+        return {"user": user, "version": "v1"}
+
+    def close(self):
+        pass
+
+
+class TestKeepAlive:
+    def test_sequential_predicts_ride_one_connection(self, fresh, image):
+        _, httpd, spy = fresh
+        with ServingClient(httpd.url) as client:
+            first = client.predict("m", image)
+            for _ in range(7):
+                assert client.predict("m", image)["logits"] \
+                    == first["logits"]
+        assert spy.accepted == 1
+        assert len(spy.threads) == 1
+
+    def test_accepted_sockets_disable_nagle(self, fresh, image):
+        _, httpd, _ = fresh
+        with ServingClient(httpd.url) as client:
+            client.predict("m", image)
+            connections = list(httpd._connections)
+            assert len(connections) == 1
+            assert connections[0].getsockopt(socket.IPPROTO_TCP,
+                                             socket.TCP_NODELAY)
+
+    def test_per_request_timeout_applies_on_a_reused_connection(
+            self, fresh, image):
+        server, httpd, spy = fresh
+        server.forget_plane = _SlowPlane(0.6)
+        try:
+            # The client's own timeout is shorter than the deletion;
+            # forget(timeout=...) must stretch it on the warm socket.
+            with ServingClient(httpd.url, timeout=0.3,
+                               retry_resets=0) as client:
+                client.predict("m", image)
+                outcome = client.forget("alice", [1], timeout=1.0)
+                assert outcome["version"] == "v1"
+                assert spy.accepted == 1
+                with pytest.raises(OSError):     # a shorter one applies too
+                    client.forget("alice", [1], timeout=0.0001)
+                # The timed-out connection is dropped, not reused.
+                client.predict("m", image)
+                assert spy.accepted == 2
+        finally:
+            server.forget_plane = None
+
+    def test_stop_ends_idle_keep_alive_connections(self, image):
+        store = ModelStore()
+        store.register("m", _tiny_model(0), version="v1")
+        server = InferenceServer(store, policy=BatchPolicy(max_batch_size=8))
+        httpd = start_http_server(server)
+        spy = _Spy(httpd, server)
+        try:
+            with ServingClient(httpd.url) as client:
+                client.predict("m", image)      # connection now idle
+                started = time.perf_counter()
+                stop_http_server(httpd)
+                assert time.perf_counter() - started < 5.0
+                assert len(spy.threads) == 1
+                assert not any(t.is_alive() for t in spy.threads)
+        finally:
+            server.close()
+
+    def test_concurrent_threads_share_one_client(self, fresh, image):
+        """More threads than cores on one client, with frequent thread
+        switches: every call is served, and every connection opened is
+        back in the idle pool exactly once."""
+        _, httpd, spy = fresh
+        errors = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServingClient(httpd.url) as client:
+                expected = client.predict("m", image)["logits"]
+
+                def worker():
+                    try:
+                        for _ in range(10):
+                            got = client.predict("m", image)["logits"]
+                            if got != expected:
+                                errors.append(got)
+                    except Exception as exc:  # noqa: BLE001 - reported
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=worker)
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert 1 <= spy.accepted <= 8
+                assert len(client._idle) == spy.accepted
+                assert len(set(map(id, client._idle))) == spy.accepted
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_client_reconnects_after_the_server_drops_it(self, fresh,
+                                                         image):
+        _, httpd, spy = fresh
+        with ServingClient(httpd.url) as client:
+            client.predict("m", image)
+            httpd.end_connections()         # the server drops the idle one
+            client.predict("m", image)
+        assert spy.accepted == 2

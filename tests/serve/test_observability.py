@@ -14,7 +14,7 @@ from repro import nn
 from repro.models import build_model
 from repro.obs import trace as _trace
 from repro.serve import (BatchPolicy, InferenceServer, ModelStore,
-                         start_http_server, stop_http_server)
+                         encode_tensor, start_http_server, stop_http_server)
 
 POLICY = BatchPolicy(max_batch_size=8, max_delay_ms=1.0)
 
@@ -55,7 +55,7 @@ def _get(url: str):
 
 
 def _post_predict(url: str, image, headers=None):
-    body = json.dumps({"model": "m", "inputs": image.tolist()}).encode()
+    body = json.dumps({"model": "m", "inputs": encode_tensor(image)}).encode()
     request = urllib.request.Request(
         f"{url}/v1/predict", data=body, method="POST",
         headers={"Content-Type": "application/json", **(headers or {})})
@@ -154,7 +154,7 @@ class TestTracePropagation:
         _, httpd = stack
         trace = "dead" * 4
         body = json.dumps({"model": "ghost",
-                           "inputs": image.tolist()}).encode()
+                           "inputs": encode_tensor(image)}).encode()
         request = urllib.request.Request(
             f"{httpd.url}/v1/predict", data=body, method="POST",
             headers={"Content-Type": "application/json",

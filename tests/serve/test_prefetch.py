@@ -42,7 +42,6 @@ class TestPrefetchOnRegister:
                            input_shape=test.images.shape[1:],
                            activate=False)
             assert store.entry("m", "v2")._folded is not None
-            assert store.entry("m", "v2").compiled
             assert len(server._warmed_inline) == 2
         finally:
             server.close()

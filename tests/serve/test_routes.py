@@ -7,6 +7,7 @@ Every endpoint answers under ``/v1/`` only, with the
 
 from __future__ import annotations
 
+import base64
 import json
 import string
 import urllib.error
@@ -21,7 +22,8 @@ from repro import nn
 from repro.models import build_model
 from repro.obs.trace import coerce_trace_id, valid_trace_id
 from repro.serve import (BatchPolicy, InferenceServer, ModelStore,
-                         start_http_server, stop_http_server)
+                         decode_tensor, encode_tensor, start_http_server,
+                         stop_http_server)
 from repro.serve.http import API_PREFIX, ROUTES, route_table
 
 _LOOKUP, _METHODS = route_table(ROUTES)
@@ -41,6 +43,21 @@ paths = st.one_of(
              min_size=1, max_size=2).map(
         lambda parts: "/".join([API_PREFIX, *parts])))
 methods = st.sampled_from(["GET", "POST"])
+
+
+@st.composite
+def tensor_objects(draw):
+    """``/v1/predict`` tensor objects: a drawn shape (any rank, zero and
+    negative sizes included) whose ``b64`` is right for it, a few bytes
+    off, or not base64 at all."""
+    shape = draw(st.lists(st.integers(-1, 3), min_size=2, max_size=5))
+    count = 4 * int(np.prod([max(d, 0) for d in shape]))
+    count += draw(st.sampled_from([0, 0, -4, 3, 4]))
+    data = base64.b64encode(b"\0" * max(count, 0)).decode()
+    data = draw(st.sampled_from([data, data, "!" + data, 7]))
+    return {"shape": shape, "b64": data}
+
+
 #: POST bodies: none, not JSON, not an object, and objects whose fields
 #: range over right and wrong values.
 bodies = st.one_of(
@@ -48,8 +65,11 @@ bodies = st.one_of(
     st.fixed_dictionaries({}, optional={
         "model": st.sampled_from(["m", "ghost", 3]),
         "version": st.sampled_from(["v1", "v9", 5]),
-        "inputs": st.sampled_from([np.zeros((3, 12, 12)).tolist(), "x",
-                                   [[1.0]]]),
+        "inputs": st.one_of(
+            tensor_objects(),
+            st.sampled_from([encode_tensor(np.zeros((3, 12, 12))),
+                             np.zeros((3, 12, 12)).tolist(), "x",
+                             [[1.0]]])),
         "user": st.sampled_from(["alice", True]),
         "sample_ids": st.sampled_from([[1], [], ["a"]]),
     }).map(lambda payload: json.dumps(payload).encode()))
@@ -111,7 +131,7 @@ class TestRouteTable:
 
     def test_unknown_path_404_envelope(self, stack):
         predict = json.dumps({"model": "m",
-                              "inputs": np.zeros((3, 12, 12)).tolist()})
+                              "inputs": encode_tensor(np.zeros((3, 12, 12)))})
         # Unprefixed paths are unknown, whatever the method.
         for path, data in (("/v1/nope", None), ("/healthz", None),
                            ("/predict", predict.encode())):
@@ -138,7 +158,7 @@ class TestRouteTable:
             (f"{stack.url}/v1/predict", b"not json", 400, "bad_request"),
             (f"{stack.url}/v1/predict",
              json.dumps({"model": "ghost",
-                         "inputs": image.tolist()}).encode(),
+                         "inputs": encode_tensor(image)}).encode(),
              404, "not_found"),
             (f"{stack.url}/v1/activate",
              json.dumps({"model": "m", "version": "v9"}).encode(),
@@ -151,6 +171,57 @@ class TestRouteTable:
             assert error["code"] == expected_code
             assert error["message"]
             assert error["trace_id"] == headers["X-Trace-Id"]
+
+
+def _tensor(shape, nbytes=None, data=None):
+    if data is None:
+        count = int(np.prod(shape)) * 4 if nbytes is None else nbytes
+        data = base64.b64encode(b"\0" * count).decode()
+    return {"shape": list(shape), "b64": data}
+
+
+class TestTensorInputs:
+    def test_a_tensor_object_round_trips_its_bits(self):
+        image = np.random.default_rng(0).random((2, 3, 4, 4)) \
+            .astype(np.float32)
+        image[0, 0, 0, :2] = [-0.0, np.nan]
+        decoded = decode_tensor(json.loads(json.dumps(encode_tensor(image))))
+        assert decoded.shape == image.shape
+        assert decoded.tobytes() == image.tobytes()
+
+    def test_a_well_formed_tensor_is_served(self, stack):
+        status, body, _ = _fetch(
+            f"{stack.url}/v1/predict",
+            data=json.dumps({"model": "m",
+                             "inputs": _tensor((1, 3, 12, 12))}).encode())
+        assert status == 200, body
+        assert len(json.loads(body)["labels"]) == 1
+
+    @pytest.mark.parametrize("inputs, reason", [
+        (_tensor((3, 12, 12), data="!!!not base64"), "bad base64"),
+        (_tensor((3, 12, 12), data="AAAA="), "bad base64 padding"),
+        (_tensor((3, 12, 12), nbytes=3 * 12 * 12 * 4 - 4), "short bytes"),
+        (_tensor((3, 12, 12), nbytes=3 * 12 * 12 * 4 + 1), "long bytes"),
+        (_tensor((12, 12)), "rank 2"),
+        (_tensor((1, 1, 3, 12, 12)), "rank 5"),
+        (_tensor((0, 3, 12, 12)), "zero dimension"),
+        (_tensor((3, -12, 12), nbytes=0), "negative dimension"),
+        ({"shape": [3, 12.0, 12], "b64": ""}, "float dimension"),
+        ({"shape": [True, 3, 12, 12], "b64": ""}, "bool dimension"),
+        ({"shape": [3, 12, 12]}, "no bytes"),
+        ({"shape": [3, 12, 12], "b64": 5}, "bytes not a string"),
+        (np.zeros((3, 12, 12)).tolist(), "nested lists"),
+        ("AAAA", "bare string"),
+    ])
+    def test_malformed_tensors_answer_400(self, stack, inputs, reason):
+        status, body, headers = _fetch(
+            f"{stack.url}/v1/predict",
+            data=json.dumps({"model": "m", "inputs": inputs}).encode())
+        assert status == 400, reason
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad_request"
+        assert "inputs" in error["message"]
+        assert error["trace_id"] == headers["X-Trace-Id"]
 
 
 class TestDispatchProperties:

@@ -61,8 +61,8 @@ class TestScoring:
             scored["flagged"], scored["entropy"] < scored["boundary"][0])
 
     def test_served_entropies_match_offline(self, pools, trained_tiny_model):
-        """Through the server, blend rows ride in the compiled forward's
-        padding; the entropies still equal the offline sweep's bits."""
+        """Through the server, blend rows ride in the request's forward;
+        the entropies still equal the offline sweep's bits."""
         from repro.serve import BatchPolicy, InferenceServer, ModelStore
         overlays, calibration = pools
         config = ScreenConfig(num_overlays=3, seed=5)
@@ -76,16 +76,16 @@ class TestScoring:
                                frr=config.frr, seed=5)
         with InferenceServer(store, policy=BatchPolicy(max_batch_size=8),
                              screening=screen) as server:
-            assert store.entry("m", "v1").compiled
             for suspects in (calibration[:1], calibration[2:5]):
                 served = server.batcher.submit(("m", "v1"), suspects)
                 np.testing.assert_array_equal(
                     served.result(timeout=30).extra["entropy"],
                     offline.entropies(suspects, seed_offset=2))
             batcher = server.batcher.stats()
-        # 1 + 3 and 3 + 9 rows: one width-8 forward, then two.
+        # 1 + 3 rows in one forward, then 3 + 9 rows in chunks of 8 and
+        # 4: no row is padding.
         assert batcher["screen_rows"] == 12
-        assert batcher["padded_rows"] == 4 + 4
+        assert batcher["padded_rows"] == 0
 
     def test_counters_accumulate_per_version(self, pools, trained_tiny_model):
         overlays, calibration = pools

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.data.registry import get_profile
 from repro.defenses import StripDefense
 from repro.eval.harness import PipelineConfig, PipelineResult
 from repro.models import build_model
-from repro.serve import ModelStore
+from repro.serve import BatchPolicy, InferenceServer, ModelStore
 from repro.serve.scenario import serving_store
 from repro.train import predict_logits
 
@@ -61,10 +65,7 @@ class TestRegistration:
         store.activate("m", "v1")
         listing = store.describe()
         assert listing["m"]["active"] == "v1"
-        # Metadata plus the additive compilation keys (never compiled
-        # here — describe() must not trigger compilation itself).
-        assert listing["m"]["versions"]["v1"] == {
-            "stage": "camouflage", "compiled": False, "plan": None}
+        assert listing["m"]["versions"]["v1"] == {"stage": "camouflage"}
         assert set(listing["m"]["versions"]) == {"v1", "v2"}
 
 
@@ -162,3 +163,39 @@ class TestServingStore:
     def test_empty_result_rejected(self):
         with pytest.raises(ValueError, match="no stage models"):
             serving_store(self._result())
+
+
+class TestVersionMemory:
+    def test_each_registered_bench_version_adds_under_half_a_megabyte(self):
+        """A deletion's version adds its model and folded copy, and
+        nothing per version beside them grows with the store."""
+        profile = get_profile("cifar10-bench")
+        shape = (3, profile.spec.image_size, profile.spec.image_size)
+
+        def register(store, seed):
+            nn.manual_seed(seed)
+            model = build_model("small_cnn", profile.num_classes,
+                                scale="bench")
+            model.eval()
+            store.register("m", model, version=f"v{seed}",
+                           input_shape=shape)
+            assert store.entry("m", f"v{seed}")._folded is not None
+
+        store = ModelStore()
+        server = InferenceServer(store, policy=BatchPolicy())
+        try:
+            register(store, 0)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                sizes = [tracemalloc.get_traced_memory()[0]]
+                for seed in range(1, 4):
+                    register(store, seed)
+                    gc.collect()
+                    sizes.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        finally:
+            server.close()
+        growth = np.diff(sizes) / (1 << 20)
+        assert growth.max() <= 0.5, growth
