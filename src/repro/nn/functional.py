@@ -219,25 +219,7 @@ def _conv2d_grad(g, ins, y, xp, *, stride, padding, groups):
             # Partials summed in block-index order: a fixed reduction.
             gw = part if gw is None else gw + part
         gw = gw.reshape(weight.shape).astype(weight.dtype, copy=False)
-    if x.requires_grad and groups == 1:
-        gx = np.empty((n, c, h, w), dtype=np.result_type(w_g, g))
-        # Tap-major col2im: one GEMM per block builds the columns as
-        # (kh, kw, C, out_h, out_w, B); each tap adds onto its strided
-        # window of a zeroed (C, hp, wp, B) padded gradient, taps in
-        # (ki, kj) order, so every add runs over contiguous out_w*B runs.
-        w_t = weight.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
-        for sl in bwd_blocks:
-            nb = sl.stop - sl.start
-            g_t = g[sl].transpose(1, 2, 3, 0).reshape(o, loc * nb)
-            taps = (w_t @ g_t).reshape(kh, kw, c, out_h, out_w, nb)
-            acc = np.zeros((c, hp, wp, nb), gx.dtype)
-            for ki in range(kh):
-                for kj in range(kw):
-                    acc[:, ki:ki + sh * out_h:sh,
-                        kj:kj + sw * out_w:sw] += taps[ki, kj]
-            gx[sl] = acc[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2)
-        gx = gx.astype(x.dtype, copy=False)
-    elif x.requires_grad:
+    if x.requires_grad:
         gx = np.empty((n, c, h, w), dtype=np.result_type(w_g, g))
         # The adds' inner loop runs over out_w pixels in NCHW and over a
         # block's N*C values channels-last; accumulate in the longer one.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
 import threading
 import time
 import weakref
@@ -60,6 +61,14 @@ def _close_all(connections: list) -> None:
         connections.pop().close()
 
 
+def _dropped(conn: http.client.HTTPConnection) -> bool:
+    """True when an idle connection is readable: the server closed it
+    (end-of-file or reset), or sent bytes that no request asked for."""
+    poller = select.poll()
+    poller.register(conn.sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class ServingClient:
     """Client for one serving endpoint (e.g. ``http://127.0.0.1:8351``).
 
@@ -70,11 +79,11 @@ class ServingClient:
     Connections persist (HTTP/1.1 keep-alive).  A call takes an idle
     connection, or opens one when none is idle, and puts it back once
     the response is read, so a thread's sequential calls ride one
-    connection and ``N`` concurrent threads hold at most ``N``.  A
-    connection the server has closed fails its next call with a reset,
-    which reconnects through the reset retry.  The client is
-    thread-safe; :meth:`close` (or the ``with`` block, or garbage
-    collection) closes the idle connections.
+    connection and ``N`` concurrent threads hold at most ``N``.  An
+    idle connection the server has closed is dropped when it is taken;
+    a reset closes the idle ones and retries on a new connection.  The
+    client is thread-safe; :meth:`close` (or the ``with`` block, or
+    garbage collection) closes the idle connections.
     """
 
     def __init__(self, url: str, timeout: float = 60.0,
@@ -132,6 +141,9 @@ class ServingClient:
             except (ConnectionResetError, BrokenPipeError,
                     http.client.RemoteDisconnected) as exc:
                 last_exc = exc
+                # The server dropped this connection and most likely its
+                # idle siblings: close them, so the retry opens a new one.
+                self.close()
                 if attempt < self.retry_resets:
                     # Deterministic sha1-jitter curve (repro.obs.backoff);
                     # keyed by path so concurrent workers don't
@@ -147,8 +159,7 @@ class ServingClient:
     def _request_once(self, method: str, path: str,
                       body: Optional[str] = None,
                       timeout: Optional[float] = None) -> dict:
-        with self._idle_lock:
-            conn = self._idle.pop() if self._idle else None
+        conn = self._take_idle()
         if conn is None:
             conn = http.client.HTTPConnection(self.host, self.port)
         conn.timeout = self.timeout if timeout is None else timeout
@@ -188,6 +199,18 @@ class ServingClient:
                     self._idle.append(conn)
             else:
                 conn.close()
+
+    def _take_idle(self) -> Optional[http.client.HTTPConnection]:
+        """The most recently used idle connection the server has not
+        closed, or ``None``; closed ones are discarded on the way."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    return None
+                conn = self._idle.pop()
+            if not _dropped(conn):
+                return conn
+            conn.close()
 
     @staticmethod
     def _error_from(status: int, data: dict) -> ServingError:

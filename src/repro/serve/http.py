@@ -61,9 +61,13 @@ that concurrency is what micro-batching coalesces.  The handler speaks
 HTTP/1.1 with keep-alive, so a client sends request after request on
 one connection to one handler thread, and it sets ``TCP_NODELAY`` on
 every accepted socket: without it a response written in two segments
-waits out the client's delayed ACK.  :func:`stop_http_server` shuts the
-read side of every open connection, so idle keep-alive connections end
-with the server.  No third-party dependencies.
+waits out the client's delayed ACK.  Bodies are read by
+``Content-Length``; a ``Transfer-Encoding`` body or a bad length
+answers 400 with ``Connection: close`` and ends the connection, whose
+unread bytes would otherwise be parsed as the next request.
+:func:`stop_http_server` shuts the read side of every open connection,
+so idle keep-alive connections end with the server.  No third-party
+dependencies.
 """
 
 from __future__ import annotations
@@ -280,6 +284,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _send(self, status: int, body: bytes, content_type: str,
               headers: Optional[dict] = None) -> None:
         self.send_response(status)
+        if self.close_connection:
+            # Tell the client not to send another request on this one.
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in self._response_headers(headers).items():
@@ -301,6 +308,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self) -> bytes:
         """The request body, read whole so the connection stays in step
         for its next request whatever this one answers."""
+        if "Transfer-Encoding" in self.headers:
+            # Chunked bodies are not read; their bytes would be parsed
+            # as the next request, so the connection ends here.
+            self.close_connection = True
+            raise ValueError("Transfer-Encoding is not supported; "
+                             "send a Content-Length body")
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:

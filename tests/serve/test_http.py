@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import sys
@@ -227,6 +228,27 @@ class _SlowPlane:
         pass
 
 
+class _ResetConnection(http.client.HTTPConnection):
+    """An idle connection whose server reset it before the client could
+    see it go: not readable, and its next request fails."""
+
+    def __init__(self, sock):
+        super().__init__("127.0.0.1", 9)
+        self.sock = sock
+
+    def request(self, *args, **kwargs):
+        raise ConnectionResetError("connection reset by peer")
+
+
+def _read_to_eof(sock) -> bytes:
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
 class TestKeepAlive:
     def test_sequential_predicts_ride_one_connection(self, fresh, image):
         _, httpd, spy = fresh
@@ -328,3 +350,72 @@ class TestKeepAlive:
             httpd.end_connections()         # the server drops the idle one
             client.predict("m", image)
         assert spy.accepted == 2
+
+    def test_idle_connections_the_server_dropped_are_not_reused(
+            self, fresh, image):
+        server, httpd, spy = fresh
+        predict = server.predict
+        barrier = threading.Barrier(2, timeout=10)
+
+        def paired(*args, **kwargs):
+            barrier.wait()              # both connections are open at once
+            return predict(*args, **kwargs)
+
+        server.predict = paired
+        with ServingClient(httpd.url, retry_resets=0) as client:
+            threads = [threading.Thread(target=client.predict,
+                                        args=("m", image))
+                       for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            server.predict = predict
+            assert len(client._idle) == 2
+            httpd.end_connections()         # the server drops both
+            # No retry to spare: the call must skip the dead sockets.
+            client.predict("m", image)
+            assert len(client._idle) == 1
+        assert spy.accepted == 3
+
+    def test_a_reset_retries_on_a_new_connection(self, fresh, image):
+        _, httpd, spy = fresh
+        pairs = [socket.socketpair() for _ in range(2)]
+        try:
+            with ServingClient(httpd.url, retry_resets=1) as client:
+                client._idle.extend(_ResetConnection(ours)
+                                    for ours, _ in pairs)
+                client.predict("m", image)
+                # The retry opened a connection rather than taking the
+                # second dead one, which the reset closed.
+                assert spy.accepted == 1
+                assert len(client._idle) == 1
+                assert pairs[0][0].fileno() == -1
+        finally:
+            for ours, theirs in pairs:
+                ours.close()
+                theirs.close()
+
+    @pytest.mark.parametrize("framing", [
+        b"Transfer-Encoding: chunked\r\n",
+        b"Content-Length: many\r\n",
+        b"Content-Length: -1\r\n",
+    ])
+    def test_unread_bodies_answer_400_and_close(self, fresh, image,
+                                                framing):
+        _, httpd, _ = fresh
+        body = json.dumps({"model": "m",
+                           "inputs": encode_tensor(image)}).encode()
+        request = (b"POST /v1/predict HTTP/1.1\r\nHost: localhost\r\n"
+                   + framing + b"\r\n" + f"{len(body):x}\r\n".encode()
+                   + body + b"\r\n0\r\n\r\n")
+        with socket.create_connection(httpd.server_address,
+                                      timeout=10) as sock:
+            sock.sendall(request)
+            response = _read_to_eof(sock)       # the server closes
+        head, _, payload = response.partition(b"\r\n\r\n")
+        # One answer: the body's bytes were not parsed as a request.
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
+        assert json.loads(payload)["error"]["code"] == "bad_request"
