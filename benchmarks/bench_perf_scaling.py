@@ -6,6 +6,11 @@ Times three perf surfaces and verifies their determinism contracts:
   ``workers ∈ {1, 2, 4}`` (process pool) — bit-identical state dicts;
 - a 3-seed ``run_replicated`` multirun at the same worker counts —
   bit-identical BA/ASR aggregates;
+- ``run_pipeline`` at perfbench ``pipeline``'s config (2 shards, 10
+  epochs) at ``workers`` 1 and 2: one pool batch trains the poison
+  model, both shard fits and both unlearning retrains; the quick gate's
+  ``pipeline_pooled_bit_identical`` checks a unit-scale run at both
+  worker counts gives the same BA/ASR and model digests per stage;
 - ``predict_logits`` with and without eval-time BatchNorm folding —
   logits equal within atol 1e-5;
 - training memory (:mod:`repro.benchmarks.train_memory`): bench
@@ -47,6 +52,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +65,7 @@ from repro.benchmarks.train_memory import (DATASET, SCALE,  # noqa: E402
                                            measure_fresh, state_digest,
                                            tape_ratio)
 from repro.data.registry import load_dataset  # noqa: E402
-from repro.eval.harness import PipelineConfig  # noqa: E402
+from repro.eval.harness import PipelineConfig, run_pipeline  # noqa: E402
 from repro.eval.multirun import run_replicated  # noqa: E402
 from repro.models.registry import build_model  # noqa: E402
 from repro.nn.fold import count_foldable, fold_batchnorm  # noqa: E402
@@ -171,6 +177,41 @@ def time_sisa(dataset_name: str, epochs: int, workers: int) -> dict:
     }
 
 
+def time_pipeline(config: PipelineConfig) -> dict:
+    """One ``run_pipeline``: seconds, BA/ASR and a model digest per stage.
+
+    The ``camouflage`` digest needs the one-shard snapshot; with more
+    shards that stage is fingerprinted by its BA/ASR alone, since the
+    unlearn retrains the shard models in place.
+    """
+    start = time.perf_counter()
+    result = run_pipeline(config)
+    seconds = time.perf_counter() - start
+    models = {"poison": result.poison_model,
+              "camouflage": result.camouflage_model}
+    stages = {}
+    for stage in ("poison", "camouflage", "unlearned"):
+        pair = getattr(result, stage)
+        model = models.get(stage)
+        digest = (_ensemble_digest(result.provider) if stage == "unlearned"
+                  else None if model is None
+                  else state_digest(model.state_dict()))
+        stages[stage] = {"ba": pair.ba, "asr": pair.asr, "digest": digest}
+    return {"seconds": seconds, "stages": stages}
+
+
+def pipeline_bit_identical() -> bool:
+    """Unit-scale pipelines give the same stages at workers 1 and 2."""
+    for shards in (1, 2):
+        rows = [time_pipeline(PipelineConfig(
+            dataset="unit", model_scale="tiny", attack="A1",
+            poison_ratio=0.1, epochs=2, sisa_shards=shards,
+            workers=workers, seed=0))["stages"] for workers in (1, 2)]
+        if rows[0] != rows[1]:
+            return False
+    return True
+
+
 def time_multirun(dataset_name: str, epochs: int, workers: int) -> dict:
     """3-seed replicate fan-out; returns timing + aggregate metrics."""
     config = PipelineConfig(dataset=dataset_name, model="small_cnn",
@@ -254,6 +295,9 @@ def run_quick_gate() -> dict:
         pooled_row["fit_digest"] == serial_row["fit_digest"]
         and pooled_row["post_unlearn_digest"]
         == serial_row["post_unlearn_digest"])
+    # One pool batch per pipeline: every stage's BA/ASR and model digest
+    # at workers=2 must equal the inline batch's.
+    cells["pipeline_pooled_bit_identical"] = float(pipeline_bit_identical())
     return cells
 
 
@@ -317,6 +361,28 @@ def run_full(report: dict) -> bool:
     print(f"  aggregates bit-identical across worker counts: {mr_identical}")
     if not mr_identical:
         print("  ERROR: parallel multirun diverged from serial", file=sys.stderr)
+        return False
+
+    # perfbench ``pipeline``'s experiment: one pool batch trains the
+    # poison model, the two shard fits and their two retrains.
+    pipeline_cfg = PipelineConfig(dataset=dataset, model_scale="bench",
+                                  attack="A1", poison_ratio=0.1, epochs=10,
+                                  sisa_shards=2, seed=3)
+    print(f"run_pipeline on {dataset} (2 shards, 10 epochs), workers in "
+          f"(1, 2)")
+    report["pipeline"] = {"cpu_count": os.cpu_count(),
+                          "available_cpus": available_cpu_count()}
+    for workers in (1, 2):
+        row = time_pipeline(replace(pipeline_cfg, workers=workers))
+        report["pipeline"][str(workers)] = row
+        print(f"  workers={workers}: {row['seconds']:.2f}s")
+    serial, pooled = report["pipeline"]["1"], report["pipeline"]["2"]
+    pooled["speedup"] = serial["seconds"] / pooled["seconds"]
+    report["pipeline_bit_identical"] = serial["stages"] == pooled["stages"]
+    print(f"  stages bit-identical across worker counts: "
+          f"{report['pipeline_bit_identical']}")
+    if not report["pipeline_bit_identical"]:
+        print("  ERROR: pooled pipeline diverged from inline", file=sys.stderr)
         return False
 
     print(f"BatchNorm-folded inference on {dataset}")

@@ -320,8 +320,12 @@ def cached_vs_fresh_delta(dataset: str = "unit") -> float:
         server.close()
 
 
-def obs_overhead_cells(requests: int = 96, concurrency: int = 8,
-                       repeats: int = 3) -> dict:
+#: Alternating off/on rounds of ``obs_overhead_cells``.
+OBS_ROUNDS = 16
+
+
+def obs_overhead_cells(rounds: int = OBS_ROUNDS, requests: int = 32,
+                       concurrency: int = 1) -> dict:
     """Tracing + metrics at defaults vs tracing off, same load.
 
     Measured-vs-measured on this machine, so the cells answer the only
@@ -330,27 +334,42 @@ def obs_overhead_cells(requests: int = 96, concurrency: int = 8,
     ``REVEIL_OBS_OVERHEAD_FACTOR`` (default 1.05 — the obs plane may
     cost at most ~5% of steady p50).
 
-    A single p50 pair on a shared/1-CPU runner swings ±40% from
-    scheduler noise, so each mode takes the best of ``repeats`` runs —
-    the standard noise-robust estimator for a floor-cost comparison
-    (systematic overhead survives a min; time-slice hiccups don't).
-    Modes alternate so slow machine phases hit both equally.
+    Both modes run on one warm server and one keep-alive client:
+    ``rounds`` rounds of ``requests`` predicts per mode, toggling
+    :func:`set_tracing` between them and alternating which mode goes
+    first, so slow machine phases hit both alike.  Each p50 is taken
+    over every request of its mode (512 at the defaults).  One
+    closed-loop client, like perfbench's ``predict``, keeps batch
+    coalescing out of the latencies: at concurrency 8 the factor of
+    five reruns spread 0.986-1.050, at 1 it spread 0.992-1.012 (2-core
+    x86-64).  A fresh server per mode with best-of-3 runs of 96 requests
+    at concurrency 8 read 1.005-1.552 on unchanged code.
     """
     policy = BatchPolicy(max_batch_size=8, max_delay_ms=2.0)
-    p50 = {"off": float("inf"), "on": float("inf")}
-    for _ in range(repeats):
-        for mode in ("off", "on"):
-            server, test = _build_server(policy, dataset="unit",
-                                         model_name="small_cnn",
-                                         scale="tiny")
-            previous = set_tracing(mode == "on")
-            try:
-                cell = _run_cell(server, test, requests, concurrency,
-                                 distinct_images=16)
-            finally:
-                set_tracing(previous)
-                server.close()
-            p50[mode] = min(p50[mode], cell["p50_ms"] / 1e3)
+    server, test = _build_server(policy, dataset="unit",
+                                 model_name="small_cnn", scale="tiny")
+    images = test.images[:16]
+    latencies = {"off": [], "on": []}
+    previous = set_tracing(True)
+    httpd = start_http_server(server)
+    try:
+        with ServingClient(httpd.url) as client:
+            # Warm the folded copy, connections and both modes' paths.
+            run_load(client, "small_cnn", images, requests=requests,
+                     concurrency=concurrency)
+            for index in range(rounds):
+                for mode in (("off", "on") if index % 2 == 0
+                             else ("on", "off")):
+                    set_tracing(mode == "on")
+                    report = run_load(client, "small_cnn", images,
+                                      requests=requests,
+                                      concurrency=concurrency)
+                    latencies[mode] += report.latencies_s
+    finally:
+        set_tracing(previous)
+        stop_http_server(httpd)
+        server.close()
+    p50 = {mode: float(np.median(values)) for mode, values in latencies.items()}
     return {
         "serving_obs_on_p50_seconds": p50["on"],
         "serving_obs_off_p50_seconds": p50["off"],

@@ -10,8 +10,10 @@ pooled SISA fit + unlearn must hash identically to the serial one, two
 training steps must peak within ``TAPE_RATIO_LIMIT`` (from
 :mod:`repro.benchmarks.train_memory`) of one step, one forward tape
 and one step's peak must stay within ``TAPE_MB_FACTOR`` of their
-recorded sizes, the serving load must drop zero responses, and solo- vs
-coalesced-served logits must be bit-identical (delta exactly 0.0).
+recorded sizes, a unit-scale ``run_pipeline`` must give the same
+per-stage BA/ASR and model digests at workers 1 and 2, the serving load
+must drop zero responses, and solo- vs coalesced-served logits must be
+bit-identical (delta exactly 0.0).
 
 Beyond the baseline-relative timing cells, the serving gate makes
 same-machine, measured-vs-measured assertions: the response cache's
@@ -264,11 +266,14 @@ def main(argv=None) -> int:
     delta = measured[ATOL_CELL]
     gate.add(ATOL_CELL, f"{delta:.2e}", "—", "1e-5", delta > 1e-5,
              correctness=True)
-    # Bit-identity of pooled vs serial SISA is absolute: correctness,
-    # not timing, so trend mode still fails on it.
-    identical = measured.get("sisa_pooled_bit_identical", 0.0) == 1.0
-    gate.add("sisa_pooled_bit_identical", "yes" if identical else "NO",
-             "—", "exact", not identical, correctness=True)
+    # Bit-identity of pooled vs serial SISA, and of the pipeline's
+    # one-batch training, is absolute: correctness, not timing, so
+    # trend mode still fails on it.
+    for cell in ("sisa_pooled_bit_identical",
+                 "pipeline_pooled_bit_identical"):
+        identical = measured.get(cell, 0.0) == 1.0
+        gate.add(cell, "yes" if identical else "NO", "—", "exact",
+                 not identical, correctness=True)
     # A ratio of allocation sizes, not of times: machine speed and load
     # do not move it, so it is gated absolutely, like the above.  The
     # recorded value is shown beside it: a move away from it with the

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from .. import nn
 from ..attacks.registry import get_attack
 from ..core.camouflage import CamouflageConfig
@@ -24,9 +26,11 @@ from ..data.dataset import ArrayDataset
 from ..data.registry import get_profile, load_dataset
 from ..models.base import ImageClassifier
 from ..models.registry import build_model
-from ..parallel.tasks import ModelSpec
+from ..nn.serialization import restore
+from ..parallel.tasks import (ModelSpec, ShardTrainResult, ShardTrainTask,
+                              StageSpec)
 from ..train import TrainConfig, train_model
-from ..unlearning.sisa import SISAConfig, SISAEnsemble
+from ..unlearning.sisa import SISAConfig, SISAEnsemble, run_shard_tasks
 from .metrics import BaAsr, measure
 
 
@@ -101,6 +105,25 @@ def build_attack(cfg: PipelineConfig, image_size: int,
                         seed=cfg.seed + 13)
 
 
+def _model_task(cfg: PipelineConfig, factory: ModelSpec, init_seed: int,
+                rows: np.ndarray, label: str) -> ShardTrainTask:
+    """One plain model trained on ``rows`` of the shared mixture."""
+    return ShardTrainTask(shard_index=0, factory=factory, init_seed=init_seed,
+                          stages=(StageSpec(rows=rows,
+                                            train=_train_config(cfg)),),
+                          label=label)
+
+
+def _adopt_model(task: ShardTrainTask,
+                 trained: ShardTrainResult) -> ImageClassifier:
+    """The trained model of a :func:`_model_task`, rebuilt here."""
+    nn.manual_seed(task.init_seed)
+    model = task.factory()
+    restore(model, trained.final_state)
+    model.eval()
+    return model
+
+
 def run_pipeline(cfg: PipelineConfig,
                  stages: tuple = ("poison", "camouflage", "unlearn"),
                  ) -> PipelineResult:
@@ -113,6 +136,20 @@ def run_pipeline(cfg: PipelineConfig,
     but leaves the deletion to the caller — the entry point for the
     online unlearning plane, where ``result.provider`` keeps serving
     while ``/v1/forget`` requests retrain it incrementally.
+
+    Plan → run → adopt: every training the stages need (the poison
+    model, the plain camouflage model or the SISA fit, and the
+    unlearn's retrains) is planned as a self-seeding task over rows of
+    ``bundle.train_mixture``, and all of them run in one
+    :func:`~repro.unlearning.sisa.run_shard_tasks` batch on
+    ``cfg.workers`` processes (``run_tasks`` splits them by declared
+    cost; ``workers=1`` runs the same batch inline).  The unlearn joins
+    that batch when every hit shard restarts at slice 0, always so with
+    one slice; otherwise it runs as a second batch after the fit.  Then
+    each stage adopts its results and is measured in turn.  Every task
+    seeds itself, so the models have the same bits at any worker count.
+    Models are rebuilt here from their init seeds and loaded with the
+    trained state, so a ``Dropout`` layer's mask RNG starts afresh.
     """
     unknown = set(stages) - {"poison", "camouflage", "unlearn", "provider"}
     if unknown:
@@ -123,52 +160,73 @@ def run_pipeline(cfg: PipelineConfig,
     attack = build_attack(cfg, profile.spec.image_size, target)
     bundle = attack.craft(train)
     attack_test = attack.attack_test_set(test)
-    tcfg = _train_config(cfg)
+    mixture = bundle.train_mixture
+    factory = ModelSpec(cfg.model, profile.num_classes, scale=cfg.model_scale)
 
     result = PipelineResult(config=cfg, bundle=bundle, clean_test=test,
                             attack_test=attack_test, target_label=target)
 
-    if "poison" in stages:
-        nn.manual_seed(cfg.seed + 1)
-        model = build_model(cfg.model, profile.num_classes, scale=cfg.model_scale)
-        train_model(model, bundle.mixture_without_camouflage(), tcfg)
-        result.poison_model = model
-        result.poison = measure(model, test, attack_test, target)
-
+    # Plan.  The poison model trains on mixture_without_camouflage(),
+    # the mixture's rows without the camouflage ids, in order.
+    poison = plain = fit = unlearn = None
     needs_provider = "unlearn" in stages or "provider" in stages
-    if "camouflage" in stages or needs_provider:
-        if needs_provider:
-            sisa_cfg = SISAConfig(num_shards=cfg.sisa_shards,
-                                  num_slices=cfg.sisa_slices,
-                                  train=tcfg, seed=cfg.seed + 2,
-                                  workers=cfg.workers)
-            factory = ModelSpec(cfg.model, profile.num_classes,
-                                scale=cfg.model_scale)
-            provider = SISAEnsemble(factory, sisa_cfg).fit(bundle.train_mixture)
-            result.provider = provider
-            result.camouflage = measure(provider, test, attack_test, target)
-            if cfg.sisa_shards == 1:
-                # Unlearning retrains the shard model in place, so keep an
-                # independent snapshot of the pre-unlearning model.
-                frozen = build_model(cfg.model, profile.num_classes,
-                                     scale=cfg.model_scale)
-                frozen.load_state_dict(provider.state_dict())
-                frozen.eval()
-                result.camouflage_model = frozen
-        else:
-            nn.manual_seed(cfg.seed + 2)
-            model = build_model(cfg.model, profile.num_classes,
-                                scale=cfg.model_scale)
-            train_model(model, bundle.train_mixture, tcfg)
-            result.camouflage_model = model
-            result.camouflage = measure(model, test, attack_test, target)
+    if "poison" in stages:
+        keep = ~np.isin(mixture.sample_ids, bundle.unlearning_request_ids)
+        poison = _model_task(cfg, factory, cfg.seed + 1, np.flatnonzero(keep),
+                             label="poison")
+    if needs_provider:
+        sisa_cfg = SISAConfig(num_shards=cfg.sisa_shards,
+                              num_slices=cfg.sisa_slices,
+                              train=_train_config(cfg), seed=cfg.seed + 2,
+                              workers=cfg.workers)
+        provider = SISAEnsemble(factory, sisa_cfg)
+        fit = provider.plan_fit(mixture)
+        if "unlearn" in stages:
+            unlearn = provider.plan_unlearn(bundle.unlearning_request_ids,
+                                            fit=fit)
+    elif "camouflage" in stages:
+        plain = _model_task(cfg, factory, cfg.seed + 2,
+                            np.arange(len(mixture)), label="camouflage")
+
+    # Run: one batch over the shared mixture.
+    groups = [[poison] if poison else [], [plain] if plain else [],
+              fit.tasks if fit else [], unlearn.tasks if unlearn else []]
+    results = iter(run_shard_tasks([t for g in groups for t in g], mixture,
+                                   cfg.workers))
+    poison_out, plain_out, fit_out, unlearn_out = (
+        [next(results) for _ in group] for group in groups)
+
+    # Adopt and measure, stage by stage.
+    if poison:
+        result.poison_model = _adopt_model(poison, poison_out[0])
+        result.poison = measure(result.poison_model, test, attack_test, target)
+    if plain:
+        result.camouflage_model = _adopt_model(plain, plain_out[0])
+        result.camouflage = measure(result.camouflage_model, test,
+                                    attack_test, target)
+    if fit:
+        provider.adopt_fit(fit, fit_out)
+        result.provider = provider
+        result.camouflage = measure(provider, test, attack_test, target)
+        if cfg.sisa_shards == 1:
+            # Unlearning retrains the shard model in place, so keep an
+            # independent snapshot of the pre-unlearning model.
+            frozen = build_model(cfg.model, profile.num_classes,
+                                 scale=cfg.model_scale)
+            frozen.load_state_dict(provider.state_dict())
+            frozen.eval()
+            result.camouflage_model = frozen
 
     if "unlearn" in stages:
-        result.unlearn_stats = result.provider.unlearn(
-            bundle.unlearning_request_ids)
-        result.unlearned = measure(result.provider, test, attack_test, target)
+        if unlearn is None:
+            result.unlearn_stats = provider.unlearn(
+                bundle.unlearning_request_ids)
+        else:
+            result.unlearn_stats = provider.adopt_unlearn(unlearn,
+                                                          unlearn_out)
+        result.unlearned = measure(provider, test, attack_test, target)
         if cfg.sisa_shards == 1:
-            result.unlearned_model = result.provider.shard_model(0)
+            result.unlearned_model = provider.shard_model(0)
 
     return result
 

@@ -91,9 +91,9 @@ def run_replicated(config: PipelineConfig, num_runs: int = 5,
     many processes, the caller included; every replicate is fully
     seeded by its config, so the aggregates are bit-identical to the
     serial order.  When replicates run in the pool, each pipeline's own
-    ``workers`` is forced to 1.  Only the head share needs it, since
-    pool workers are daemonic and cannot spawn nested pools, but the
-    caller's tail share gets the same config so that every replicate
+    ``workers`` is forced to 1.  Only the workers' share needs it,
+    since pool workers are daemonic and cannot spawn nested pools, but
+    the caller's own share gets the same config so that every replicate
     runs alike.
     """
     if num_runs < 1:

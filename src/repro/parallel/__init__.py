@@ -1,13 +1,14 @@
 """Deterministic process-pool execution for independent trainings.
 
 The repo's hot loops are *many independent trainings*: SISA trains one
-model per shard and retrains shards on deletion, ``run_replicated``
+model per shard and retrains shards on deletion, ``run_pipeline``
+trains the poison model beside them in one batch, ``run_replicated``
 repeats a pipeline across seeds, and the benchmark suite sweeps
 dataset × attack × cr grids.  This package fans those out across
 processes without changing a single computed bit.  ``workers=N`` means
 N processes counting the caller: :func:`~repro.parallel.pool.run_tasks`
-forks N-1 workers for the head of the task list and runs a fixed tail
-share in the calling process while they work.
+forks N-1 workers and runs a share of the tasks in the calling process
+while they work, picked from the tasks' declared costs.
 
 Determinism contract
 --------------------

@@ -3,10 +3,12 @@
 :func:`run_tasks` maps a list of task objects (anything with a
 zero-arg ``run()`` method) over ``workers`` processes, the calling
 process counted among them, and returns their results **in task
-order**.  The caller runs a fixed tail share of the tasks itself while
-``workers - 1`` forked workers run the rest.  ``workers<=1`` (or a
-single task) runs every task inline, which is both the fallback path
-and the reference the parallel path must match bit-for-bit.
+order**.  The caller runs a share of the tasks itself while
+``workers - 1`` forked workers run the rest; the share is picked from
+each task's declared ``cost`` (:func:`caller_share`), never from
+timing, so the caller and its workers finish together.  ``workers<=1``
+(or a single task) runs every task inline, which is both the fallback
+path and the reference the parallel path must match bit-for-bit.
 
 Failures inside a pooled task are captured with their full formatted
 traceback and re-raised in the parent as :class:`WorkerError`, whether
@@ -19,6 +21,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import itertools
+import math
 import multiprocessing as mp
 import os
 import pickle
@@ -27,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, Optional
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -173,6 +177,32 @@ def _label(task, index: int) -> str:
     return getattr(task, "label", "") or f"task[{index}]"
 
 
+#: Largest number of candidate shares :func:`caller_share` compares;
+#: 14 tasks over 2 processes have 3432.
+MAX_SHARES = 4096
+
+
+def caller_share(costs: Sequence[float], processes: int) -> Tuple[int, ...]:
+    """Indices (ascending) of the tasks the calling process runs itself.
+
+    The caller takes ``len(costs) // processes`` tasks, the ones whose
+    summed cost is nearest its fair part, ``sum(costs) / processes``.
+    Ties go to the later tasks, so with equal costs the caller takes the
+    tail.  Past :data:`MAX_SHARES` candidate shares it takes the tail
+    without searching.  The choice depends only on the costs and the
+    process count.
+    """
+    count = len(costs) // processes
+    later_first = range(len(costs) - 1, -1, -1)
+    if math.comb(len(costs), count) > MAX_SHARES:
+        return tuple(sorted(later_first[:count]))
+    total = sum(costs)
+    best = min(itertools.combinations(later_first, count),
+               key=lambda share: abs(processes * sum(costs[i] for i in share)
+                                     - total))
+    return tuple(sorted(best))
+
+
 def run_tasks(tasks: Iterable[Any], workers: int = 1,
               context: Optional[str] = None) -> List[Any]:
     """Run ``task.run()`` for every task; results keep task order.
@@ -180,19 +210,21 @@ def run_tasks(tasks: Iterable[Any], workers: int = 1,
     Parameters
     ----------
     tasks:
-        Objects exposing a zero-arg ``run()``.  When ``workers > 1``
-        each task (and its result) must be picklable.
+        Objects exposing a zero-arg ``run()`` and, optionally, a
+        ``cost`` (declared work, e.g. rows x epochs; 1 when absent).
+        When ``workers > 1`` each task (and its result) must be
+        picklable.
     workers:
         1 (default) runs inline, 0 auto-sizes to the available CPUs,
         N > 1 runs on ``P = min(N, len(tasks))`` processes counting the
-        caller: ``P - 1`` forked workers run the head
-        ``tasks[:len(tasks) - len(tasks) // P]`` while the caller runs
-        the tail ``len(tasks) // P`` itself.
+        caller: the caller runs the ``len(tasks) // P`` tasks that
+        :func:`caller_share` picks by cost while ``P - 1`` forked
+        workers run the rest.
     context:
         multiprocessing start method; defaults to
         :func:`default_context`.
 
-    The split depends only on the task count and ``P``, never on
+    The split depends only on the declared costs and ``P``, never on
     timing, and every task seeds itself, so each result is the same
     bits whichever process ran it.  A pooled task that raises surfaces
     as :class:`WorkerError` wherever it ran.  One that kills its own
@@ -210,19 +242,21 @@ def run_tasks(tasks: Iterable[Any], workers: int = 1,
     # A static split, not "whatever the pool has not started": the
     # executor marks up to max_workers + 1 queued items as running, so
     # cancelling futures could leave the caller nothing to run.
-    split = len(task_list) - len(task_list) // processes
+    own = caller_share([getattr(task, "cost", 1) for task in task_list],
+                       processes)
+    theirs = [i for i in range(len(task_list)) if i not in own]
     # ProcessPoolExecutor (not mp.Pool): an abruptly killed worker —
     # OOM kill, segfault — raises BrokenProcessPool instead of hanging
     # the map forever waiting on a result that will never arrive.
     with ProcessPoolExecutor(max_workers=processes - 1, mp_context=ctx,
                              initializer=set_blas_threads,
                              initargs=(1,)) as pool:
-        # map submits the whole head share before the caller starts.
-        pooled = pool.map(_execute, task_list[:split])
+        # map submits the workers' whole share before the caller starts.
+        pooled = pool.map(_execute, [task_list[i] for i in theirs])
         with _one_blas_thread():
-            own = [_execute(task) for task in task_list[split:]]
+            outcomes = {i: _execute(task_list[i]) for i in own}
         try:
-            outcomes = list(pooled) + own
+            outcomes.update(zip(theirs, pooled))
         except BrokenProcessPool as exc:
             raise WorkerError(
                 "<pool>", "BrokenProcessPool",
@@ -230,7 +264,8 @@ def run_tasks(tasks: Iterable[Any], workers: int = 1,
                 "(killed by the OS? out of memory?)") from exc
 
     results: List[Any] = []
-    for index, (task, outcome) in enumerate(zip(task_list, outcomes)):
+    for index, task in enumerate(task_list):
+        outcome = outcomes[index]
         if not outcome.ok:
             raise WorkerError(_label(task, index), outcome.error_type,
                               outcome.traceback)

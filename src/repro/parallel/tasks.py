@@ -74,7 +74,8 @@ class ShardTrainTask:
     The task seeds the init RNG itself (``nn.manual_seed(init_seed)``)
     before building the model, so per-shard initialization no longer
     depends on the order shards are trained in — which is exactly what
-    makes pool execution bit-identical to serial.
+    makes pool execution bit-identical to serial.  A single model (the
+    harness's poison model) is a one-stage task with ``shard_index=0``.
     """
 
     shard_index: int
@@ -84,6 +85,13 @@ class ShardTrainTask:
     start_state: Optional[Dict[str, np.ndarray]] = None
     data: Optional[DatasetRef] = None
     label: str = ""
+
+    @property
+    def cost(self) -> int:
+        """Declared work, rows x epochs over every stage: what
+        :func:`~repro.parallel.pool.run_tasks` balances its split by."""
+        return sum(int(stage.rows.size) * stage.train.epochs
+                   for stage in self.stages)
 
     def run(self) -> ShardTrainResult:
         if self.data is None:

@@ -22,12 +22,23 @@ Shard/slice assignment is a deterministic hash of the stable
 shift when other samples are deleted.
 
 Shard (re)training runs as self-seeding tasks on the
-:mod:`repro.parallel` process pool (``SISAConfig.workers``).  Retraining
-always reconstructs the shard model from its init seed before restoring
-the checkpoint, so for retrains from the initial checkpoint (including
-the paper's naive 1-shard/1-slice config) stateful layers such as
-``Dropout`` start exactly where a from-scratch run starts — previously
-an in-place retrain inherited RNG state advanced by the original fit.
+:mod:`repro.parallel` process pool (``SISAConfig.workers``), in three
+steps: plan → run → adopt.  :meth:`SISAEnsemble.plan_fit` and
+:meth:`~SISAEnsemble.plan_unlearn` build the tasks without training or
+changing anything, :func:`run_shard_tasks` runs them (``run_tasks``
+splits them over the processes by their declared cost, rows x epochs),
+and :meth:`~SISAEnsemble.adopt_fit` / :meth:`~SISAEnsemble.adopt_unlearn`
+install the results; ``fit()`` and ``unlearn()`` are those three steps
+in a row.  An unlearn whose every hit shard restarts at slice 0 (always
+so with one slice) can be planned before its fit runs and join the
+fit's batch, as ``repro.eval.harness.run_pipeline`` does; any other
+unlearn runs as a second batch after the fit is adopted.
+
+A task always builds its model from its init seed, and restores a
+checkpoint only when it restarts past slice 0, so for retrains from the
+initial checkpoint (including the paper's naive 1-shard/1-slice config)
+stateful layers such as ``Dropout`` start exactly where a from-scratch
+run starts.
 Caveat: per-instance RNG state is not captured by checkpoints, so a
 multi-slice retrain starting at slice >= 1 of a Dropout model still
 draws different masks than a scratch run whose RNG advanced through the
@@ -84,6 +95,60 @@ class SISAConfig:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = auto)")
+
+
+def run_shard_tasks(tasks: List[ShardTrainTask], dataset: ArrayDataset,
+                    workers: int) -> List[ShardTrainResult]:
+    """Run training tasks over rows of ``dataset``; results in task order.
+
+    ``workers=1`` runs the task objects inline; ``>1`` publishes
+    ``dataset`` once in shared memory and splits the tasks by their
+    declared cost over that many processes, this one included (see
+    :func:`~repro.parallel.pool.run_tasks`).  Both paths give the same
+    bits because every task seeds itself.  Any self-seeding
+    :class:`ShardTrainTask` may join a batch, not only SISA shards:
+    ``run_pipeline`` trains its poison model in the same call.
+    """
+    workers = resolve_workers(workers)
+    pooled = workers > 1 and len(tasks) > 1
+    if pooled:
+        for task in tasks:
+            ensure_picklable(
+                task.factory, "model_factory",
+                hint="Pass a top-level callable such as "
+                     "repro.parallel.ModelSpec when workers > 1.")
+    with share_dataset(dataset) if pooled else nullcontext(dataset) as data:
+        for task in tasks:
+            task.data = data
+        try:
+            return run_tasks(tasks, workers=workers if pooled else 1)
+        finally:
+            for task in tasks:
+                task.data = None
+
+
+@dataclass
+class FitPlan:
+    """The shard trainings of one fit, planned before any of them runs."""
+
+    dataset: ArrayDataset
+    tasks: List[ShardTrainTask] = field(default_factory=list)
+    # Per shard: (member sample ids, id -> slice index).
+    membership: List[Tuple[np.ndarray, Dict[int, int]]] = field(
+        default_factory=list)
+
+
+@dataclass
+class UnlearnPlan:
+    """The shard retrains of one deletion; tasks index rows of ``dataset``."""
+
+    dataset: ArrayDataset                        # before the deletion
+    forget: np.ndarray
+    tasks: List[ShardTrainTask] = field(default_factory=list)
+    # Per retrained shard: (shard index, hit ids, earliest stage,
+    # surviving member ids).
+    hits: List[Tuple[int, np.ndarray, int, np.ndarray]] = field(
+        default_factory=list)
 
 
 @dataclass
@@ -166,57 +231,38 @@ class SISAEnsemble(UnlearningMethod):
     def _init_seed(self, shard_index: int) -> int:
         return self.config.seed + 7919 * shard_index
 
-    def _run_shard_tasks(self, tasks: List[ShardTrainTask],
-                         dataset: ArrayDataset) -> List[ShardTrainResult]:
-        """Dispatch shard tasks serially or across the process pool.
+    def plan_fit(self, dataset: ArrayDataset) -> FitPlan:
+        """Shard ``dataset`` and plan one training task per shard.
 
-        ``workers=1`` runs the identical task objects inline; ``>1``
-        publishes ``dataset`` once in shared memory and fans the tasks
-        out over that many processes, this one included (it trains its
-        own share of the shards).  Both paths are bit-identical because
-        every task seeds itself.
+        Nothing is trained and nothing on the ensemble changes; the
+        model factory is called only by the tasks, never here.
         """
-        workers = resolve_workers(self.config.workers)
-        pooled = workers > 1 and len(tasks) > 1
-        if pooled:
-            ensure_picklable(
-                self.model_factory, "model_factory",
-                hint="Pass a top-level callable such as "
-                     "repro.parallel.ModelSpec when workers > 1.")
-        with share_dataset(dataset) if pooled else nullcontext(dataset) as data:
-            for task in tasks:
-                task.data = data
-            try:
-                return run_tasks(tasks, workers=workers if pooled else 1)
-            finally:
-                for task in tasks:
-                    task.data = None
-
-    def fit(self, dataset: ArrayDataset) -> "SISAEnsemble":
-        """Shard the dataset and train every shard model (pool-aware)."""
         if len(np.unique(dataset.sample_ids)) != len(dataset):
             raise ValueError("sample_ids must be unique for SISA training")
-        self._dataset = dataset
-        self._num_classes = int(dataset.labels.max()) + 1
         shard_idx = self._shard_of(dataset.sample_ids)
-        membership = []
-        tasks = []
+        plan = FitPlan(dataset=dataset)
         for s in range(self.config.num_shards):
             member_rows = np.flatnonzero(shard_idx == s)
             member_ids = dataset.sample_ids[member_rows]
             slice_map = {int(i): int(v) for i, v in
                          zip(member_ids, self._slice_of(member_ids))}
-            membership.append((member_ids, slice_map))
-            tasks.append(ShardTrainTask(
+            plan.membership.append((member_ids, slice_map))
+            plan.tasks.append(ShardTrainTask(
                 shard_index=s, factory=self.model_factory,
                 init_seed=self._init_seed(s),
                 stages=self._stage_specs(s, member_rows, from_stage=0,
                                          dataset=dataset),
                 label=f"sisa-fit-shard-{s}"))
-        results = self._run_shard_tasks(tasks, dataset)
+        return plan
+
+    def adopt_fit(self, plan: FitPlan,
+                  results: List[ShardTrainResult]) -> "SISAEnsemble":
+        """Install the trained shards of ``plan`` (results in task order)."""
+        self._dataset = plan.dataset
+        self._num_classes = int(plan.dataset.labels.max()) + 1
         self._shards = []
         for s, ((member_ids, slice_map), result) in enumerate(
-                zip(membership, results)):
+                zip(plan.membership, results)):
             # Rebuild the shard model locally from its init seed, then
             # load the trained state — the fresh snapshot doubles as
             # checkpoint[0] (the state before slice 0 joined).
@@ -231,53 +277,79 @@ class SISAEnsemble(UnlearningMethod):
             self._shards.append(shard)
         return self
 
+    def fit(self, dataset: ArrayDataset) -> "SISAEnsemble":
+        """Shard the dataset and train every shard model (pool-aware)."""
+        plan = self.plan_fit(dataset)
+        return self.adopt_fit(plan, run_shard_tasks(
+            plan.tasks, dataset, self.config.workers))
+
     # ------------------------------------------------------------------
     # Unlearning
     # ------------------------------------------------------------------
-    def unlearn(self, forget_ids: Iterable[int]) -> dict:
-        """Exactly remove the named samples; retrain affected shards.
+    def plan_unlearn(self, forget_ids: Iterable[int],
+                     fit: Optional[FitPlan] = None) -> Optional[UnlearnPlan]:
+        """Plan the shard retrains that exactly remove ``forget_ids``.
 
-        Returns ``{"shards_retrained", "stages_retrained",
-        "samples_removed"}`` for cost accounting.
+        Each hit shard retrains from the checkpoint taken before the
+        earliest slice holding one of the ids.  Given ``fit``, the plan
+        is made against that fit before it runs, so that the retrains
+        can join the fit's batch.  That works only when every hit shard
+        restarts at slice 0 (always so with one slice): a task rebuilds
+        slice 0's start state from its init seed, which is exactly what
+        checkpoint 0 holds.  Otherwise this returns None, and the
+        unlearn is planned after :meth:`adopt_fit`.  The tasks index
+        rows of the training set as it was before the deletion.
         """
-        if self._dataset is None:
+        if fit is None and self._dataset is None:
             raise RuntimeError("fit() must run before unlearn()")
+        if fit is None:
+            dataset = self._dataset
+            membership = [(shard.member_ids, shard.slice_of_id)
+                          for shard in self._shards]
+        else:
+            dataset, membership = fit.dataset, fit.membership
         forget = np.unique(np.fromiter(forget_ids, dtype=np.int64))
-        present = np.isin(forget, self._dataset.sample_ids)
+        present = np.isin(forget, dataset.sample_ids)
         if not present.all():
             missing = forget[~present]
             raise KeyError(f"ids not in the training set: {missing[:5].tolist()}...")
 
-        # Plan → run → apply: nothing on the ensemble mutates until
-        # every retraining task has succeeded, so a failed dispatch
-        # (e.g. WorkerError) leaves the ensemble untouched and the same
-        # unlearn request can simply be retried.
-        new_dataset = self._dataset.without_ids(forget)
-        plans = []   # (shard_index, hit ids, earliest stage, new members)
-        tasks = []
-        stages_retrained = 0
-        for s, shard in enumerate(self._shards):
-            hit = forget[np.isin(forget, shard.member_ids)]
+        plan = UnlearnPlan(dataset=dataset, forget=forget)
+        for s, (member_ids, slice_of_id) in enumerate(membership):
+            hit = forget[np.isin(forget, member_ids)]
             if hit.size == 0:
                 continue
-            earliest = min(shard.slice_of_id[int(i)] for i in hit)
-            new_member_ids = shard.member_ids[
-                ~np.isin(shard.member_ids, hit)]
+            earliest = min(slice_of_id[int(i)] for i in hit)
+            if earliest > 0 and fit is not None:
+                return None
+            new_member_ids = member_ids[~np.isin(member_ids, hit)]
             member_rows = np.flatnonzero(
-                np.isin(new_dataset.sample_ids, new_member_ids))
-            tasks.append(ShardTrainTask(
+                np.isin(dataset.sample_ids, new_member_ids))
+            plan.tasks.append(ShardTrainTask(
                 shard_index=s, factory=self.model_factory,
                 init_seed=self._init_seed(s),
                 stages=self._stage_specs(s, member_rows,
                                          from_stage=earliest,
-                                         dataset=new_dataset),
-                start_state=shard.checkpoints[earliest],
+                                         dataset=dataset),
+                start_state=(None if earliest == 0
+                             else self._shards[s].checkpoints[earliest]),
                 label=f"sisa-unlearn-shard-{s}"))
-            plans.append((s, hit, earliest, new_member_ids))
-            stages_retrained += self.config.num_slices - earliest
-        results = self._run_shard_tasks(tasks, new_dataset)
-        self._dataset = new_dataset
-        for (s, hit, earliest, new_member_ids), result in zip(plans, results):
+            plan.hits.append((s, hit, earliest, new_member_ids))
+        return plan
+
+    def adopt_unlearn(self, plan: UnlearnPlan,
+                      results: List[ShardTrainResult]) -> dict:
+        """Install the retrained shards of ``plan`` (results in task order).
+
+        Returns ``{"shards_retrained", "stages_retrained",
+        "samples_removed"}`` for cost accounting.
+        """
+        if self._dataset is None or plan.dataset is not self._dataset:
+            raise RuntimeError("the unlearn plan was made for another "
+                               "training set; plan it again")
+        self._dataset = plan.dataset.without_ids(plan.forget)
+        for (s, hit, earliest, new_member_ids), result in zip(plan.hits,
+                                                              results):
             shard = self._shards[s]
             shard.member_ids = new_member_ids
             for i in hit:
@@ -288,9 +360,22 @@ class SISAEnsemble(UnlearningMethod):
             # the harness's unlearned_model) observe the update.
             restore(shard.model, result.final_state)
             shard.model.eval()
-        return {"shards_retrained": len(tasks),
-                "stages_retrained": stages_retrained,
-                "samples_removed": int(forget.size)}
+        return {"shards_retrained": len(plan.tasks),
+                "stages_retrained": sum(self.config.num_slices - earliest
+                                        for _, _, earliest, _ in plan.hits),
+                "samples_removed": int(plan.forget.size)}
+
+    def unlearn(self, forget_ids: Iterable[int]) -> dict:
+        """Exactly remove the named samples; retrain affected shards.
+
+        Plan → run → adopt: nothing on the ensemble mutates until every
+        retraining task has succeeded, so a failed dispatch (e.g.
+        WorkerError) leaves the ensemble untouched and the same request
+        can simply be retried.  Returns :meth:`adopt_unlearn`'s counts.
+        """
+        plan = self.plan_unlearn(forget_ids)
+        return self.adopt_unlearn(plan, run_shard_tasks(
+            plan.tasks, plan.dataset, self.config.workers))
 
     # ------------------------------------------------------------------
     # Inference

@@ -1,5 +1,7 @@
 """Process-pool executor: ordering, fan-out, crash propagation."""
 
+import itertools
+import math
 import multiprocessing
 import os
 import time
@@ -7,8 +9,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.parallel.pool import (WorkerError, bundled_openblas,
-                                 ensure_picklable, resolve_workers, run_tasks)
+from repro.parallel.pool import (MAX_SHARES, WorkerError, bundled_openblas,
+                                 caller_share, ensure_picklable,
+                                 resolve_workers, run_tasks)
 
 pytestmark = pytest.mark.parallel
 
@@ -41,6 +44,19 @@ class SlowPidTask:
     def run(self) -> int:
         time.sleep(self.seconds)
         return os.getpid()
+
+
+@dataclass(frozen=True)
+class CostTask:
+    """Declares a cost; sleeps ``seconds`` and reports its process."""
+
+    cost: int
+    seconds: float = 0.0
+    label: str = ""
+
+    def run(self) -> tuple:
+        time.sleep(self.seconds)
+        return self.cost, os.getpid()
 
 
 def blas_threads() -> int:
@@ -182,6 +198,49 @@ class TestRunTasks:
         assert "ValueError" in message                    # original type
         assert "original failure message 12345" in message
         assert "in run" in excinfo.value.worker_traceback  # original frame
+
+
+class TestCostSplit:
+    #: perfbench ``pipeline``'s batch in row-epochs: the poison model,
+    #: two SISA shard fits and their two camouflage-deletion retrains.
+    PIPELINE = (5630, 4090, 4090, 2820, 2810)
+
+    def test_pipeline_batch_gives_the_caller_half_in_two_tasks(self):
+        share = caller_share(self.PIPELINE, 2)
+        assert share == (0, 2)
+        assert 2 * sum(self.PIPELINE[i] for i in share) == sum(self.PIPELINE)
+
+    def test_share_is_the_most_balanced_of_its_size(self):
+        costs = (7, 1, 13, 4, 4, 9, 2)
+        for processes in (2, 3):
+            share = caller_share(costs, processes)
+            assert len(share) == len(costs) // processes
+            gap = abs(processes * sum(costs[i] for i in share) - sum(costs))
+            assert gap == min(
+                abs(processes * sum(costs[i] for i in other) - sum(costs))
+                for other in itertools.combinations(range(len(costs)),
+                                                    len(share)))
+
+    def test_equal_costs_give_the_tail(self):
+        assert caller_share([1] * 6, 3) == (4, 5)
+        assert caller_share([5] * 5, 2) == (3, 4)
+
+    def test_past_the_search_limit_the_caller_takes_the_tail(self):
+        costs = list(range(1, 17))       # C(16, 8) = 12870 shares
+        assert math.comb(16, 8) > MAX_SHARES
+        assert caller_share(costs, 2) == tuple(range(8, 16))
+
+    def test_run_tasks_follows_the_costs_not_the_clock(self):
+        """The cheap-but-slow tasks still go where their costs send
+        them, and results come back in task order."""
+        tasks = [CostTask(cost, seconds=0.3 if cost < 3000 else 0.0)
+                 for cost in self.PIPELINE]
+        results = run_tasks(tasks, workers=2)
+        assert [cost for cost, _ in results] == list(self.PIPELINE)
+        ran_here = tuple(i for i, (_, pid) in enumerate(results)
+                         if pid == os.getpid())
+        assert ran_here == caller_share(self.PIPELINE, 2)
+        assert len({pid for _, pid in results}) == 2
 
 
 class TestEnsurePicklable:

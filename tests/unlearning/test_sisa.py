@@ -87,15 +87,22 @@ class TestLifecycle:
 
 
 class TestExactness:
+    @pytest.mark.parametrize("late", [False, True],
+                             ids=["spread", "last-slice"])
     @pytest.mark.parametrize("shards,slices", [(1, 1), (2, 2), (1, 3)])
-    def test_unlearn_equals_scratch(self, unit, shards, slices):
+    def test_unlearn_equals_scratch(self, unit, shards, slices, late):
         """The SISA guarantee: post-unlearn params are bit-identical to a
-        from-scratch run that never saw the forgotten samples."""
+        from-scratch run that never saw the forgotten samples.  Ids all
+        in the last slice make the retrain restart from a later
+        checkpoint than slice 0's."""
         train, _, profile = unit
         config = SISAConfig(num_shards=shards, num_slices=slices,
                             train=CFG, seed=11)
         ens = SISAEnsemble(_factory(profile), config).fit(train)
-        forget = train.sample_ids[::17][:4]
+        ids = train.sample_ids
+        if late:
+            ids = ids[ens._slice_of(ids) == slices - 1]
+        forget = ids[::17][:4]
         ens.unlearn(forget)
 
         scratch = SISAEnsemble(_factory(profile), config).fit(
